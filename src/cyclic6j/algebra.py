@@ -293,17 +293,25 @@ def intertwiner_S(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarra
     ``Psi(E) = sum_m psi_m (eps E)**m``.  Columns are indexed by
     ``(module index of V_{gh}, multiplicity index)`` in row-major order,
     rows by ``(V_g index, V_h index)``.
+
+    Both factors are monomial, so ``S`` is filled entrywise: the Gauss sum
+    ``L`` is the permutation ``e_c (x) e_d -> e_{c-d} (x) e_d`` for every
+    primitive root, and ``(eps E)**m`` sends ``e_a (x) e_b`` to
+    ``w**(m a - m(m-1)/2) e_{a-m} (x) e_{b+m}``.  Hence
+
+        S[(x, y), (x + y, d)] = psi_m w**(m x + m(m+1)/2),  m = y - d,
+
+    and every other entry vanishes: the product index is the sum of the
+    factor indices mod N.
     """
-    X, Y = clock_shift(root)
-    eyeN = np.eye(root.N)
-    E = -np.kron(np.linalg.inv(Y) @ X, Y)
-    psis = psi_coeffs(root, g, h)
-    acc = np.zeros((root.N ** 2, root.N ** 2), dtype=complex)
-    Epow = np.eye(root.N ** 2, dtype=complex)
-    for m in range(root.N):
-        acc += psis[m] * Epow
-        Epow = Epow @ (root.eps * E)
-    return acc @ gauss_L(root, np.kron(Y, eyeN), np.kron(eyeN, X))
+    N = root.N
+    x, y, d = np.ogrid[:N, :N, :N]
+    m = (y - d) % N
+    powers = np.exp(2j * np.pi * root.k * np.arange(N) / N)
+    S = np.zeros((N, N, N, N), dtype=complex)
+    S[x, y, (x + y) % N, d] = (psi_coeffs(root, g, h)[m]
+                               * powers[(m * x + m * (m + 1) // 2) % N])
+    return S.reshape(N * N, N * N)
 
 
 def duality_d(root: RootData, g: GroupElement) -> np.ndarray:

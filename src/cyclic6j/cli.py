@@ -3,7 +3,7 @@
 Four verification suites drive the residual identities of the library
 modules over a seeded RNG; the remaining subcommands operate on
 triangulation documents (JSON).  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error, including input too large to compute in memory.
 """
 from __future__ import annotations
 
@@ -656,6 +656,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

@@ -121,55 +121,82 @@ def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
     return 0
 
 
-def _s4(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Intertwiner reshaped to rank 4: [g-index, h-index, product-index, mult-index]."""
-    N = root.N
-    return intertwiner_S(root, g, h).reshape(N, N, N, N)
+def _graded(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
+    """Intertwiner on its support: ``G[x, y, d] = S[(x, y), (x + y, d)]``.
 
-
-def _s4_inv(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Inverse intertwiner reshaped: [product-index, mult-index, g-index, h-index]."""
-    N = root.N
-    return np.linalg.inv(intertwiner_S(root, g, h)).reshape(N, N, N, N)
-
-
-def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
-    """Uncharged positive 6j tensor, indexed ``[hat(k,l), hat(i,j), check(j,l), check(i,n)]``.
-
-    Every fixed-index composite is an endomorphism of the simple module
-    ``V_m`` and must be proportional to the identity; the worst
-    proportionality defect is checked against ``tol``.
+    ``S`` vanishes unless the product index is the sum of the factor
+    indices mod N, so these N**3 entries are all of it.
     """
-    A1 = _s4_inv(root, lab.k, lab.l)
-    A2 = _s4_inv(root, lab.i, lab.j)
-    A3 = _s4(root, lab.j, lab.l)
-    A4 = _s4(root, lab.i, lab.n)
-    # composite chain V_m -> V_m with both module indices left open
-    full = np.einsum("tzed,eyac,cdbx,absw->zyxwts", A1, A2, A3, A4, optimize=True)
-    return _scalar_collapse(root, full, tol)
-
-
-def tbar_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
-    """Uncharged negative 6j tensor, indexed ``[hat(i,n), hat(j,l), check(i,j), check(k,l)]``."""
-    A1 = _s4_inv(root, lab.i, lab.n)
-    A2 = _s4_inv(root, lab.j, lab.l)
-    A3 = _s4(root, lab.i, lab.j)
-    A4 = _s4(root, lab.k, lab.l)
-    full = np.einsum("tzab,bycq,acpx,pqsw->zyxwts", A1, A2, A3, A4, optimize=True)
-    return _scalar_collapse(root, full, tol)
-
-
-def _scalar_collapse(root: RootData, full: np.ndarray, tol: float) -> np.ndarray:
-    """Reduce [.,.,.,.,out,in] composites to scalars, checking simplicity."""
     N = root.N
-    tensor = np.trace(full, axis1=4, axis2=5) / N
-    resid = full - tensor[..., None, None] * np.eye(N)
-    worst = np.max(np.abs(resid))
+    x, y = np.ogrid[:N, :N]
+    return intertwiner_S(root, g, h).reshape(N, N, N, N)[x, y, (x + y) % N]
+
+
+def _graded_inv(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
+    """Inverse intertwiner on its support: ``H[c, x, d] = S^-1[(c, d), (x, c - x)]``.
+
+    The support makes ``S`` block diagonal over the product index ``c``,
+    with blocks ``B_c[x, d] = G[x, c - x, d]``; each is inverted alone.
+    """
+    N = root.N
+    c, x = np.ogrid[:N, :N]
+    blocks = _graded(root, g, h)[x, (c - x) % N]
+    return np.linalg.inv(blocks).swapaxes(1, 2)
+
+
+def _composite(P1: np.ndarray, P2: np.ndarray, P3: np.ndarray, P4: np.ndarray,
+               tol: float) -> np.ndarray:
+    """Contract gathered factors ``[s, a, c, leg]`` of a composite over ``(a, c)``.
+
+    The factors are the four intertwiners of a composite ``V_m -> V_m``
+    read along their supports: ``s`` is the ``V_m`` index, equal at both
+    ends, and ``(a, c)`` fix every inner index.  Off the diagonal the
+    composite vanishes by the support, so it is proportional to the
+    identity exactly when its N diagonal entries agree; the worst
+    deviation from their mean is checked against ``tol`` times the scale.
+    """
+    diag = np.einsum("sacz,sacy,sacx,sacw->zyxws", P1, P2, P3, P4,
+                     optimize=True)
+    tensor = diag.mean(axis=-1)
+    worst = float(np.max(np.abs(diag - tensor[..., None])))
     scale = max(1.0, float(np.max(np.abs(tensor))))
     if worst > tol * scale:
         raise NotScalarError(
             f"composite defect {worst:.3e} exceeds {tol:.1e} (x {scale:.1e})")
     return tensor
+
+
+def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
+    """Uncharged positive 6j tensor, indexed ``[hat(k,l), hat(i,j), check(j,l), check(i,n)]``.
+
+    The composite ``S^-1_{k,l} (S^-1_{i,j} x id) (id x S_{j,l}) S_{i,n}``
+    is an endomorphism of the simple module ``V_m`` at every fixed
+    multiplicity index and must be proportional to the identity.  With
+    ``V_m`` index ``s`` and ``V_i``, ``V_j`` indices ``a``, ``c``, the
+    supports fix ``V_k = a + c``, ``V_l = s - a - c`` and ``V_n = s - a``.
+    """
+    N = root.N
+    s, a, c = np.indices((N, N, N))
+    return _composite(
+        _graded_inv(root, lab.k, lab.l)[s, (a + c) % N],
+        _graded_inv(root, lab.i, lab.j)[(a + c) % N, a],
+        _graded(root, lab.j, lab.l)[c, (s - a - c) % N],
+        _graded(root, lab.i, lab.n)[a, (s - a) % N], tol)
+
+
+def tbar_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
+    """Uncharged negative 6j tensor, indexed ``[hat(i,n), hat(j,l), check(i,j), check(k,l)]``.
+
+    Composite ``S^-1_{i,n} (id x S^-1_{j,l}) (S_{i,j} x id) S_{k,l}``,
+    read along the supports as in :func:`tform_tensor`.
+    """
+    N = root.N
+    s, a, c = np.indices((N, N, N))
+    return _composite(
+        _graded_inv(root, lab.i, lab.n)[s, a],
+        _graded_inv(root, lab.j, lab.l)[(s - a) % N, c],
+        _graded(root, lab.i, lab.j)[a, c],
+        _graded(root, lab.k, lab.l)[(a + c) % N, (s - a - c) % N], tol)
 
 
 def t_form(root: RootData, lab: LabelSix, alpha: int, beta: int,

@@ -13,7 +13,8 @@ compared and normalized modulo that power.
 """
 from __future__ import annotations
 
-import cmath
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -67,6 +68,16 @@ def _assert_q_scalar(root: RootData) -> None:
     _q_checked.add(key)
 
 
+def _corners(T: TriComplex, t: int) -> tuple[list[int], bool, list[int]]:
+    """Corners sorted by the global vertex order, the sign of the tensor,
+    and the face class of each of its legs."""
+    vs = sorted(range(4), key=lambda c: T.vertex_rank[T.vertex_class(t, c)])
+    right = T.orientations[t] * _perm_sign(vs) > 0
+    opposite = ((vs[1], vs[3], vs[0], vs[2]) if right
+                else (vs[2], vs[0], vs[3], vs[1]))
+    return vs, right, [T.face_class(t, f) for f in opposite]
+
+
 def tetra_weight(root: RootData, T: TriComplex,
                  coloring: dict[int, GroupElement], charge: Charge,
                  t: int, tol: float = 1e-9) -> tuple[Sixj, list[int]]:
@@ -77,21 +88,15 @@ def tetra_weight(root: RootData, T: TriComplex,
     charges sit on v1v2 and v2v3.  Leg p of the positive (negative)
     tensor lies on the face opposite v2, v4, v1, v3 (v3, v1, v4, v2).
     """
-    vs = sorted(range(4), key=lambda c: T.vertex_rank[T.vertex_class(t, c)])
-    right = T.orientations[t] * _perm_sign(vs) > 0
+    vs, right, faces = _corners(T, t)
     i = color_of(T, coloring, t, vs[0], vs[1])
     j = color_of(T, coloring, t, vs[1], vs[2])
     l = color_of(T, coloring, t, vs[2], vs[3])
     lab = LabelSix.from_generators(i, j, l)
     a = HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[0], vs[1])]])
     c = HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[1], vs[2])]])
-    if right:
-        S = sixj_pos(root, lab, a, c, tol)
-        opposite = (vs[1], vs[3], vs[0], vs[2])
-    else:
-        S = sixj_neg(root, lab, a, c, tol)
-        opposite = (vs[2], vs[0], vs[3], vs[1])
-    return S, [T.face_class(t, f) for f in opposite]
+    weight = sixj_pos if right else sixj_neg
+    return weight(root, lab, a, c, tol), faces
 
 
 def _labels_match(p, q, tol: float = 1e-6) -> bool:
@@ -100,10 +105,69 @@ def _labels_match(p, q, tol: float = 1e-6) -> bool:
                for x, y in zip(p, q))
 
 
-def _states(scene: Scene):
-    # each regular edge color admits a single cyclic module, so the
-    # coloring determines the one state of the sum
-    yield scene.coloring
+# Largest tensor, in complex entries (256 MiB), that a contraction may
+# create; a network whose plan needs more is refused before any weight is
+# built.
+MAX_ENTRIES = 2 ** 24
+
+
+def _open_legs(faces: list[int]) -> list[int]:
+    """Legs left after tracing the faces a tetrahedron glues to itself."""
+    return [f for f in faces if faces.count(f) == 1]
+
+
+def _plan(legs: list[list[int]]) -> tuple[list, int]:
+    """Pairwise contraction order over tensors with the given open legs.
+
+    Every face class must be an open leg of exactly two tensors.  Each
+    step merges the pair whose result has the fewest legs, over all the
+    faces the two share.  Returns the steps as ``(a, b, (axes of a, axes
+    of b))``, with ids counting the inputs and then each step's result,
+    and the most legs any tensor of the plan carries.
+    """
+    live = dict(enumerate(legs))
+    holders: dict[int, set[int]] = {}
+    for i, ls in live.items():
+        for f in ls:
+            holders.setdefault(f, set()).add(i)
+    steps, peak = [], max(map(len, legs))
+    while len(live) > 1:
+        # pairs sharing a face; scalars of disjoint components merge last
+        pairs = {tuple(sorted(ids)) for ids in holders.values()} \
+            or {tuple(sorted(live)[:2])}
+        a, b = min(pairs, key=lambda p: (len(set(live[p[0]])
+                                             ^ set(live[p[1]])), p))
+        la, lb = live.pop(a), live.pop(b)
+        shared = [f for f in la if f in lb]
+        steps.append((a, b, ([la.index(f) for f in shared],
+                             [lb.index(f) for f in shared])))
+        new = len(legs) + len(steps) - 1
+        live[new] = [f for f in la + lb if f not in shared]
+        for f in shared:
+            del holders[f]
+        for f in live[new]:
+            holders[f] = holders[f] - {a, b} | {new}
+        peak = max(peak, len(live[new]))
+    return steps, peak
+
+
+def _check_faces(weights: list[tuple[Sixj, list[int]]]) -> None:
+    """Every face class pairs a check leg with a hat leg of equal labels."""
+    ends: dict[int, list] = {}
+    for S, faces in weights:
+        for (kind, g, h), f in zip(S.legs, faces):
+            ends.setdefault(f, []).append((kind, (g, h)))
+    for f, ((k1, l1), (k2, l2)) in ends.items():
+        if {k1, k2} != {"check", "hat"}:
+            raise TypeMismatch(f"face class {f} pairs {k1} with {k2}")
+        if not _labels_match(l1, l2):
+            raise TypeMismatch(f"face class {f} pairs unequal labels")
+
+
+def _trace_self_glued(array: np.ndarray, faces: list[int]) -> np.ndarray:
+    """Contract the two legs of every face a tetrahedron glues to itself."""
+    ids = [faces.index(f) for f in faces]
+    return np.einsum(array, ids, [i for i in ids if ids.count(i) == 1])
 
 
 def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
@@ -111,7 +175,10 @@ def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
 
     Requires a coloring and a valid charge on the scene; raises
     :class:`TypeMismatch` if some face fails to pair a check leg with a
-    hat leg of equal labels.
+    hat leg of equal labels, and :class:`InvariantError` if the
+    contraction plan needs a tensor of more than ``MAX_ENTRIES`` entries.
+    The coloring fixes the one state of the sum, since each regular edge
+    color admits a single cyclic module.
     """
     _assert_q_scalar(root)
     if scene.coloring is None:
@@ -120,61 +187,24 @@ def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
         raise InvariantError("the scene carries no charge")
     T = scene.complex
     validate_charge(T, scene.link, scene.charge)
-    total = 0.0 + 0.0j
-    for state in _states(scene):
-        ends: dict[int, list] = {}
-        tensors = []
-        for t in range(T.n_tets):
-            S, face_cls = tetra_weight(root, T, state, scene.charge, t, tol)
-            idx = len(tensors)
-            tensors.append({"array": S.entries, "legs": list(face_cls)})
-            for axis, cls in enumerate(face_cls):
-                kind, g, h = S.legs[axis]
-                ends.setdefault(cls, []).append((idx, kind, (g, h)))
-        for cls, sides in ends.items():
-            if len(sides) != 2:
-                raise TypeMismatch(f"face class {cls} has {len(sides)} legs")
-            (_, k1, l1), (_, k2, l2) = sides
-            if {k1, k2} != {"check", "hat"}:
-                raise TypeMismatch(f"face class {cls} pairs {k1} with {k2}")
-            if not _labels_match(l1, l2):
-                raise TypeMismatch(f"face class {cls} pairs unequal labels")
-        alive = {i: tb for i, tb in enumerate(tensors)}
-        pending = set(ends)
-        while pending:
-            best = None
-            for cls in pending:
-                holders = [i for i, tb in alive.items() if cls in tb["legs"]]
-                cost = sum(len(alive[i]["legs"]) for i in set(holders))
-                if best is None or (cost, cls) < best[:2]:
-                    best = (cost, cls, holders)
-            _, cls, holders = best
-            pending.discard(cls)
-            if len(set(holders)) == 1:
-                i = holders[0]
-                tb = alive[i]
-                ax1 = tb["legs"].index(cls)
-                ax2 = tb["legs"].index(cls, ax1 + 1)
-                tb["array"] = np.trace(tb["array"], axis1=ax1, axis2=ax2)
-                tb["legs"] = [x for k, x in enumerate(tb["legs"])
-                              if k not in (ax1, ax2)]
-            else:
-                ia, ib = holders[0], holders[1]
-                ta, tb = alive.pop(ia), alive.pop(ib)
-                axa = ta["legs"].index(cls)
-                axb = tb["legs"].index(cls)
-                merged = np.tensordot(ta["array"], tb["array"],
-                                      axes=([axa], [axb]))
-                legs = [x for k, x in enumerate(ta["legs"]) if k != axa] + \
-                    [x for k, x in enumerate(tb["legs"]) if k != axb]
-                alive[ia] = {"array": merged, "legs": legs}
-        value = 1.0 + 0.0j
-        for tb in alive.values():
-            if tb["legs"]:
-                raise InvariantError("open legs left after contraction")
-            value *= complex(tb["array"])
-        total += value
-    return total * (1.0 / root.N) ** len(scene.link)
+    faces = [_corners(T, t)[2] for t in range(T.n_tets)]
+    counts = Counter(f for fs in faces for f in fs)
+    for f, n in counts.items():
+        if n != 2:
+            raise TypeMismatch(f"face class {f} has {n} legs")
+    steps, peak = _plan([_open_legs(fs) for fs in faces])
+    if root.N ** peak > MAX_ENTRIES:
+        raise InvariantError(
+            f"contraction needs a tensor of {root.N}^{peak} entries, over "
+            f"the budget of {MAX_ENTRIES}")
+    weights = [tetra_weight(root, T, scene.coloring, scene.charge, t, tol)
+               for t in range(T.n_tets)]
+    _check_faces(weights)
+    arrays = [_trace_self_glued(S.entries, fs) for S, fs in weights]
+    for a, b, axes in steps:
+        arrays.append(np.tensordot(arrays[a], arrays[b], axes=axes))
+        arrays[a] = arrays[b] = None
+    return complex(arrays[-1]) * (1.0 / root.N) ** len(scene.link)
 
 
 def qtilde_order(root: RootData, tol: float = 1e-9) -> int:
@@ -207,19 +237,25 @@ def equal_mod_qtilde(z1: complex, z2: complex, root: RootData,
     return False
 
 
+# Reduced arguments within this fraction of the step from 0 or from the
+# step are 0: an invariant on the branch cut, such as the real fixture
+# value, then gets one record whichever side rounding puts it on.
+ARG_SNAP = 1e-9
+
+
 def canonical_rep(z: complex, root: RootData) -> tuple[float, float]:
     """Modulus and argument reduced modulo the grading scalar's angle.
 
-    The reduced argument lies in [0, 2 pi / order); a zero value has no
-    representative.
+    The reduced argument lies in [0, 2 pi / order), snapped to 0 within
+    ``ARG_SNAP`` steps of either end; a zero value has no representative.
     """
+    z = complex(z)
     if z == 0:
         raise ZeroValue("cannot normalize a vanishing invariant")
-    d = qtilde_order(root)
-    step = 2.0 * np.pi / d
-    theta = cmath.phase(z) % step
-    if theta >= step:
-        theta -= step
+    step = 2.0 * math.pi / qtilde_order(root)
+    theta = math.atan2(z.imag, z.real) % step
+    if min(theta, step - theta) <= ARG_SNAP * step:
+        theta = 0.0
     return (abs(z), theta)
 
 

@@ -92,13 +92,8 @@ def test_criterion_5_regression_canonical_rep():
     root = RootData(3)
     value = state_sum(root, boundary4simplex_scene())
     modulus, reduced_arg = canonical_rep(value, root)
-    path = DATA / "regression_canonical_N3.json"
-    if not path.exists():
-        DATA.mkdir(exist_ok=True)
-        path.write_text(json.dumps(
-            {"N": 3, "modulus": modulus, "reduced_arg": reduced_arg},
-            indent=1, sort_keys=True) + "\n")
-    stored = json.loads(path.read_text())
+    # a missing record fails here rather than being written afresh
+    stored = json.loads((DATA / "regression_canonical_N3.json").read_text())
     assert stored["N"] == 3
     assert modulus == pytest.approx(stored["modulus"], abs=1e-9)
     assert reduced_arg == pytest.approx(stored["reduced_arg"], abs=1e-9)

@@ -193,6 +193,23 @@ def test_intertwiner_carries_both_generators(root3, rng):
         assert np.linalg.norm(db @ S - S @ np.kron(Bgh, I_N)) < 1e-9
 
 
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_intertwiner_matches_dense_gauss_product(N, rng):
+    # S = Psi(E) L(Y x 1, 1 x X), built from dense matrix products
+    root = RootData(N, 2)
+    X, Y = clock_shift(root)
+    I_N = np.eye(N)
+    E = -np.kron(np.linalg.inv(Y) @ X, Y)
+    L = gauss_L(root, np.kron(Y, I_N), np.kron(I_N, X))
+    for _ in range(3):
+        g, h = random_admissible_pair(root, rng)
+        psi_E = sum(c * np.linalg.matrix_power(root.eps * E, m)
+                    for m, c in enumerate(psi_coeffs(root, g, h)))
+        want = psi_E @ L
+        got = intertwiner_S(root, g, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_duality_zig_zags(root3, rng):
     I_N = np.eye(root3.N)
     for _ in range(20):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cyclic6j import cli, statesum
 from cyclic6j.cli import main
 from cyclic6j.fixtures import boundary4simplex_document, boundary4simplex_scene
 from cyclic6j.triangulation import scene_document
@@ -70,6 +71,28 @@ def test_invariant_record_output(capsys):
     assert rec["N"] == 3
     assert rec["value"][0] == pytest.approx(1.0 / 9.0, abs=1e-9)
     assert rec["value"][1] == pytest.approx(0.0, abs=1e-9)
+
+
+def _no_weights(*args, **kwargs):
+    raise AssertionError("a weight was built for a refused contraction")
+
+
+def test_invariant_over_budget_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(statesum, "MAX_ENTRIES", 13 ** 5)
+    monkeypatch.setattr(statesum, "tetra_weight", _no_weights)
+    code, out, err = run(["invariant", FIXTURE, "--N", "13"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_memory_error_is_input_error(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.2 GiB")
+    monkeypatch.setattr(cli, "state_sum", out_of_memory)
+    code, _, err = run(["invariant", FIXTURE], capsys)
+    assert code == 2
+    assert err.startswith("error: out of memory")
 
 
 def test_invariant_reads_stdin(monkeypatch, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cyclic6j.algebra import GroupElement, group_mul
+from cyclic6j.algebra import GroupElement, RootData, group_mul
 from cyclic6j.cli import _random_label_six, _random_pentagon
-from cyclic6j.operators import HalfInt
+from cyclic6j.operators import HalfInt, NotScalarError
 from cyclic6j.sixj import (
     BadLabels, ChargeConstraint, LabelSix, check_charged_inversion,
     check_charged_pentagon, check_symmetry_relations,
@@ -39,15 +39,27 @@ def test_multiplicity_spaces_have_full_dimension(root3, root5):
     assert multiplicity_dim(root5, lab.i, lab.j, lab.k) == 5
 
 
-def test_tensor_entries_match_scalar_forms(root3, rng):
-    lab = _random_label_six(root3, rng)
-    tp = tform_tensor(root3, lab)
-    tn = tbar_tensor(root3, lab)
-    for _ in range(8):
-        idx = tuple(int(v) for v in rng.integers(0, 3, size=4))
-        assert tp[idx] == pytest.approx(t_form(root3, lab, *idx), abs=1e-10)
-        assert tn[idx] == pytest.approx(tbar_form(root3, lab, *idx),
-                                       abs=1e-10)
+def test_tensor_entries_match_scalar_forms(rng):
+    for N in (3, 5):
+        root = RootData(N)
+        lab = _random_label_six(root, rng)
+        tp = tform_tensor(root, lab)
+        tn = tbar_tensor(root, lab)
+        for _ in range(8):
+            idx = tuple(int(v) for v in rng.integers(0, N, size=4))
+            assert tp[idx] == pytest.approx(t_form(root, lab, *idx),
+                                           abs=1e-10)
+            assert tn[idx] == pytest.approx(tbar_form(root, lab, *idx),
+                                           abs=1e-10)
+
+
+def test_composite_simplicity_is_checked(root3):
+    # rounding alone leaves the diagonal of each composite unequal by more
+    # than a tolerance of 1e-30
+    lab = LabelSix.from_generators(I0, J0, L0)
+    for tensor in (tform_tensor, tbar_tensor):
+        with pytest.raises(NotScalarError):
+            tensor(root3, lab, tol=1e-30)
 
 
 def test_permute_legs_round_trip(rng):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclic6j.algebra import RootData
+from cyclic6j import statesum
+from cyclic6j.algebra import AlgebraError, RootData
 from cyclic6j.operators import qtilde
 from cyclic6j.statesum import (
     InvariantError, TypeMismatch, ZeroValue, canonical_rep, equal_mod_qtilde,
     invariant_record, qtilde_order, state_sum, tetra_weight,
 )
-from cyclic6j.triangulation import Scene, deform_charge
+from cyclic6j.triangulation import (
+    Scene, TopologyError, bubble_plus, deform_charge, pachner_plus,
+)
 
 
 def test_qtilde_order(root3, root5):
@@ -24,6 +27,62 @@ def test_fixture_value_is_one_ninth(root3, fixture_scene):
     K = state_sum(root3, fixture_scene)
     assert K.real == pytest.approx(1.0 / 9.0, abs=1e-10)
     assert K.imag == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9, 11, 13])
+def test_fixture_value_is_one_over_N_squared(N, fixture_scene):
+    root = RootData(N)
+    K = state_sum(root, fixture_scene)
+    assert abs(K) * N * N == pytest.approx(1.0, abs=1e-12)
+    assert equal_mod_qtilde(K, 1.0 / N ** 2, root)
+
+
+def _grow(scene: Scene, n_tets: int, seed: int) -> Scene:
+    """Seeded pachner+/bubble+ moves at random cells up to ``n_tets``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10_000):
+        if scene.complex.n_tets >= n_tets:
+            return scene
+        move = pachner_plus if rng.random() < 0.5 else bubble_plus
+        t = int(rng.integers(scene.complex.n_tets))
+        try:
+            scene = move(scene, t, int(rng.integers(4)))
+        except (TopologyError, AlgebraError):
+            continue
+    raise AssertionError(f"walk did not reach {n_tets} tetrahedra")
+
+
+@pytest.mark.parametrize("n_tets", [30, 60])
+def test_grown_s3_keeps_the_fixture_value(n_tets, root3, fixture_scene):
+    grown = _grow(fixture_scene, n_tets, seed=n_tets)
+    K = state_sum(root3, grown)
+    assert abs(K) * 9 == pytest.approx(1.0, abs=1e-12)
+    assert equal_mod_qtilde(K, state_sum(root3, fixture_scene), root3)
+
+
+def _no_weights(*args, **kwargs):
+    raise AssertionError("a weight was built for a refused contraction")
+
+
+def test_over_budget_plan_is_refused_before_any_weight(root3, fixture_scene,
+                                                       monkeypatch):
+    # the fixture's plan peaks at rank 6: 729 entries at N = 3
+    monkeypatch.setattr(statesum, "MAX_ENTRIES", 3 ** 6 - 1)
+    monkeypatch.setattr(statesum, "tetra_weight", _no_weights)
+    with pytest.raises(InvariantError, match="budget"):
+        state_sum(root3, fixture_scene)
+
+
+def test_self_glued_faces_are_traced_and_components_merged(rng):
+    x = rng.normal(size=(3, 3, 3, 3))
+    assert np.allclose(statesum._trace_self_glued(x, [5, 7, 5, 9]),
+                       np.trace(x, axis1=0, axis2=2))
+    assert statesum._open_legs([5, 7, 5, 9]) == [7, 9]
+    # two components: each closes to a scalar, and the scalars merge last
+    steps, peak = statesum._plan([[1, 2], [2, 1], [3], [3]])
+    assert steps == [(0, 1, ([0, 1], [1, 0])), (2, 3, ([0], [0])),
+                     (4, 5, ([], []))]
+    assert peak == 2
 
 
 def test_contraction_order_independence(root3, fixture_scene):
@@ -88,6 +147,18 @@ def test_canonical_rep_collapses_qtilde_orbit(z, k):
     # arguments agree modulo the step, allowing wrap-around at the seam
     delta = abs(a1 - a2)
     assert min(delta, abs(delta - step)) < 1e-7
+
+
+def test_canonical_rep_snaps_the_branch_cut(root3):
+    # rounding puts the real fixture value on either side of the cut
+    below = canonical_rep(1 / 9 - 1.2e-17j, root3)
+    assert below == canonical_rep(1 / 9 - 5e-17j, root3)
+    assert below == canonical_rep(1 / 9 + 5e-17j, root3)
+    assert below[1] == 0.0
+
+
+def test_canonical_rep_takes_subnormal_imaginary_parts(root3):
+    assert canonical_rep(2 + 5e-324j, root3) == (2.0, 0.0)
 
 
 def test_canonical_rep_rejects_zero(root3):
