@@ -19,13 +19,14 @@ face f is opposite corner f, edges 0..5 enumerate the corner pairs
 """
 from __future__ import annotations
 
+import copy
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraError, GroupElement, group_inv, group_mul
+from .algebra import (AlgebraError, BadOperands, GroupElement, group_inv,
+                      group_mul)
 
 __all__ = [
     "TopologyError", "ParseError", "NotClosed", "NotQuasiRegular",
@@ -33,7 +34,7 @@ __all__ = [
     "BadColoring", "MoveNotApplicable", "AdmissibilityFailed",
     "EDGE_CORNERS", "OPPOSITE_EDGE", "FACE_CORNERS",
     "Gluing", "TriComplex", "Charge", "GGauge", "Scene",
-    "load_complex", "load_document", "scene_document", "save_document",
+    "load_complex", "load_document", "scene_document",
     "validate_link", "find_charge", "validate_charge", "deform_charge",
     "charge_class",
     "pachner_plus", "pachner_minus", "bubble_plus", "bubble_minus",
@@ -147,6 +148,8 @@ class TriComplex:
     Immutable after construction; all derived classes (vertices, edges,
     faces) are numbered by first appearance in lexicographic
     (tetrahedron, local index) order, so numbering is reproducible.
+    ``with_vertex_ranks`` copies only the rank tuple: the copy shares the
+    validated gluings, classes and incidences, which ranks do not touch.
     """
 
     def __init__(self, orientations, gluings, vertex_ranks=None):
@@ -163,12 +166,9 @@ class TriComplex:
         self._check_orientations()
         self._check_quasi_regular()
         if vertex_ranks is None:
-            vertex_ranks = tuple(range(self.n_vertices))
+            self.vertex_rank = tuple(range(self.n_vertices))
         else:
-            vertex_ranks = tuple(int(r) for r in vertex_ranks)
-            if sorted(vertex_ranks) != list(range(self.n_vertices)):
-                raise ParseError("vertex_ranks must be a permutation")
-        self.vertex_rank = vertex_ranks
+            self.vertex_rank = self._checked_ranks(vertex_ranks)
 
     # -- construction ------------------------------------------------
 
@@ -288,8 +288,17 @@ class TriComplex:
         u, w = self._vc[t][a], self._vc[t][b]
         return (u, w) if u < w else (w, u)
 
+    def _checked_ranks(self, ranks) -> tuple[int, ...]:
+        ranks = tuple(int(r) for r in ranks)
+        if sorted(ranks) != list(range(self.n_vertices)):
+            raise ParseError("vertex_ranks must be a permutation")
+        return ranks
+
     def with_vertex_ranks(self, ranks) -> "TriComplex":
-        return TriComplex(self.orientations, self.gluings, ranks)
+        """The same complex under new vertex ranks; shares the structure."""
+        out = copy.copy(self)
+        out.vertex_rank = self._checked_ranks(ranks)
+        return out
 
 
 # -- documents -------------------------------------------------------
@@ -300,9 +309,6 @@ class Charge:
     """Half-integer edge charges per tetrahedron, stored doubled."""
 
     doubled: tuple[tuple[int, ...], ...]
-
-    def value(self, t: int, e: int) -> int:
-        return self.doubled[t][e]
 
 
 @dataclass(frozen=True)
@@ -428,38 +434,60 @@ def scene_document(scene: Scene) -> dict:
     return doc
 
 
-def save_document(scene: Scene, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_document(scene), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _group_close(a: GroupElement, b: GroupElement, tol: float = 1e-10) -> bool:
     return abs(a.x - b.x) <= tol * max(1.0, abs(a.x)) \
         and abs(a.y - b.y) <= tol * max(1.0, abs(a.y))
 
 
+# per face, the corners a < b < c and the edge slots of ab, bc and ac
+_FACE_TRIANGLES = tuple(
+    (a, b, c, _EDGE_INDEX[(a, b)], _EDGE_INDEX[(b, c)], _EDGE_INDEX[(a, c)])
+    for a, b, c in FACE_CORNERS)
+
+
 def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
                    tol: float = 1e-10) -> None:
+    """g_ab g_bc = g_ac on every face, to ``_group_close`` tolerance.
+
+    ``color_of`` inlined on floats: each class's color and its inverse,
+    computed as ``group_inv`` does, then the product of ``group_mul``.
+    """
+    colors = {cls: (g.x, g.y, -g.x / g.y, 1.0 / g.y)
+              for cls, g in coloring.items()}
     for t in range(T.n_tets):
-        for f in range(4):
-            a, b, c = FACE_CORNERS[f]
-            g_ab = color_of(T, coloring, t, a, b)
-            g_bc = color_of(T, coloring, t, b, c)
-            g_ac = color_of(T, coloring, t, a, c)
-            prod = group_mul(g_ab, g_bc)
-            if not _group_close(prod, g_ac, tol):
+        vc, ec = T._vc[t], T._ec[t]
+        for f, (a, b, c, e_ab, e_bc, e_ac) in enumerate(_FACE_TRIANGLES):
+            # color of the edge a -> b: forward when vc[a] < vc[b]
+            x1, y1, ix, iy = colors[ec[e_ab]]
+            if vc[a] > vc[b]:
+                x1, y1 = ix, iy
+            x2, y2, ix, iy = colors[ec[e_bc]]
+            if vc[b] > vc[c]:
+                x2, y2 = ix, iy
+            x3, y3, ix, iy = colors[ec[e_ac]]
+            if vc[a] > vc[c]:
+                x3, y3 = ix, iy
+            x, y = x1 + y1 * x2, y1 * y2
+            # GroupElement refuses these: an inverse of y = inf, an
+            # underflowed product
+            if not (y > 0 and y3 > 0):
+                raise BadOperands(f"face ({t}, {f}): an edge color leaves "
+                                  "the group")
+            if not (abs(x - x3) <= tol * max(1.0, abs(x))
+                    and abs(y - y3) <= tol * max(1.0, abs(y))):
                 raise BadColoring(f"face ({t}, {f}): edge colors do not "
                                   "satisfy the cocycle condition")
 
 
 def color_of(T: TriComplex, coloring: dict[int, GroupElement],
              t: int, c_from: int, c_to: int) -> GroupElement:
-    """Color of the oriented edge of a tetrahedron given by two corners."""
-    cls = T.edge_class(t, _EDGE_INDEX[(c_from, c_to)])
-    g = coloring[cls]
-    lo, _ = T.edge_ends(cls)
-    if T.vertex_class(t, c_from) == lo:
+    """Color of the oriented edge of a tetrahedron given by two corners.
+
+    Colors are stored for the orientation low -> high vertex id, and
+    quasi-regularity makes the two end classes distinct.
+    """
+    g = coloring[T.edge_class(t, _EDGE_INDEX[(c_from, c_to)])]
+    if T.vertex_class(t, c_from) < T.vertex_class(t, c_to):
         return g
     return group_inv(g)
 
@@ -485,82 +513,111 @@ def _edge_target(link: frozenset[int], cls: int) -> int:
     return 0 if cls in link else 2
 
 
+# with |x|, |y| and |q*y| below this bound, x - q*y cannot wrap int64
+_INT64_SAFE = 2**62
+
+
+def _max_abs(*arrays) -> int:
+    return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size),
+               default=0)
+
+
 def _smith_solve(rows: list[list[int]], rhs: list[int],
                  nvars: int) -> tuple[list[int], list[list[int]]] | None:
     """Solve an integer linear system; return (particular, kernel basis).
 
     Diagonalizes by elementary row and column operations over the
-    integers, tracking column operations to map back to the original
-    variables.  Returns None when no integral solution exists.
+    integers (Kannan & Bachem, SIAM J. Comput. 1979), tracking column
+    operations to map back to the original variables.  Returns None when
+    no integral solution exists.  The result is a function of the system
+    alone: runs on int64 arrays, and reruns the same elimination on Python
+    ints when an entry could leave int64.
     """
-    A = [row[:] for row in rows]
-    b = list(rhs)
-    m = len(A)
-    V = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
+    try:
+        return _smith_eliminate(rows, rhs, nvars, np.int64)
+    except OverflowError:
+        return _smith_eliminate(rows, rhs, nvars, object)
 
-    def row_op(i, k, q):  # row_i -= q * row_k
-        A[i] = [x - q * y for x, y in zip(A[i], A[k])]
-        b[i] -= q * b[k]
 
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in range(m):
-            A[r][j] -= q * A[r][k]
-        for r in range(nvars):
-            V[r][j] -= q * V[r][k]
+def _smith_eliminate(rows, rhs, nvars, dtype):
+    """The elimination of ``_smith_solve`` on arrays of ``dtype``.
 
-    rank = 0
-    for k in range(min(m, nvars)):
-        # pick the smallest nonzero pivot at or beyond (k, k)
-        best = None
-        for i in range(k, m):
-            for j in range(k, nvars):
-                if A[i][j] != 0 and (best is None
-                                     or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        A[k], A[i] = A[i], A[k]
-        b[k], b[i] = b[i], b[k]
-        if j != k:
-            for r in range(m):
-                A[r][k], A[r][j] = A[r][j], A[r][k]
-            for r in range(nvars):
-                V[r][k], V[r][j] = V[r][j], V[r][k]
-        while True:
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    row_op(i, k, q)
-                    if A[i][k]:
-                        A[k], A[i] = A[i], A[k]
-                        b[k], b[i] = b[i], b[k]
-                        dirty = True
-            for j in range(k + 1, nvars):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    col_op(j, k, q)
-                    if A[k][j]:
-                        for r in range(m):
-                            A[r][k], A[r][j] = A[r][j], A[r][k]
-                        for r in range(nvars):
-                            V[r][k], V[r][j] = V[r][j], V[r][k]
-                        dirty = True
-            if not dirty:
+    One array holds the system and the column record, ``[[A, b], [V, 0]]``,
+    so a row operation on A carries b along and a column operation carries
+    V.  Step k swaps the first entry of least nonzero |.| at or beyond
+    (k, k), in row-major order, into (k, k).  Sweeps then clear column k
+    below the pivot and row k right of it; an entry the pivot does not
+    divide leaves its remainder, which is swapped in as the pivot (Euclid).
+    A run of entries the pivot divides is cleared in one array operation:
+    the pivot cannot change within the run, so this is the entry-by-entry
+    elimination exactly.  On int64 the entries are bounded before every
+    operation, and OverflowError is raised before any could wrap.
+    """
+    m = len(rows)
+    W = np.zeros((m + nvars, nvars + 1), dtype=dtype)
+    W[:m, :nvars] = np.array(rows, dtype=dtype).reshape(m, nvars)
+    W[:m, nvars] = rhs
+    W[m + np.arange(nvars), np.arange(nvars)] = 1
+    exact = dtype is object
+    bound = _max_abs(W)    # at least every |entry| of W
+
+    def guard(q):
+        nonlocal bound
+        if exact:
+            return
+        step = 1 + int(np.abs(q).max())
+        if bound * step >= _INT64_SAFE:
+            bound = _max_abs(W)
+            if bound * step >= _INT64_SAFE:
+                raise OverflowError("integer elimination leaves int64")
+        bound *= step
+
+    def sweep(P, k) -> bool:
+        # clear P[k+1:, k] by operations on the rows of P
+        dirty = False
+        i = k + 1
+        while i < len(P):
+            col, pivot = P[i:, k], P[k, k]
+            left = (col % pivot).nonzero()[0]    # rows leaving a remainder
+            end = i + int(left[0]) + 1 if left.size else len(P)
+            q = col[:end - i] // pivot
+            hit = q.nonzero()[0]
+            if hit.size:
+                q = q[hit]
+                guard(q)
+                P[i + hit] -= np.outer(q, P[k])
+            if not left.size:
                 break
+            P[[k, end - 1]] = P[[end - 1, k]]
+            dirty = True
+            i = end
+        return dirty
+
+    if not exact and bound >= _INT64_SAFE:
+        raise OverflowError("integer system exceeds int64")
+    rank = 0
+    by_rows, by_columns = W[:m], W[:, :nvars].T
+    for k in range(min(m, nvars)):
+        mag = np.abs(W[k:m, k:nvars])
+        nonzero = mag[mag != 0]
+        if not nonzero.size:
+            break
+        i, j = divmod(int(np.argmax(mag == nonzero.min())), nvars - k)
+        if i:
+            W[[k, k + i]] = W[[k + i, k]]
+        if j:
+            W[:, [k, k + j]] = W[:, [k + j, k]]
+        while sweep(by_rows, k) | sweep(by_columns, k):
+            pass
         rank += 1
-    y = [0] * nvars
-    for k in range(rank):
-        if b[k] % A[k][k]:
-            return None
-        y[k] = b[k] // A[k][k]
-    for k in range(rank, m):
-        if b[k]:
-            return None
-    x = [sum(V[r][j] * y[j] for j in range(nvars)) for r in range(nvars)]
-    kernel = [[V[r][j] for r in range(nvars)] for j in range(rank, nvars)]
-    return x, kernel
+    pivots, b, V = W[:rank, :rank].diagonal(), W[:m, nvars], W[m:, :nvars]
+    if (b[:rank] % pivots).any() or b[rank:].any():
+        return None
+    y = np.zeros(nvars, dtype=dtype)
+    y[:rank] = b[:rank] // pivots
+    if not exact and _max_abs(V) * _max_abs(y) * nvars >= 2**63:
+        raise OverflowError("integer solution leaves int64")
+    return (V @ y).tolist(), V[:, rank:].T.tolist()
 
 
 def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],
@@ -593,7 +650,11 @@ def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],
 
 
 def find_charge(T: TriComplex, link: frozenset[int]) -> Charge:
-    """Solve the global charge system; any integral solution is returned."""
+    """Solve the global charge system for an integral solution.
+
+    The solution is deterministic: the particular solution of
+    ``_smith_solve``, a function of the complex and the link alone.
+    """
     validate_link(T, link)
     tets = list(range(T.n_tets))
     rows, rhs, _ = _charge_rows(T, link, tets)
@@ -762,7 +823,9 @@ def _transport_charge(T_new, link_new, old_charge, kept_charge_rows,
     Solves the local doubled system (tetrahedron sums plus incidence sums
     of every touched edge class, with surviving charges fixed) and picks
     the minimal-norm integral solution, ties broken lexicographically
-    over (tetrahedron, edge) doubled values.
+    over (tetrahedron, edge) doubled values.  The surviving rows are the
+    same in every candidate, so the key holds the rows of ``new_tets``
+    only, which must be in increasing order.
     """
     if old_charge is None:
         return None
@@ -775,13 +838,6 @@ def _transport_charge(T_new, link_new, old_charge, kept_charge_rows,
     if sol is None:
         raise NoCharge("charge transport system is inconsistent")
     x0, kernel = sol
-
-    def expand(x):
-        rows6 = list(list(r) if r is not None else None for r in kept_charge_rows)
-        for i, t in enumerate(new_tets):
-            rows6[t] = [x[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
-        return rows6
-
     best = None
     if kernel and len(kernel) <= 4:
         K = np.array(kernel, dtype=float).T
@@ -790,12 +846,16 @@ def _transport_charge(T_new, link_new, old_charge, kept_charge_rows,
         for combo in itertools.product(*grids):
             x = [x0[j] + sum(c * kernel[i][j] for i, c in enumerate(combo))
                  for j in range(len(x0))]
-            flat = tuple(v for row in expand(x) for v in row)
+            flat = tuple(x[3 * i + _PAIR_OF_EDGE[e]]
+                         for i in range(len(new_tets)) for e in range(6))
             key = (sum(v * v for v in flat), flat)
             if best is None or key < best[0]:
                 best = (key, x)
         x0 = best[1]
-    out = Charge(tuple(tuple(r) for r in expand(x0)))
+    rows6 = list(kept_charge_rows)
+    for i, t in enumerate(new_tets):
+        rows6[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
+    out = Charge(tuple(tuple(r) for r in rows6))
     validate_charge(T_new, link_new, out)
     return out
 
@@ -827,6 +887,29 @@ def _remap_gluings(T, removed: set[int], keep_index: dict[int, int],
             (cmaps[0][i], cmaps[1][j]) for i, j in g.corner_map))
         out.append(Gluing(sides[0], sides[1], new_map))
     return out
+
+
+def _vertex_correspondence(T, T_new, keep_index: dict[int, int]) -> dict:
+    """Old vertex class -> new class, through the corners of kept tetrahedra."""
+    corr = {}
+    for t, t2 in keep_index.items():
+        for c in range(4):
+            corr[T.vertex_class(t, c)] = T_new.vertex_class(t2, c)
+    return corr
+
+
+def _transport_ranks(T, T_new, vertex_corr: dict, new_vertices=()):
+    """``T_new`` ranked as surviving classes keep their relative order in
+    ``T`` and the classes ``new_vertices`` rank last, in the given order."""
+    order = [vertex_corr[v] for v in sorted(vertex_corr,
+                                            key=lambda v: T.vertex_rank[v])]
+    order += new_vertices
+    if len(order) != T_new.n_vertices:
+        raise TopologyError("vertex bookkeeping failed during the move")
+    ranks = [0] * T_new.n_vertices
+    for rank, v in enumerate(order):
+        ranks[v] = rank
+    return T_new.with_vertex_ranks(ranks)
 
 
 def _finish_move(T, scene, removed, new_specs, internal_glues, face_map,
@@ -874,14 +957,7 @@ def _finish_move(T, scene, removed, new_specs, internal_glues, face_map,
         gluings.append(Gluing((keep_index[old_t], old_f), (nt, nf), cmap))
 
     T_new = TriComplex(orientations, gluings)
-
-    # vertex rank transport: surviving classes keep their relative order,
-    # new vertices rank last in tag order
-    vertex_corr = {}
-    for t in keep:
-        for c2 in range(4):
-            vertex_corr[T.vertex_class(t, c2)] = \
-                T_new.vertex_class(keep_index[t], c2)
+    vertex_corr = _vertex_correspondence(T, T_new, keep_index)
     tag_vertex = {}
     for spec_idx, (tags, _) in enumerate(new_specs):
         for i, tag in enumerate(tags):
@@ -889,18 +965,8 @@ def _finish_move(T, scene, removed, new_specs, internal_glues, face_map,
             old_cls = tag_old_class.get(tag)
             if old_cls is not None:
                 vertex_corr[old_cls] = tag_vertex[tag]
-    old_sorted = sorted(vertex_corr, key=lambda v: T.vertex_rank[v])
-    ranks = [0] * T_new.n_vertices
-    nxt = 0
-    for v in old_sorted:
-        ranks[vertex_corr[v]] = nxt
-        nxt += 1
-    for tag in new_vertex_tags:
-        ranks[tag_vertex[tag]] = nxt
-        nxt += 1
-    if nxt != T_new.n_vertices:
-        raise TopologyError("vertex bookkeeping failed during the move")
-    T_new = T_new.with_vertex_ranks(ranks)
+    T_new = _transport_ranks(T, T_new, vertex_corr,
+                             [tag_vertex[tag] for tag in new_vertex_tags])
 
     # slot correspondence for surviving old edges
     slot_corr = {}
@@ -1224,16 +1290,8 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
                               (keep_index[g.b[0]], g.b[1]), g.corner_map))
     gluings.append(Gluing((keep_index[pa], fa), (keep_index[pb], fb), new_map))
     T_new = TriComplex([T.orientations[t] for t in keep], gluings)
-    vertex_corr = {}
-    for t in keep:
-        for c in range(4):
-            vertex_corr[T.vertex_class(t, c)] = \
-                T_new.vertex_class(keep_index[t], c)
-    old_sorted = sorted(vertex_corr, key=lambda v: T.vertex_rank[v])
-    ranks = [0] * T_new.n_vertices
-    for i, v in enumerate(old_sorted):
-        ranks[vertex_corr[v]] = i
-    T_new = T_new.with_vertex_ranks(ranks)
+    vertex_corr = _vertex_correspondence(T, T_new, keep_index)
+    T_new = _transport_ranks(T, T_new, vertex_corr)
     slot_corr = {}
     for t in keep:
         for e in range(6):

@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclic6j import statesum
-from cyclic6j.algebra import AlgebraError, RootData
+from cyclic6j.algebra import RootData
 from cyclic6j.operators import qtilde
 from cyclic6j.statesum import (
     InvariantError, TypeMismatch, ZeroValue, canonical_rep, equal_mod_qtilde,
     invariant_record, qtilde_order, state_sum, tetra_weight,
 )
-from cyclic6j.triangulation import (
-    Scene, TopologyError, bubble_plus, deform_charge, pachner_plus,
-)
+from cyclic6j.triangulation import Scene, deform_charge
 
 
 def test_qtilde_order(root3, root5):
@@ -37,24 +35,10 @@ def test_fixture_value_is_one_over_N_squared(N, fixture_scene):
     assert equal_mod_qtilde(K, 1.0 / N ** 2, root)
 
 
-def _grow(scene: Scene, n_tets: int, seed: int) -> Scene:
-    """Seeded pachner+/bubble+ moves at random cells up to ``n_tets``."""
-    rng = np.random.default_rng(seed)
-    for _ in range(10_000):
-        if scene.complex.n_tets >= n_tets:
-            return scene
-        move = pachner_plus if rng.random() < 0.5 else bubble_plus
-        t = int(rng.integers(scene.complex.n_tets))
-        try:
-            scene = move(scene, t, int(rng.integers(4)))
-        except (TopologyError, AlgebraError):
-            continue
-    raise AssertionError(f"walk did not reach {n_tets} tetrahedra")
-
-
 @pytest.mark.parametrize("n_tets", [30, 60])
-def test_grown_s3_keeps_the_fixture_value(n_tets, root3, fixture_scene):
-    grown = _grow(fixture_scene, n_tets, seed=n_tets)
+def test_grown_s3_keeps_the_fixture_value(n_tets, root3, fixture_scene,
+                                          grown_s3):
+    grown = grown_s3(n_tets)
     K = state_sum(root3, grown)
     assert abs(K) * 9 == pytest.approx(1.0, abs=1e-12)
     assert equal_mod_qtilde(K, state_sum(root3, fixture_scene), root3)

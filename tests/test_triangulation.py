@@ -13,7 +13,8 @@ from cyclic6j.triangulation import (
     BadCharge, BadColoring, BadLoop, Charge, EDGE_CORNERS, FACE_CORNERS,
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TriComplex,
-    _EDGE_INDEX, _perm_sign, _smith_solve, bubble_minus, bubble_plus,
+    _EDGE_INDEX, _charge_rows, _perm_sign, _smith_eliminate, _smith_solve,
+    bubble_minus, bubble_plus,
     charge_class, color_of, deform_charge, edge_between, find_charge,
     gauge_transform, holonomy, is_admissible, load_complex, load_document,
     make_admissible, pachner_minus, pachner_plus, point_gauge, random_gauge,
@@ -77,6 +78,150 @@ def test_smith_solver_detects_unsolvable():
     assert _smith_solve([[2]], [1], 1) is None
 
 
+def _oracle_smith_solve(rows, rhs, nvars):
+    """The sequential elimination on Python ints that ``_smith_solve``
+    must reproduce exactly: same pivots, same swaps, same result."""
+    A = [row[:] for row in rows]
+    b = list(rhs)
+    m = len(A)
+    V = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        A[i] = [x - q * y for x, y in zip(A[i], A[k])]
+        b[i] -= q * b[k]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for r in range(m):
+            A[r][j] -= q * A[r][k]
+        for r in range(nvars):
+            V[r][j] -= q * V[r][k]
+
+    rank = 0
+    for k in range(min(m, nvars)):
+        # pick the smallest nonzero pivot at or beyond (k, k)
+        best = None
+        for i in range(k, m):
+            for j in range(k, nvars):
+                if A[i][j] != 0 and (best is None
+                                     or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        A[k], A[i] = A[i], A[k]
+        b[k], b[i] = b[i], b[k]
+        if j != k:
+            for r in range(m):
+                A[r][k], A[r][j] = A[r][j], A[r][k]
+            for r in range(nvars):
+                V[r][k], V[r][j] = V[r][j], V[r][k]
+        while True:
+            dirty = False
+            for i in range(k + 1, m):
+                if A[i][k]:
+                    q = A[i][k] // A[k][k]
+                    row_op(i, k, q)
+                    if A[i][k]:
+                        A[k], A[i] = A[i], A[k]
+                        b[k], b[i] = b[i], b[k]
+                        dirty = True
+            for j in range(k + 1, nvars):
+                if A[k][j]:
+                    q = A[k][j] // A[k][k]
+                    col_op(j, k, q)
+                    if A[k][j]:
+                        for r in range(m):
+                            A[r][k], A[r][j] = A[r][j], A[r][k]
+                        for r in range(nvars):
+                            V[r][k], V[r][j] = V[r][j], V[r][k]
+                        dirty = True
+            if not dirty:
+                break
+        rank += 1
+    y = [0] * nvars
+    for k in range(rank):
+        if b[k] % A[k][k]:
+            return None
+        y[k] = b[k] // A[k][k]
+    for k in range(rank, m):
+        if b[k]:
+            return None
+    x = [sum(V[r][j] * y[j] for j in range(nvars)) for r in range(nvars)]
+    kernel = [[V[r][j] for r in range(nvars)] for j in range(rank, nvars)]
+    return x, kernel
+
+
+def _random_system(rng, kind):
+    nvars = int(rng.integers(1, 7))
+    neqs = int(rng.integers(1, 6))
+    A = rng.integers(-4, 5, size=(neqs, nvars))
+    if kind == "non-unit":
+        # entries in {0, +-2, +-3, +-4}: every pivot has |.| >= 2
+        A = np.where(np.abs(A) == 1, 2 * A, A)
+    elif kind == "rank-deficient" and neqs > 1:
+        A[-1] = A[0] - 2 * A[1]
+    if rng.random() < 0.5:
+        b = A @ rng.integers(-3, 4, size=nvars)
+    else:
+        b = rng.integers(-9, 10, size=neqs)
+    return [list(map(int, row)) for row in A], [int(v) for v in b], nvars
+
+
+def test_smith_solver_matches_the_sequential_oracle():
+    rng = np.random.default_rng(11)
+    unsolvable = with_kernel = 0
+    for trial in range(600):
+        kind = ("plain", "non-unit", "rank-deficient")[trial % 3]
+        rows, rhs, nvars = _random_system(rng, kind)
+        want = _oracle_smith_solve(rows, rhs, nvars)
+        assert _smith_solve(rows, rhs, nvars) == want, (rows, rhs)
+        unsolvable += want is None
+        with_kernel += want is not None and len(want[1]) > 0
+    assert unsolvable >= 50 and with_kernel >= 50
+
+
+@pytest.mark.parametrize("n_tets", [30, 60])
+def test_smith_solver_matches_the_oracle_on_charge_systems(n_tets, grown_s3):
+    scene = grown_s3(n_tets)
+    T = scene.complex
+    rows, rhs, _ = _charge_rows(T, scene.link, list(range(T.n_tets)))
+    want = _oracle_smith_solve(rows, rhs, 3 * T.n_tets)
+    assert want is not None
+    assert _smith_solve(rows, rhs, 3 * T.n_tets) == want
+
+
+def _residuals(rows, rhs, x):
+    return [sum(a * v for a, v in zip(row, x)) - r for row, r in zip(rows, rhs)]
+
+
+def test_smith_solver_is_exact_past_int64():
+    cases = [
+        # the elimination's entries pass int64 (wrapped, they give None),
+        # while the solution is small
+        ([[49560776, -27820551], [58889430, -66908869]],
+         [-232143981, -377394897], 2),
+        # the solution itself passes int64
+        ([[2**32 + 1, 2**32 - 1, 7], [2**32, 2**32 + 3, 11]], [2**33, 1], 3),
+    ]
+    for rows, rhs, nvars in cases:
+        with pytest.raises(OverflowError):
+            _smith_eliminate(rows, rhs, nvars, np.int64)
+        got = _smith_solve(rows, rhs, nvars)
+        assert got == _oracle_smith_solve(rows, rhs, nvars)
+        x, kernel = got
+        assert _residuals(rows, rhs, x) == [0, 0]
+        for k in kernel:
+            assert _residuals(rows, [0, 0], k) == [0, 0]
+    assert _smith_solve(*cases[0]) == ([-3, 3], [])
+    x, _ = _smith_solve(*cases[1])
+    assert max(abs(v) for v in x) >= 2**63
+    # coefficients that int64 cannot hold at all
+    rows = [[2**70 + 3, 5], [7, 2**64 + 1]]
+    rhs = _residuals(rows, [0, 0], [3, -2])
+    got = _smith_solve(rows, rhs, 2)
+    assert got == _oracle_smith_solve(rows, rhs, 2) == ([3, -2], [])
+
+
 def test_fixture_combinatorics(fixture_scene):
     T = fixture_scene.complex
     assert T.n_tets == 5
@@ -98,6 +243,42 @@ def test_color_orientation_inverts(fixture_scene):
             fwd = color_of(T, col, t, a, b)
             back = color_of(T, col, t, b, a)
             assert group_mul(fwd, back).x == pytest.approx(0.0, abs=1e-12)
+
+
+def test_closed_form_color_of_matches_edge_ends(grown_s3):
+    scene = grown_s3(30)
+    T, col = scene.complex, scene.coloring
+    for t in range(T.n_tets):
+        for a, b in itertools.permutations(range(4), 2):
+            cls = T.edge_class(t, _EDGE_INDEX[(a, b)])
+            lo, _ = T.edge_ends(cls)
+            want = col[cls] if T.vertex_class(t, a) == lo \
+                else group_inv(col[cls])
+            assert color_of(T, col, t, a, b) == want
+
+
+def test_with_vertex_ranks_copies_only_the_ranks(grown_s3):
+    T = grown_s3(30).complex
+    before = T.vertex_rank
+    n = T.n_vertices
+    for bad in ([0] * n, list(range(n - 1)), list(range(1, n + 1))):
+        with pytest.raises(ParseError):
+            T.with_vertex_ranks(bad)
+        assert T.vertex_rank == before
+    perm = list(reversed(range(n)))
+    T2 = T.with_vertex_ranks(perm)
+    assert T2.vertex_rank == tuple(perm)
+    assert T.vertex_rank == before
+    rebuilt = TriComplex(T.orientations, T.gluings, perm)
+    for t in range(T.n_tets):
+        for c in range(4):
+            assert T2.vertex_class(t, c) == rebuilt.vertex_class(t, c)
+            assert T2.face_class(t, c) == rebuilt.face_class(t, c)
+            assert T2.partner(t, c) == rebuilt.partner(t, c)
+        for e in range(6):
+            assert T2.edge_class(t, e) == rebuilt.edge_class(t, e)
+    for cls in range(T.n_edges):
+        assert T2.edge_incidences(cls) == rebuilt.edge_incidences(cls)
 
 
 def test_unglued_face_detected():
@@ -175,6 +356,21 @@ def test_tampered_coloring_rejected():
     doc["coloring"][0]["g"] = [2.5, 1.0]
     with pytest.raises(BadColoring):
         load_document(doc)
+
+
+def test_cocycle_check_compares_both_coordinates(fixture_scene):
+    # a coboundary in the subgroup x = 0, where only y can break the check
+    T = fixture_scene.complex
+    col = {}
+    for cls in range(T.n_edges):
+        lo, hi = T.edge_ends(cls)
+        col[cls] = GroupElement(0.0, 2.0 ** (hi - lo))
+    scene = dataclasses.replace(fixture_scene, coloring=col)
+    load_document(scene_document(scene))
+    for g in (GroupElement(0.0, 3.0), GroupElement(0.5, col[0].y)):
+        tampered = dataclasses.replace(scene, coloring={**col, 0: g})
+        with pytest.raises(BadColoring):
+            load_document(scene_document(tampered))
 
 
 def test_charge_values_in_doubled_range(fixture_scene):
