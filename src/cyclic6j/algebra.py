@@ -27,9 +27,9 @@ __all__ = [
     "AlgebraError", "ZeroX", "Resonance", "NearOne", "BadOperands",
     "RootData", "GroupElement", "Coords",
     "group_mul", "group_inv", "in_I", "pair_admissible",
-    "coords", "phi", "phi_bar", "psi_coeffs", "psi_coeffs_product",
-    "psi_scalar", "nu",
-    "clock_shift", "gauss_L", "rep_matrices", "intertwiner_S",
+    "coords", "real_roots", "phi", "phi_bar",
+    "psi_stack", "psi_coeffs", "psi_coeffs_product", "psi_scalar", "nu",
+    "clock_shift", "gauss_L", "rep_matrices", "graded_S", "intertwiner_S",
     "duality_d", "duality_b",
     "random_element", "random_admissible_pair",
 ]
@@ -171,30 +171,56 @@ def phi_bar(root: RootData, g: GroupElement, m: int) -> complex:
     return 1.0 / phi(root, g, m)
 
 
-def psi_coeffs(root: RootData, g: GroupElement, h: GroupElement,
-               tol: float = 1e-12) -> np.ndarray:
-    """Coefficient sequence ``psi_0..psi_{N-1}`` of the pair ``(g, h)``.
+def _powers(root: RootData) -> np.ndarray:
+    """``w**m`` for m = 0..N-1, each from its reduced exponent."""
+    return np.exp(2j * np.pi * root.k * np.arange(root.N) / root.N)
 
-    Defined by ``psi_0 = 1`` and the first-order recursion
+
+def real_roots(root: RootData, x: np.ndarray) -> np.ndarray:
+    """The coordinate ``v`` of :func:`coords` for an array of x coordinates,
+    the real N-th roots; raises :class:`ZeroX` if any ``x`` is zero."""
+    if not np.all(x):
+        raise ZeroX("no root coordinates on the singular line")
+    return np.copysign(np.abs(x) ** (1.0 / root.N), x)
+
+
+def psi_stack(root: RootData, g: np.ndarray, h: np.ndarray,
+              tol: float = 1e-12) -> np.ndarray:
+    """Psi sequences of a stack of pairs, ``psi[..., m]`` for m = 0..N-1.
+
+    ``g`` and ``h`` hold ``(x, y)`` in their last axis.  The sequence
+    starts at ``psi_0 = 1`` and follows the first-order recursion
 
         psi_m / psi_{m-1} = u_g v_h / (eps * (v_g - v_{gh} w**m)).
 
     Raises :class:`Resonance` when a denominator magnitude falls below
     ``tol`` (for admissible pairs exact vanishing would force ``x_h = 0``,
-    so this only guards near-degenerate input).
+    so this only guards near-degenerate input), and :class:`ZeroX` when
+    ``g``, ``h`` or ``gh`` has a zero x coordinate.
     """
-    cg = coords(root, g)
-    ch = coords(root, h)
-    cgh = coords(root, group_mul(g, h))
-    out = np.empty(root.N, dtype=complex)
-    out[0] = 1.0
-    num = cg.u * ch.v / root.eps
-    for m in range(1, root.N):
-        den = cg.v - cgh.v * root.omega_pow(m)
-        if abs(den) < tol:
-            raise Resonance(f"psi denominator {abs(den):.3e} below {tol:.1e} at m={m}")
-        out[m] = out[m - 1] * num / den
+    gx, gy, hx = g[..., 0], g[..., 1], h[..., 0]
+    vg, vh, vgh = real_roots(root, np.array([gx, hx, gx + gy * hx]))
+    den = vg[..., None] - vgh[..., None] * _powers(root)[1:]
+    small = np.abs(den) < tol
+    if small.any():
+        at = tuple(np.argwhere(small)[0])
+        raise Resonance(f"psi denominator {abs(den[at]):.3e} below {tol:.1e} "
+                        f"at m={at[-1] + 1}")
+    out = np.ones(den.shape[:-1] + (root.N,), dtype=complex)
+    num = gy ** (1.0 / root.N) * vh / root.eps
+    out[..., 1:] = np.cumprod(num[..., None] / den, axis=-1)
     return out
+
+
+def _xy(g: GroupElement) -> np.ndarray:
+    return np.array([g.x, g.y])
+
+
+def psi_coeffs(root: RootData, g: GroupElement, h: GroupElement,
+               tol: float = 1e-12) -> np.ndarray:
+    """Coefficient sequence ``psi_0..psi_{N-1}`` of the pair ``(g, h)``:
+    the one-pair case of :func:`psi_stack`."""
+    return psi_stack(root, _xy(g), _xy(h), tol)
 
 
 def psi_coeffs_product(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
@@ -286,6 +312,22 @@ def rep_matrices(root: RootData, g: GroupElement) -> tuple[np.ndarray, np.ndarra
     return c.u * X, c.v * Y
 
 
+def graded_S(root: RootData, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Intertwiners of a stack of pairs on their support.
+
+    ``G[..., x, y, d] = S[(x, y), (x + y, d)]`` for the pairs whose
+    ``(x, y)`` coordinates ``g`` and ``h`` hold in their last axis; see
+    :func:`intertwiner_S` for the closed form.  ``S`` vanishes unless the
+    product index is the sum of the factor indices mod N, so these N**3
+    entries per pair are all of it.
+    """
+    N = root.N
+    x, y, d = np.ogrid[:N, :N, :N]
+    m = (y - d) % N
+    return (psi_stack(root, g, h)[..., m]
+            * _powers(root)[(m * x + m * (m + 1) // 2) % N])
+
+
 def intertwiner_S(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
     """The ``N**2 x N**2`` intertwiner identifying ``V_{gh} (x) C^N`` with ``V_g (x) V_h``.
 
@@ -302,15 +344,12 @@ def intertwiner_S(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarra
         S[(x, y), (x + y, d)] = psi_m w**(m x + m(m+1)/2),  m = y - d,
 
     and every other entry vanishes: the product index is the sum of the
-    factor indices mod N.
+    factor indices mod N.  This is the one-pair case of :func:`graded_S`.
     """
     N = root.N
-    x, y, d = np.ogrid[:N, :N, :N]
-    m = (y - d) % N
-    powers = np.exp(2j * np.pi * root.k * np.arange(N) / N)
+    x, y = np.ogrid[:N, :N]
     S = np.zeros((N, N, N, N), dtype=complex)
-    S[x, y, (x + y) % N, d] = (psi_coeffs(root, g, h)[m]
-                               * powers[(m * x + m * (m + 1) // 2) % N])
+    S[x, y, (x + y) % N] = graded_S(root, _xy(g), _xy(h))
     return S.reshape(N * N, N * N)
 
 

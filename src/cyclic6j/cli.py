@@ -23,7 +23,7 @@ from .algebra import (
 from .fixtures import boundary4simplex_scene
 from .operators import (
     HalfInt, assemble_q, identity_block, op_A, op_A_oracle, op_B, op_B_oracle,
-    op_C, op_L, op_R, op_sqrtL, op_word, q_scalar, qtilde,
+    op_C, op_L, op_R, op_sqrtL, op_word, q_scalar,
 )
 from .sixj import (
     LabelSix, check_charged_inversion, check_charged_pentagon,
@@ -31,7 +31,7 @@ from .sixj import (
     sixj_neg, sixj_pos, tbar_tensor, tform_tensor,
 )
 from .statesum import (
-    InvariantError, equal_mod_qtilde, invariant_record, qtilde_order,
+    InvariantError, equal_mod_qtilde, invariant_record, mod_qtilde_residual,
     state_sum,
 )
 from .triangulation import (
@@ -308,20 +308,6 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
     return rows.rows()
 
 
-def _mod_qtilde_residual(z1: complex, z2: complex,
-                         root: RootData) -> tuple[float, int]:
-    """Distance from ``z1`` to the qtilde-orbit of ``z2`` and the witness power."""
-    best, best_k = abs(z1 - z2), 0
-    w = z2
-    q = qtilde(root)
-    for k in range(1, qtilde_order(root)):
-        w *= q
-        d = abs(z1 - w)
-        if d < best:
-            best, best_k = d, k
-    return best, best_k
-
-
 def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
                 tol: float, tol_strict: float) -> list:
     """Move and symmetry invariance of the state sum on the shipped fixture."""
@@ -334,7 +320,7 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
     sc = pachner_plus(scene, 0, 0)
     K = state_sum(root, sc)
     rows.rec("pachner_plus_mod_qtilde",
-             _mod_qtilde_residual(K, K0, root)[0], tol)
+             mod_qtilde_residual(K, K0, root)[0], tol)
 
     # collapse the central edge of the freshly added triple
     T2 = sc.complex
@@ -344,12 +330,12 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
     t_at, e_at = T2.edge_incidences(central)[0]
     back = pachner_minus(sc, t_at, e_at)
     rows.rec("pachner_roundtrip_mod_qtilde",
-             _mod_qtilde_residual(state_sum(root, back), K0, root)[0], tol)
+             mod_qtilde_residual(state_sum(root, back), K0, root)[0], tol)
 
     non_link = next(cls for cls in range(T.n_edges) if cls not in scene.link)
     t_at, e_at = T.edge_incidences(non_link)[0]
     rows.rec("pachner_minus_mod_qtilde",
-             _mod_qtilde_residual(
+             mod_qtilde_residual(
                  state_sum(root, pachner_minus(scene, t_at, e_at)),
                  K0, root)[0], tol)
 
@@ -358,7 +344,7 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
                      for a, b in itertools.combinations(FACE_CORNERS[f], 2)))
     blown = bubble_plus(scene, *tf)
     rows.rec("bubble_plus_mod_qtilde",
-             _mod_qtilde_residual(state_sum(root, blown), K0, root)[0], tol)
+             mod_qtilde_residual(state_sum(root, blown), K0, root)[0], tol)
     new_v = max(range(blown.complex.n_vertices),
                 key=lambda v: blown.complex.vertex_rank[v])
     rows.rec("bubble_roundtrip_exact",
@@ -368,7 +354,7 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
     for cls in range(T.n_edges):
         c2 = deform_charge(T, scene.link, scene.charge, cls)
         K = state_sum(root, Scene(T, scene.link, scene.coloring, c2))
-        worst = max(worst, _mod_qtilde_residual(K, K0, root)[0])
+        worst = max(worst, mod_qtilde_residual(K, K0, root)[0])
     rows.rec("charge_deform_mod_qtilde", worst, tol)
 
     worst = 0.0
@@ -376,7 +362,7 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
         perm = [int(v) for v in rng.permutation(T.n_vertices)]
         sc = Scene(T.with_vertex_ranks(perm), scene.link,
                    scene.coloring, scene.charge)
-        worst = max(worst, _mod_qtilde_residual(state_sum(root, sc),
+        worst = max(worst, mod_qtilde_residual(state_sum(root, sc),
                                                 K0, root)[0])
     rows.rec("vertex_reorder_mod_qtilde", worst, tol)
 
@@ -473,7 +459,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     base = _read_json(args.baseline)
     z_base = complex(base["value"][0], base["value"][1])
     if equal_mod_qtilde(value, z_base, root, tol=args.tol):
-        _, k = _mod_qtilde_residual(value, z_base, root)
+        _, k = mod_qtilde_residual(value, z_base, root)
         print(f"baseline: equal mod qtilde, k={k}")
         return 0
     print("baseline: NOT equal mod qtilde")

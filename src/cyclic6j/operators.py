@@ -309,11 +309,15 @@ def op_R(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     return BlockOperator((g, h), (g, h), check, check.copy(), False)
 
 
-def _half_power_scalar(root: RootData, ratio: float) -> float:
-    # the full power ratio**(N-1) must be a positive real; its root is then
-    # taken as the literal signed integer power ratio**((N-1)/2)
-    if not ratio ** (root.N - 1) > 0:
-        raise NegativeBase(f"square-root base {ratio ** (root.N - 1)!r} not positive")
+def _half_powers(root: RootData, ratio):
+    """Half powers ``ratio**((N-1)/2)`` of a scalar or an array of them.
+
+    The full powers ``ratio**(N-1)`` must be positive reals; their roots
+    are then taken as the literal signed integer powers.
+    """
+    full = ratio ** (root.N - 1)
+    if not np.all(full > 0):
+        raise NegativeBase(f"square-root base {float(np.min(full))!r} not positive")
     return ratio ** ((root.N - 1) // 2)
 
 
@@ -322,7 +326,7 @@ def op_sqrtR(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     _require_admissible(g, h)
     N = root.N
     gh = group_mul(g, h)
-    sc = _half_power_scalar(root, coords(root, g).v / coords(root, gh).v)
+    sc = _half_powers(root, coords(root, g).v / coords(root, gh).v)
     s = root.half
     diag = np.array([root.omega_pow(-s * i) * sc for i in range(N)])
     check = np.diag(diag)
@@ -334,7 +338,7 @@ def op_sqrtL(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     _require_admissible(g, h)
     N = root.N
     gh = group_mul(g, h)
-    sc = _half_power_scalar(
+    sc = _half_powers(
         root, coords(root, g).u * coords(root, h).v / coords(root, gh).v)
     s = root.half
     check = np.zeros((N, N), dtype=complex)

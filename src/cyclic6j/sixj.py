@@ -15,7 +15,21 @@ Both forms are evaluated by composing intertwiners into an endomorphism
 of a simple module and extracting the proportionality scalar.
 
 Charged symbols twist the tensors by half-integer powers of the block
-operators ``L``, ``R`` and the grading scalar ``q``.  The checkers at the
+operators ``L``, ``R`` and the grading scalar ``q``.
+
+:func:`sixj_stack` builds the charged tensors of a whole stack of
+six-tuples, mixed signs and charges, in one pass: the intertwiners of
+every leg from one closed-form graded ``S``
+(:func:`~cyclic6j.algebra.graded_S`), the inverse blocks of every check
+leg from one ``np.linalg.inv``, the composites one einsum per slice of
+at most ``_SLICE_ENTRIES`` entries, and the twist in closed form as one
+index gather and one phase multiply.  The composite guard stays per
+tensor: each tensor's worst diagonal deviation is compared with ``tol``
+times its own ``max(1, max|tensor|)``, never with a scale taken across
+the stack.  :func:`tform_tensor`, :func:`tbar_tensor`, :func:`sixj_pos`
+and :func:`sixj_neg` are its one-tensor cases; :func:`t_form`,
+:func:`tbar_form` and the operator powers of :mod:`cyclic6j.operators`
+stay independent of it, as oracles.  The checkers at the
 bottom return residuals for the charged pentagon, the two inversion
 identities and the three symmetry relations; each residual should sit at
 rounding level for valid inputs and order one for violated charges.
@@ -23,22 +37,23 @@ rounding level for valid inputs and order one for violated charges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
-    AlgebraError, GroupElement, RootData,
-    group_inv, group_mul, in_I, intertwiner_S, pair_admissible,
+    AlgebraError, BadOperands, GroupElement, RootData, _powers, graded_S,
+    group_inv, group_mul, in_I, intertwiner_S, real_roots,
 )
 from .operators import (
-    HalfInt, NotScalarError, compose, op_A, op_Astar, op_B, op_Bstar,
-    op_sfA, op_sfB, pow_L, pow_R, qtilde,
+    HalfInt, NotScalarError, _half_powers, op_A, op_Astar, op_B, op_Bstar,
+    op_sfA, op_sfB, qtilde,
 )
 
 __all__ = [
     "BadLabels", "ChargeConstraint", "LabelSix", "Sixj",
     "multiplicity_dim", "t_form", "tbar_form",
-    "tform_tensor", "tbar_tensor", "sixj_pos", "sixj_neg",
+    "tform_tensor", "tbar_tensor", "sixj_stack", "sixj_pos", "sixj_neg",
     "permute_legs", "apply_to_leg",
     "pentagon_labels", "check_charged_pentagon", "check_charged_inversion",
     "check_symmetry_relations", "check_uncharged_symmetries",
@@ -107,9 +122,6 @@ class Sixj:
     """A charged 6j tensor: entries plus the leg metadata needed to use them."""
 
     entries: np.ndarray
-    sign: int
-    labels: LabelSix
-    charges: tuple[HalfInt, HalfInt]
     legs: list[tuple[str, GroupElement, GroupElement]]
 
 
@@ -121,49 +133,134 @@ def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
     return 0
 
 
-def _graded(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Intertwiner on its support: ``G[x, y, d] = S[(x, y), (x + y, d)]``.
-
-    ``S`` vanishes unless the product index is the sum of the factor
-    indices mod N, so these N**3 entries are all of it.
-    """
-    N = root.N
-    x, y = np.ogrid[:N, :N]
-    return intertwiner_S(root, g, h).reshape(N, N, N, N)[x, y, (x + y) % N]
+def _leg_pairs(labs: Sequence[LabelSix], right: np.ndarray) -> np.ndarray:
+    """``(x, y)`` of the label pair of every leg: ``[tensor, leg, g or h, x or y]``."""
+    return np.array([[((g.x, g.y), (h.x, h.y)) for _, g, h in
+                      (lab.pos_legs() if r else lab.neg_legs())]
+                     for lab, r in zip(labs, right)], dtype=float)
 
 
-def _graded_inv(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Inverse intertwiner on its support: ``H[c, x, d] = S^-1[(c, d), (x, c - x)]``.
-
-    The support makes ``S`` block diagonal over the product index ``c``,
-    with blocks ``B_c[x, d] = G[x, c - x, d]``; each is inverted alone.
-    """
-    N = root.N
-    c, x = np.ogrid[:N, :N]
-    blocks = _graded(root, g, h)[x, (c - x) % N]
-    return np.linalg.inv(blocks).swapaxes(1, 2)
+def _gathers(N: int) -> tuple[list, list]:
+    """Where the four factors of a positive and of a negative composite are
+    read: index pairs into each factor's support ``[first, second, leg]``
+    over the ``V_m`` index ``s`` and the inner indices ``a``, ``c``."""
+    s, a, c = np.indices((N, N, N))
+    pos = [(s, a + c), (a + c, a), (c, s - a - c), (a, s - a)]
+    neg = [(s, a), (s - a, c), (a, c), (a + c, s - a - c)]
+    return ([(i % N, j % N) for i, j in pos], [(i % N, j % N) for i, j in neg])
 
 
-def _composite(P1: np.ndarray, P2: np.ndarray, P3: np.ndarray, P4: np.ndarray,
-               tol: float) -> np.ndarray:
-    """Contract gathered factors ``[s, a, c, leg]`` of a composite over ``(a, c)``.
+# Entries per composite slice: each intermediate, such as [t, s, a, c, z,
+# y], holds at most this many, or one tensor's N**5 when that is more.
+_SLICE_ENTRIES = 2 ** 15
 
-    The factors are the four intertwiners of a composite ``V_m -> V_m``
-    read along their supports: ``s`` is the ``V_m`` index, equal at both
-    ends, and ``(a, c)`` fix every inner index.  Off the diagonal the
+_COMPOSITE = "tsacz,tsacy,tsacx,tsacw->tzyxws"
+_COMPOSITE_PATH = ["einsum_path", (0, 1), (0, 1), (0, 1)]
+
+
+def _composites(root: RootData, pairs: np.ndarray, right: np.ndarray,
+                tol: float) -> np.ndarray:
+    """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``.
+
+    Each tensor is the composite of its four intertwiners, an
+    endomorphism of ``V_m`` at every fixed multiplicity index, read along
+    the supports of the factors: ``S^-1`` on the two check legs and ``S``
+    on the two hat legs.  The check legs' ``S`` is block diagonal over the
+    product index ``c``, with blocks ``B_c[x, d] = G[x, c - x, d]``; all
+    blocks of the stack are inverted in one call.  Off the diagonal the
     composite vanishes by the support, so it is proportional to the
-    identity exactly when its N diagonal entries agree; the worst
-    deviation from their mean is checked against ``tol`` times the scale.
+    identity exactly when its N diagonal entries agree.  Each tensor's
+    worst deviation from their mean is checked against ``tol`` times its
+    own scale, ``max(1, max|tensor|)``.
     """
-    diag = np.einsum("sacz,sacy,sacx,sacw->zyxws", P1, P2, P3, P4,
-                     optimize=True)
-    tensor = diag.mean(axis=-1)
-    worst = float(np.max(np.abs(diag - tensor[..., None])))
-    scale = max(1.0, float(np.max(np.abs(tensor))))
-    if worst > tol * scale:
-        raise NotScalarError(
-            f"composite defect {worst:.3e} exceeds {tol:.1e} (x {scale:.1e})")
-    return tensor
+    N, T = root.N, len(right)
+    G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
+    c, x = np.ogrid[:N, :N]
+    H = np.linalg.inv(G[:, :2, x, (c - x) % N]).swapaxes(-1, -2)
+    factors = (H[:, 0], H[:, 1], G[:, 2], G[:, 3])
+    sel = right[:, None, None, None]
+    index = [(np.where(sel, i, k), np.where(sel, j, l))
+             for (i, j), (k, l) in zip(*_gathers(N))]
+    out = np.empty((T,) + (N,) * 4, dtype=complex)
+    step = max(1, _SLICE_ENTRIES // N ** 5)
+    for lo in range(0, T, step):
+        t = np.arange(lo, min(lo + step, T))
+        diag = np.einsum(_COMPOSITE, *(F[t[:, None, None, None], i[t], j[t]]
+                                      for F, (i, j) in zip(factors, index)),
+                         optimize=_COMPOSITE_PATH)
+        tensor = diag.mean(axis=-1)
+        worst = np.abs(diag - tensor[..., None]).max(axis=(1, 2, 3, 4, 5))
+        scale = np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3, 4)))
+        bad = np.flatnonzero(worst > tol * scale)
+        if bad.size:
+            b = bad[0]
+            raise NotScalarError(
+                f"composite defect {worst[b]:.3e} of tensor {lo + b} exceeds "
+                f"{tol:.1e} (x {scale[b]:.1e})")
+        out[t] = tensor
+    return out
+
+
+def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
+           a: np.ndarray, c: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """Charge twist of a stack of uncharged tensors at doubled charges ``a``, ``c``.
+
+    Positive (negative) tensors get ``q^{4ac}`` (``q^{-4ac}``), ``R^c`` on
+    the ``(k, l)`` leg, ``R^{-a}`` on the ``(i, j)`` leg and ``L^{-a}
+    R^{-c}`` on the ``(j, l)`` leg, all on the form's arguments.  In closed
+    form ``(sqrtR)^n`` is the diagonal ``w^{-i n (N+1)/2}`` and
+    ``(sqrtL)^n`` reads a check leg at ``i - n (N+1)/2`` and a hat leg at
+    ``i + n (N+1)/2``, each times its half-power scalar to the n.  So the
+    twist is one index gather and one phase multiply; the pairs are
+    checked as :func:`~cyclic6j.operators.op_sqrtR` and
+    :func:`~cyclic6j.operators.op_sqrtL` check them.
+    """
+    N, half, T = root.N, root.half, len(right)
+    # legs of the (k, l), (i, j) and (j, l) pairs
+    legs = np.where(right[:, None], [0, 1, 2], [3, 2, 1])
+    p = pairs[np.arange(T)[:, None], legs]
+    gx, gy, hx = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0]
+    x = np.array([gx, hx, gx + gy * hx])
+    if not np.all(x):
+        raise BadOperands("a twist pair is not admissible")
+    vg, vh, vgh = real_roots(root, x)
+    sR = _half_powers(root, vg / vgh)
+    sL = _half_powers(root, gy[:, 2] ** (1.0 / N) * vh[:, 2] / vgh[:, 2])
+    sign = np.where(right, 1, -1)
+    scalar = (qtilde(root) ** (sign * a * c) * sR[:, 0] ** c
+              * sR[:, 1] ** -a * sL ** -a * sR[:, 2] ** -c)
+    expo = np.zeros((T, 4), dtype=int)
+    np.put_along_axis(expo, legs, np.stack([-half * c, half * a, half * c],
+                                           axis=1), axis=1)
+    shift = np.zeros((T, 4), dtype=int)
+    np.put_along_axis(shift, legs[:, 2:], (sign * half * a)[:, None], axis=1)
+
+    def per_tensor(v: np.ndarray) -> np.ndarray:
+        return v.reshape(T, 1, 1, 1, 1)
+    idx = np.ogrid[:N, :N, :N, :N]
+    phase = sum(per_tensor(expo[:, q]) * i for q, i in enumerate(idx)) % N
+    at = [(i + per_tensor(shift[:, q])) % N for q, i in enumerate(idx)]
+    return (per_tensor(scalar) * _powers(root)[phase]
+            * tensors[(per_tensor(np.arange(T)), *at)])
+
+
+def sixj_stack(root: RootData, labs: Sequence[LabelSix],
+               right: Sequence[bool], a: Sequence[HalfInt],
+               c: Sequence[HalfInt], tol: float = 1e-9) -> np.ndarray:
+    """Charged 6j tensors of a stack of label six-tuples, in one pass.
+
+    Tensor ``t`` is the positive symbol of ``labs[t]`` at charges
+    ``(a[t], c[t])`` when ``right[t]`` holds and the negative one
+    otherwise; the result is indexed ``[t, leg 1, .., leg 4]``.  All
+    intertwiners of the stack are built together, the composites are
+    contracted a slice of tensors at a time, and each tensor's scalar
+    defect is checked on its own scale.
+    """
+    right = np.array(right, dtype=bool)
+    pairs = _leg_pairs(labs, right)
+    return _twist(root, pairs, right, np.array([x.doubled for x in a]),
+                  np.array([x.doubled for x in c]),
+                  _composites(root, pairs, right, tol))
 
 
 def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
@@ -175,13 +272,8 @@ def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray
     ``V_m`` index ``s`` and ``V_i``, ``V_j`` indices ``a``, ``c``, the
     supports fix ``V_k = a + c``, ``V_l = s - a - c`` and ``V_n = s - a``.
     """
-    N = root.N
-    s, a, c = np.indices((N, N, N))
-    return _composite(
-        _graded_inv(root, lab.k, lab.l)[s, (a + c) % N],
-        _graded_inv(root, lab.i, lab.j)[(a + c) % N, a],
-        _graded(root, lab.j, lab.l)[c, (s - a - c) % N],
-        _graded(root, lab.i, lab.n)[a, (s - a) % N], tol)
+    right = np.array([True])
+    return _composites(root, _leg_pairs([lab], right), right, tol)[0]
 
 
 def tbar_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
@@ -190,13 +282,8 @@ def tbar_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
     Composite ``S^-1_{i,n} (id x S^-1_{j,l}) (S_{i,j} x id) S_{k,l}``,
     read along the supports as in :func:`tform_tensor`.
     """
-    N = root.N
-    s, a, c = np.indices((N, N, N))
-    return _composite(
-        _graded_inv(root, lab.i, lab.n)[s, a],
-        _graded_inv(root, lab.j, lab.l)[(s - a) % N, c],
-        _graded(root, lab.i, lab.j)[a, c],
-        _graded(root, lab.k, lab.l)[(a + c) % N, (s - a - c) % N], tol)
+    right = np.array([False])
+    return _composites(root, _leg_pairs([lab], right), right, tol)[0]
 
 
 def t_form(root: RootData, lab: LabelSix, alpha: int, beta: int,
@@ -267,34 +354,25 @@ def permute_legs(tensor: np.ndarray, cycles: tuple[tuple[int, ...], ...]) -> np.
 
 def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt,
              tol: float = 1e-9) -> Sixj:
-    """Charged positive 6j symbol.
+    """Charged positive 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     The charge twist acts on the arguments of the form: ``q^{4ac} R^c`` on
     slot 1, ``R^{-a}`` on slot 2, ``L^{-a} R^{-c}`` on slot 3 (slot 4
-    untouched).  Argument-side operators enter the component array through
-    their transpose.
+    untouched).
     """
-    out = qtilde(root) ** (a.doubled * c.doubled) * tform_tensor(root, lab, tol)
-    out = apply_to_leg(out, pow_R(root, lab.k, lab.l, c).hat_mat.T, 0)
-    out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).hat_mat.T, 1)
-    out = apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
-                                    pow_R(root, lab.j, lab.l, -c)).check_mat.T, 2)
-    return Sixj(out, +1, lab, (a, c), lab.pos_legs())
+    return Sixj(sixj_stack(root, [lab], [True], [a], [c], tol)[0],
+                lab.pos_legs())
 
 
 def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt,
              tol: float = 1e-9) -> Sixj:
-    """Charged negative 6j symbol.
+    """Charged negative 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     Twist on the form's arguments: ``q^{-4ac}`` on slot 1, ``L^{-a} R^{-c}``
     on slot 2, ``R^{-a}`` on slot 3 and ``R^{c}`` on slot 4.
     """
-    out = qtilde(root) ** (-a.doubled * c.doubled) * tbar_tensor(root, lab, tol)
-    out = apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
-                                    pow_R(root, lab.j, lab.l, -c)).hat_mat.T, 1)
-    out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).check_mat.T, 2)
-    out = apply_to_leg(out, pow_R(root, lab.k, lab.l, c).check_mat.T, 3)
-    return Sixj(out, -1, lab, (a, c), lab.neg_legs())
+    return Sixj(sixj_stack(root, [lab], [False], [a], [c], tol)[0],
+                lab.neg_legs())
 
 
 def pentagon_labels(j1: GroupElement, j2: GroupElement, j3: GroupElement,

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import GroupElement, RootData
 from .operators import HalfInt, qtilde, q_scalar, assemble_q
-from .sixj import LabelSix, Sixj, sixj_neg, sixj_pos
+from .sixj import LabelSix, Sixj, sixj_stack
 from .triangulation import (
     _EDGE_INDEX, _perm_sign, Charge, Scene, TriComplex, color_of,
     validate_charge,
@@ -28,8 +29,9 @@ from .triangulation import (
 
 __all__ = [
     "InvariantError", "TypeMismatch", "ZeroValue",
-    "tetra_weight", "state_sum",
-    "qtilde_order", "equal_mod_qtilde", "canonical_rep", "invariant_record",
+    "tetra_weights", "tetra_weight", "state_sum",
+    "qtilde_order", "mod_qtilde_residual", "equal_mod_qtilde",
+    "canonical_rep", "invariant_record",
 ]
 
 
@@ -78,25 +80,40 @@ def _corners(T: TriComplex, t: int) -> tuple[list[int], bool, list[int]]:
     return vs, right, [T.face_class(t, f) for f in opposite]
 
 
-def tetra_weight(root: RootData, T: TriComplex,
-                 coloring: dict[int, GroupElement], charge: Charge,
-                 t: int, tol: float = 1e-9) -> tuple[Sixj, list[int]]:
-    """The 6j tensor of one tetrahedron and the face class of each leg.
+def tetra_weights(root: RootData, T: TriComplex,
+                  coloring: dict[int, GroupElement], charge: Charge,
+                  tets: Sequence[int],
+                  tol: float = 1e-9) -> list[tuple[Sixj, list[int]]]:
+    """The 6j tensors of the given tetrahedra, built in one stacked pass,
+    each with the face class of each of its legs.
 
     Corners are sorted by the global vertex order into (v1, v2, v3, v4);
     the labels are the colors of v1v2, v2v3, v3v4 and their products, the
     charges sit on v1v2 and v2v3.  Leg p of the positive (negative)
     tensor lies on the face opposite v2, v4, v1, v3 (v3, v1, v4, v2).
     """
-    vs, right, faces = _corners(T, t)
-    i = color_of(T, coloring, t, vs[0], vs[1])
-    j = color_of(T, coloring, t, vs[1], vs[2])
-    l = color_of(T, coloring, t, vs[2], vs[3])
-    lab = LabelSix.from_generators(i, j, l)
-    a = HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[0], vs[1])]])
-    c = HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[1], vs[2])]])
-    weight = sixj_pos if right else sixj_neg
-    return weight(root, lab, a, c, tol), faces
+    labs, rights, a, c, faces = [], [], [], [], []
+    for t in tets:
+        vs, right, fs = _corners(T, t)
+        labs.append(LabelSix.from_generators(
+            color_of(T, coloring, t, vs[0], vs[1]),
+            color_of(T, coloring, t, vs[1], vs[2]),
+            color_of(T, coloring, t, vs[2], vs[3])))
+        rights.append(right)
+        a.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[0], vs[1])]]))
+        c.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[1], vs[2])]]))
+        faces.append(fs)
+    entries = sixj_stack(root, labs, rights, a, c, tol)
+    return [(Sixj(e, lab.pos_legs() if r else lab.neg_legs()), fs)
+            for e, lab, r, fs in zip(entries, labs, rights, faces)]
+
+
+def tetra_weight(root: RootData, T: TriComplex,
+                 coloring: dict[int, GroupElement], charge: Charge,
+                 t: int, tol: float = 1e-9) -> tuple[Sixj, list[int]]:
+    """The 6j tensor of one tetrahedron and the face class of each leg:
+    the one-tetrahedron case of :func:`tetra_weights`."""
+    return tetra_weights(root, T, coloring, charge, [t], tol)[0]
 
 
 def _labels_match(p, q, tol: float = 1e-6) -> bool:
@@ -197,8 +214,8 @@ def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
         raise InvariantError(
             f"contraction needs a tensor of {root.N}^{peak} entries, over "
             f"the budget of {MAX_ENTRIES}")
-    weights = [tetra_weight(root, T, scene.coloring, scene.charge, t, tol)
-               for t in range(T.n_tets)]
+    weights = tetra_weights(root, T, scene.coloring, scene.charge,
+                            range(T.n_tets), tol)
     _check_faces(weights)
     arrays = [_trace_self_glued(S.entries, fs) for S, fs in weights]
     for a, b, axes in steps:
@@ -218,9 +235,25 @@ def qtilde_order(root: RootData, tol: float = 1e-9) -> int:
     raise InvariantError("grading scalar is not a root of unity")
 
 
+def mod_qtilde_residual(z1: complex, z2: complex,
+                        root: RootData) -> tuple[float, int]:
+    """Distance from ``z1`` to the qtilde-orbit of ``z2``, and the power
+    ``k`` of the nearest orbit point ``z2 * qtilde**k``."""
+    best, best_k = abs(z1 - z2), 0
+    w = z2
+    q = qtilde(root)
+    for k in range(1, qtilde_order(root)):
+        w *= q
+        d = abs(z1 - w)
+        if d < best:
+            best, best_k = d, k
+    return best, best_k
+
+
 def equal_mod_qtilde(z1: complex, z2: complex, root: RootData,
                      tol: float = 1e-7) -> bool:
-    """Equality of two invariant values up to a power of the grading scalar."""
+    """Equality of two invariant values up to a power of the grading scalar:
+    the orbit residual within ``tol`` relative to ``|z2|``."""
     a1, a2 = abs(z1), abs(z2)
     if a1 < tol and a2 < tol:
         return True
@@ -228,13 +261,7 @@ def equal_mod_qtilde(z1: complex, z2: complex, root: RootData,
         return False
     if abs(a1 - a2) > tol * max(a1, a2):
         return False
-    q = qtilde(root)
-    ratio = z1 / z2
-    for _ in range(qtilde_order(root)):
-        if abs(ratio - 1.0) < tol:
-            return True
-        ratio *= q
-    return False
+    return mod_qtilde_residual(z1, z2, root)[0] < tol * a2
 
 
 # Reduced arguments within this fraction of the step from 0 or from the

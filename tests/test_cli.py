@@ -79,7 +79,8 @@ def _no_weights(*args, **kwargs):
 
 def test_invariant_over_budget_is_input_error(monkeypatch, capsys):
     monkeypatch.setattr(statesum, "MAX_ENTRIES", 13 ** 5)
-    monkeypatch.setattr(statesum, "tetra_weight", _no_weights)
+    for builder in ("tetra_weight", "tetra_weights", "sixj_stack"):
+        monkeypatch.setattr(statesum, builder, _no_weights)
     code, out, err = run(["invariant", FIXTURE, "--N", "13"], capsys)
     assert code == 2
     assert out == ""

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from cyclic6j.algebra import GroupElement, RootData, group_mul
+from cyclic6j import sixj
+from cyclic6j.algebra import (
+    BadOperands, GroupElement, RootData, Resonance, ZeroX, group_mul,
+    psi_coeffs, psi_coeffs_product, psi_stack, random_admissible_pair,
+)
 from cyclic6j.cli import _random_label_six, _random_pentagon
-from cyclic6j.operators import HalfInt, NotScalarError
+from cyclic6j.operators import (
+    HalfInt, NegativeBase, NotScalarError, compose, pow_L, pow_R, qtilde,
+)
 from cyclic6j.sixj import (
-    BadLabels, ChargeConstraint, LabelSix, check_charged_inversion,
-    check_charged_pentagon, check_symmetry_relations,
-    check_uncharged_symmetries, multiplicity_dim, pentagon_labels,
-    permute_legs, sixj_neg, sixj_pos, t_form, tbar_form, tbar_tensor,
-    tform_tensor,
+    BadLabels, ChargeConstraint, LabelSix, apply_to_leg,
+    check_charged_inversion, check_charged_pentagon,
+    check_symmetry_relations, check_uncharged_symmetries, multiplicity_dim,
+    pentagon_labels, permute_legs, sixj_neg, sixj_pos, sixj_stack, t_form,
+    tbar_form, tbar_tensor, tform_tensor,
 )
 
 I0 = GroupElement(0.7, 1.3)
@@ -60,6 +66,117 @@ def test_composite_simplicity_is_checked(root3):
     for tensor in (tform_tensor, tbar_tensor):
         with pytest.raises(NotScalarError):
             tensor(root3, lab, tol=1e-30)
+
+
+def _oracle_pos(root, lab, a, c):
+    # the charge twist as dense operator matrices applied leg by leg
+    out = qtilde(root) ** (a.doubled * c.doubled) * tform_tensor(root, lab)
+    out = apply_to_leg(out, pow_R(root, lab.k, lab.l, c).hat_mat.T, 0)
+    out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).hat_mat.T, 1)
+    return apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
+                                     pow_R(root, lab.j, lab.l, -c)).check_mat.T,
+                        2)
+
+
+def _oracle_neg(root, lab, a, c):
+    out = qtilde(root) ** (-a.doubled * c.doubled) * tbar_tensor(root, lab)
+    out = apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
+                                    pow_R(root, lab.j, lab.l, -c)).hat_mat.T, 1)
+    out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).check_mat.T, 2)
+    return apply_to_leg(out, pow_R(root, lab.k, lab.l, c).check_mat.T, 3)
+
+
+@pytest.mark.parametrize("N, slice_entries", [(3, 2 * 3 ** 5), (3, 2 ** 15),
+                                              (5, 2 ** 15), (7, 2 ** 15)])
+def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
+                                            monkeypatch):
+    # 2 * 3**5 entries cut the N = 3 stack into slices of two tensors
+    monkeypatch.setattr(sixj, "_SLICE_ENTRIES", slice_entries)
+    root = RootData(N)
+    labs = [_random_label_six(root, rng) for _ in range(5)]
+    right = [True, False, False, True, False]
+    a = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
+    c = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
+    a[0], c[0] = HalfInt(0), HalfInt(0)
+    got = sixj_stack(root, labs, right, a, c)
+    assert got.shape == (5, N, N, N, N)
+    for t in range(5):
+        want = (_oracle_pos if right[t] else _oracle_neg)(root, labs[t],
+                                                          a[t], c[t])
+        assert np.max(np.abs(got[t] - want)) <= 1e-12 * np.max(np.abs(want))
+    one = (sixj_pos if right[1] else sixj_neg)(root, labs[1], a[1], c[1])
+    assert np.allclose(one.entries, got[1], rtol=1e-13, atol=0)
+
+
+def test_defect_guard_scale_is_per_tensor(root3, monkeypatch):
+    # tensor 0: a hat-leg intertwiner scaled by 1e6 is still an
+    # intertwiner, so its composite stays scalar at scale ~1e6; tensor 1:
+    # one entry of an intertwiner off by 1e-5, a defect far above 1e-9 on
+    # its own scale ~1 but below 1e-9 times tensor 0's scale
+    lab = LabelSix.from_generators(I0, J0, L0)
+    zero = [HalfInt(0)] * 2
+    graded = sixj.graded_S
+
+    def skewed(root, g, h, scale=True, corrupt=True):
+        G = graded(root, g, h).copy()
+        if scale:
+            G[0, 2] *= 1e6
+        if corrupt:
+            G[1, 3, 0, 0, 0] *= 1 + 1e-5
+        return G
+    monkeypatch.setattr(sixj, "graded_S",
+                        lambda *args: skewed(*args, corrupt=False))
+    big = sixj_stack(root3, [lab, lab], [True, True], zero, zero)
+    assert np.max(np.abs(big[0])) > 1e5
+    monkeypatch.setattr(sixj, "graded_S", skewed)
+    with pytest.raises(NotScalarError, match="of tensor 1 "):
+        sixj_stack(root3, [lab, lab], [True, True], zero, zero)
+
+
+def test_twist_checks_exactly_the_operator_pairs(root3):
+    # op_sqrtR / op_sqrtL check (k, l), (i, j) and (j, l), also at zero
+    # charge; the (i, n) leg carries no twist operator and is not checked
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = np.array([True, False])
+    pairs = sixj._leg_pairs([lab, lab], right)
+    zero = np.zeros(2, dtype=int)
+    tensors = np.ones((2,) + (3,) * 4, dtype=complex)
+
+    def twist(t, leg, side, value):
+        p = pairs.copy()
+        p[t, leg, side, 0] = value
+        return sixj._twist(root3, p, right, zero, zero, tensors)
+    for t, leg in ((0, 3), (1, 0)):
+        assert np.allclose(twist(t, leg, 0, 0.0), tensors)
+        assert np.allclose(twist(t, leg, 1, np.nan), tensors)
+    for t, leg in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)):
+        with pytest.raises(BadOperands):
+            twist(t, leg, 0, 0.0)
+        with pytest.raises(NegativeBase):
+            twist(t, leg, 1, np.nan)
+
+
+def test_stacked_psi_raises_where_psi_coeffs_does(root5, rng):
+    pairs = [random_admissible_pair(root5, rng) for _ in range(6)]
+    # both v_g and v_gh must shrink for a denominator to vanish
+    near = (GroupElement(1e-70, 1.0), GroupElement(1e-70, 1.0))
+    with pytest.raises(Resonance):
+        psi_coeffs(root5, *near)
+    g, h = (np.array([[e.x, e.y] for e in side]) for side in zip(*pairs))
+    got = psi_stack(root5, g, h)
+    for row, (gi, hi) in enumerate(pairs):
+        assert np.array_equal(got[row], psi_coeffs(root5, gi, hi))
+        assert np.max(np.abs(got[row] - psi_coeffs_product(root5, gi, hi))) \
+            < 1e-10
+    for at in (0, 3, 6):
+        stack = pairs[:at] + [near] + pairs[at:]
+        g, h = (np.array([[e.x, e.y] for e in side])
+                for side in zip(*stack))
+        with pytest.raises(Resonance):
+            psi_stack(root5, g, h)
+    g[2, 0] = 0.0
+    with pytest.raises(ZeroX):
+        psi_stack(root5, g[:, None], h[:, None])
 
 
 def test_permute_legs_round_trip(rng):

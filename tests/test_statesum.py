@@ -10,7 +10,8 @@ from cyclic6j.algebra import RootData
 from cyclic6j.operators import qtilde
 from cyclic6j.statesum import (
     InvariantError, TypeMismatch, ZeroValue, canonical_rep, equal_mod_qtilde,
-    invariant_record, qtilde_order, state_sum, tetra_weight,
+    invariant_record, mod_qtilde_residual, qtilde_order, state_sum,
+    tetra_weight, tetra_weights,
 )
 from cyclic6j.triangulation import Scene, deform_charge
 
@@ -52,9 +53,22 @@ def test_over_budget_plan_is_refused_before_any_weight(root3, fixture_scene,
                                                        monkeypatch):
     # the fixture's plan peaks at rank 6: 729 entries at N = 3
     monkeypatch.setattr(statesum, "MAX_ENTRIES", 3 ** 6 - 1)
-    monkeypatch.setattr(statesum, "tetra_weight", _no_weights)
+    for builder in ("tetra_weight", "tetra_weights", "sixj_stack"):
+        monkeypatch.setattr(statesum, builder, _no_weights)
     with pytest.raises(InvariantError, match="budget"):
         state_sum(root3, fixture_scene)
+
+
+def test_stacked_weights_match_one_at_a_time(root3, grown_s3):
+    grown = grown_s3(30)
+    T = grown.complex
+    stacked = tetra_weights(root3, T, grown.coloring, grown.charge,
+                            range(T.n_tets))
+    for t, (S, faces) in enumerate(stacked):
+        one, one_faces = tetra_weight(root3, T, grown.coloring, grown.charge,
+                                      t)
+        assert faces == one_faces and S.legs == one.legs
+        assert np.allclose(S.entries, one.entries, rtol=1e-13, atol=0)
 
 
 def test_self_glued_faces_are_traced_and_components_merged(rng):
@@ -115,6 +129,9 @@ def test_equal_mod_qtilde_semantics(root3):
         assert equal_mod_qtilde(z, z * qt ** k, root3)
     assert not equal_mod_qtilde(z, 1.7 * z, root3)
     assert not equal_mod_qtilde(z, z * np.exp(0.1j), root3)
+    for k in range(qtilde_order(root3)):
+        residual, got = mod_qtilde_residual(z * qt ** k, z, root3)
+        assert got == k and residual < 1e-12
     assert equal_mod_qtilde(0.0, 0.0, root3)
     assert not equal_mod_qtilde(z, 0.0, root3)
     assert not equal_mod_qtilde(0.0, z, root3)
