@@ -119,6 +119,13 @@ def group_inv(g: GroupElement) -> GroupElement:
     return GroupElement(-g.x / g.y, 1.0 / g.y)
 
 
+def group_close(a: GroupElement, b: GroupElement, tol: float) -> bool:
+    """Each coordinate of ``a`` within ``tol`` of ``b``'s, relative to
+    ``max(1, |coordinate of a|)``."""
+    return abs(a.x - b.x) <= tol * max(1.0, abs(a.x)) \
+        and abs(a.y - b.y) <= tol * max(1.0, abs(a.y))
+
+
 def in_I(g: GroupElement) -> bool:
     """True if ``g`` lies in the regular part (x coordinate nonzero)."""
     return g.x != 0.0

@@ -43,7 +43,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraError, BadOperands, GroupElement, RootData, _powers, graded_S,
-    group_inv, group_mul, in_I, intertwiner_S, real_roots,
+    group_close, group_inv, group_mul, in_I, intertwiner_S, real_roots,
 )
 from .operators import (
     HalfInt, NotScalarError, _half_powers, op_A, op_Astar, op_B, op_Bstar,
@@ -66,11 +66,6 @@ class BadLabels(AlgebraError):
 
 class ChargeConstraint(AlgebraError):
     """Half-integer charges violating the linear constraints of an identity."""
-
-
-def _close(a: GroupElement, b: GroupElement, tol: float = 1e-12) -> bool:
-    return abs(a.x - b.x) <= tol * max(1.0, abs(a.x)) \
-        and abs(a.y - b.y) <= tol * max(1.0, abs(a.y))
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class LabelSix:
             ("m = in", group_mul(self.i, self.n), self.m),
         ]
         for what, got, want in checks:
-            if not _close(got, want):
+            if not group_close(got, want, 1e-12):
                 raise BadLabels(f"product constraint {what} fails: {got} vs {want}")
 
     @classmethod
@@ -128,7 +123,7 @@ class Sixj:
 def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
                      h: GroupElement) -> int:
     """Dimension of the multiplicity space of ``V_h`` in ``V_f (x) V_g``: N or 0."""
-    if in_I(f) and in_I(g) and in_I(h) and _close(group_mul(f, g), h, 1e-9):
+    if in_I(f) and in_I(g) and in_I(h) and group_close(group_mul(f, g), h, 1e-9):
         return root.N
     return 0
 

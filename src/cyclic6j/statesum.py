@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import GroupElement, RootData
+from .algebra import GroupElement, RootData, group_close
 from .operators import HalfInt, qtilde, q_scalar, assemble_q
 from .sixj import LabelSix, Sixj, sixj_stack
 from .triangulation import (
@@ -116,12 +116,6 @@ def tetra_weight(root: RootData, T: TriComplex,
     return tetra_weights(root, T, coloring, charge, [t], tol)[0]
 
 
-def _labels_match(p, q, tol: float = 1e-6) -> bool:
-    return all(abs(x.x - y.x) <= tol * max(1.0, abs(x.x))
-               and abs(x.y - y.y) <= tol * max(1.0, x.y)
-               for x, y in zip(p, q))
-
-
 # Largest tensor, in complex entries (256 MiB), that a contraction may
 # create; a network whose plan needs more is refused before any weight is
 # built.
@@ -177,7 +171,7 @@ def _check_faces(weights: list[tuple[Sixj, list[int]]]) -> None:
     for f, ((k1, l1), (k2, l2)) in ends.items():
         if {k1, k2} != {"check", "hat"}:
             raise TypeMismatch(f"face class {f} pairs {k1} with {k2}")
-        if not _labels_match(l1, l2):
+        if not all(group_close(a, b, 1e-6) for a, b in zip(l1, l2)):
             raise TypeMismatch(f"face class {f} pairs unequal labels")
 
 

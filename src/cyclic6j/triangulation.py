@@ -10,8 +10,22 @@ over the gluing maps.  On top of the bare complex live:
 * G-colorings: group-valued 1-cocycles on oriented edges, with vertex
   gauges acting on them,
 * the local moves connecting any two such triangulations of the same
-  pair (manifold, link): Pachner 2<->3 and bubble, with deterministic
-  charge transport.
+  pair (manifold, link): Pachner 2<->3 and bubble.
+
+Every move swaps a star for another star with the same boundary, and one
+routine, ``_swap_star``, carries it out.  A move checks that it applies,
+then names the tetrahedra it removes and lists the new ones as tuples of
+vertex tags with an orientation; a corner's tag is its vertex class, and
+a vertex the move creates takes the next free id.  The routine derives
+every new gluing by matching the tag triples of faces: each boundary face
+of the old star meets the new face with its triple, two new faces with
+one triple are glued to each other, and with nothing new (``bubble_minus``)
+the two boundary faces sharing a triple are glued together.  The positive
+bubble also unglues one face and names which new tetrahedron each side of
+it meets.  Kept tetrahedra keep their order and the new ones follow; the
+vertex ranks, link, coloring and charge are carried over through the
+old-to-new vertex and edge class maps, and the charge of the new
+tetrahedra is the minimal-norm integral solution of the local system.
 
 Local index conventions (normative for the JSON format): corners 0..3,
 face f is opposite corner f, edges 0..5 enumerate the corner pairs
@@ -25,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraError, BadOperands, GroupElement, group_inv,
-                      group_mul)
+from .algebra import (AlgebraError, BadOperands, GroupElement, group_close,
+                      group_inv, group_mul)
 
 __all__ = [
     "TopologyError", "ParseError", "NotClosed", "NotQuasiRegular",
@@ -372,7 +386,7 @@ def load_document(doc: dict) -> Scene:
             if T.vertex_class(t, start) > T.vertex_class(t, end):
                 g = group_inv(g)
             cls = T.edge_class(t, e)
-            if cls in coloring and not _group_close(coloring[cls], g):
+            if cls in coloring and not group_close(coloring[cls], g, 1e-10):
                 raise ParseError(f"conflicting colors for edge class {cls}")
             coloring[cls] = g
         missing = set(range(T.n_edges)) - set(coloring)
@@ -434,11 +448,6 @@ def scene_document(scene: Scene) -> dict:
     return doc
 
 
-def _group_close(a: GroupElement, b: GroupElement, tol: float = 1e-10) -> bool:
-    return abs(a.x - b.x) <= tol * max(1.0, abs(a.x)) \
-        and abs(a.y - b.y) <= tol * max(1.0, abs(a.y))
-
-
 # per face, the corners a < b < c and the edge slots of ab, bc and ac
 _FACE_TRIANGLES = tuple(
     (a, b, c, _EDGE_INDEX[(a, b)], _EDGE_INDEX[(b, c)], _EDGE_INDEX[(a, c)])
@@ -447,7 +456,7 @@ _FACE_TRIANGLES = tuple(
 
 def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
                    tol: float = 1e-10) -> None:
-    """g_ab g_bc = g_ac on every face, to ``_group_close`` tolerance.
+    """g_ab g_bc = g_ac on every face, to ``group_close`` tolerance.
 
     ``color_of`` inlined on floats: each class's color and its inverse,
     computed as ``group_inv`` does, then the product of ``group_mul``.
@@ -777,38 +786,31 @@ def charge_class(T: TriComplex, c: Charge,
 # -- moves -----------------------------------------------------------
 
 
-def _sorted_tags(T: TriComplex, tag_class: dict, tags, extra_rank=None):
-    """Order corner tags by vertex rank (new vertices rank last)."""
-    def rank(tag):
-        cls = tag_class[tag]
-        return T.vertex_rank[cls] if cls is not None else extra_rank
-    return tuple(sorted(tags, key=rank))
+def _check_range(value: int, limit: int, label: str) -> None:
+    if not 0 <= value < limit:
+        raise MoveNotApplicable(f"{label} {value} out of range [0, {limit})")
 
 
-def _transport_coloring(T_old, coloring, T_new, slot_corr, vertex_corr,
-                        new_colors):
+def _regular(g: GroupElement, margin: float = 1e-6) -> bool:
+    """``g`` stays ``margin`` inside the regular part in both orientations."""
+    return not (abs(g.x) < margin or abs(g.x) / g.y < margin)
+
+
+def _transport_coloring(T_old, coloring, T_new, edge_map, vertex_map,
+                        new_edges):
     """Carry edge colors across a move.
 
-    ``slot_corr`` maps old (tet, edge) slots to new slots for all
-    surviving incidences; ``new_colors`` provides colors for genuinely
-    new edge classes, keyed by new slot, oriented low -> high new id.
+    ``edge_map`` and ``vertex_map`` send surviving old classes to new ones;
+    ``new_edges`` maps the edge classes the move creates to their colors,
+    each oriented from the first to the second new vertex class given.
     """
-    if coloring is None:
-        return None
     out: dict[int, GroupElement] = {}
     for cls, g in coloring.items():
-        for (t, e) in T_old.edge_incidences(cls):
-            if (t, e) not in slot_corr:
-                continue
-            t2, e2 = slot_corr[(t, e)]
-            cls2 = T_new.edge_class(t2, e2)
-            lo_old, _ = T_old.edge_ends(cls)
-            lo_new, _ = T_new.edge_ends(cls2)
-            g2 = g if vertex_corr[lo_old] == lo_new else group_inv(g)
-            out[cls2] = g2
-            break
-    for (t2, e2), g in new_colors.items():
-        out[T_new.edge_class(t2, e2)] = g
+        if cls in edge_map:
+            cls2, lo = edge_map[cls], vertex_map[T_old.edge_ends(cls)[0]]
+            out[cls2] = g if lo == T_new.edge_ends(cls2)[0] else group_inv(g)
+    for cls2, (u, g) in new_edges.items():
+        out[cls2] = g if u == T_new.edge_ends(cls2)[0] else group_inv(g)
     missing = set(range(T_new.n_edges)) - set(out)
     if missing:
         raise TopologyError(f"coloring transport missed classes {sorted(missing)}")
@@ -816,25 +818,21 @@ def _transport_coloring(T_old, coloring, T_new, slot_corr, vertex_corr,
     return out
 
 
-def _transport_charge(T_new, link_new, old_charge, kept_charge_rows,
-                      new_tets: list[int]) -> Charge:
-    """Charges for the tetrahedra created by a move.
+def _transport_charge(T_new, link_new, rows, new_tets: range) -> Charge:
+    """Complete the surviving charge ``rows`` over the tetrahedra created by
+    a move.
 
     Solves the local doubled system (tetrahedron sums plus incidence sums
     of every touched edge class, with surviving charges fixed) and picks
     the minimal-norm integral solution, ties broken lexicographically
     over (tetrahedron, edge) doubled values.  The surviving rows are the
     same in every candidate, so the key holds the rows of ``new_tets``
-    only, which must be in increasing order.
+    only, in increasing order.
     """
-    if old_charge is None:
-        return None
-    if not new_tets:
-        return Charge(tuple(tuple(r) for r in kept_charge_rows))
-    rows, rhs, _ = _charge_rows(T_new, link_new, new_tets,
-                                fixed={t: r for t, r in enumerate(kept_charge_rows)
-                                       if r is not None})
-    sol = _smith_solve(rows, rhs, 3 * len(new_tets))
+    eqs, rhs, _ = _charge_rows(T_new, link_new, list(new_tets),
+                               fixed={t: r for t, r in enumerate(rows)
+                                      if r is not None})
+    sol = _smith_solve(eqs, rhs, 3 * len(new_tets))
     if sol is None:
         raise NoCharge("charge transport system is inconsistent")
     x0, kernel = sol
@@ -852,236 +850,156 @@ def _transport_charge(T_new, link_new, old_charge, kept_charge_rows,
             if best is None or key < best[0]:
                 best = (key, x)
         x0 = best[1]
-    rows6 = list(kept_charge_rows)
     for i, t in enumerate(new_tets):
-        rows6[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
-    out = Charge(tuple(tuple(r) for r in rows6))
+        rows[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
+    out = Charge(tuple(tuple(r) for r in rows))
     validate_charge(T_new, link_new, out)
     return out
 
 
-def _remap_gluings(T, removed: set[int], keep_index: dict[int, int],
-                   face_map: dict, skip: set) -> list[Gluing]:
-    """Re-point old gluings through a move's face replacement map.
+def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
+               new_colors=None) -> Scene:
+    """Replace a star by another star with the same boundary.
 
-    ``face_map`` sends removed (tet, face) sides to (new tet, new face,
-    corner translation); gluings entirely interior to the move (listed in
-    ``skip``) are dropped.
+    Every corner is tagged by its vertex class; a vertex the move creates
+    is tagged ``T.n_vertices`` (and up), so it ranks after every old one.
+    The move names the ``removed`` tetrahedra and lists the ``new`` ones
+    as (tag tuple, orientation); each tuple is sorted by rank here, its
+    orientation following the permutation.  Kept tetrahedra keep their
+    order and the new ones follow.
+
+    The gluings come from the tag triples of faces.  An old gluing with
+    one side removed leaves its other side as an end of the old star's
+    boundary, and each new face is an end.  The kept faces in ``glue``
+    are unglued from each other, and the k-th of them meets the k-th new
+    face with its triple.  Every other triple must belong to exactly two
+    ends, and those two are glued.
+
+    ``link`` is the edited link in old classes (default: unchanged) and
+    ``new_link`` adds new edges as tag pairs; ``new_colors`` maps a tag
+    pair to the color of the new edge oriented from the first tag.
     """
-    out = []
-    for g in T.gluings:
-        if g.a in skip or g.b in skip:
-            continue
-        sides = []
-        cmaps = []
-        for side, direction in ((g.a, 0), (g.b, 1)):
-            t, f = side
-            if t in removed:
-                nt, nf, corner_tr = face_map[side]
-                sides.append((nt, nf))
-                cmaps.append(corner_tr)
-            else:
-                sides.append((keep_index[t], f))
-                cmaps.append({c: c for c in FACE_CORNERS[f]})
-        new_map = tuple(sorted(
-            (cmaps[0][i], cmaps[1][j]) for i, j in g.corner_map))
-        out.append(Gluing(sides[0], sides[1], new_map))
-    return out
-
-
-def _vertex_correspondence(T, T_new, keep_index: dict[int, int]) -> dict:
-    """Old vertex class -> new class, through the corners of kept tetrahedra."""
-    corr = {}
-    for t, t2 in keep_index.items():
-        for c in range(4):
-            corr[T.vertex_class(t, c)] = T_new.vertex_class(t2, c)
-    return corr
-
-
-def _transport_ranks(T, T_new, vertex_corr: dict, new_vertices=()):
-    """``T_new`` ranked as surviving classes keep their relative order in
-    ``T`` and the classes ``new_vertices`` rank last, in the given order."""
-    order = [vertex_corr[v] for v in sorted(vertex_corr,
-                                            key=lambda v: T.vertex_rank[v])]
-    order += new_vertices
-    if len(order) != T_new.n_vertices:
-        raise TopologyError("vertex bookkeeping failed during the move")
-    ranks = [0] * T_new.n_vertices
-    for rank, v in enumerate(order):
-        ranks[v] = rank
-    return T_new.with_vertex_ranks(ranks)
-
-
-def _finish_move(T, scene, removed, new_specs, internal_glues, face_map,
-                 skip, link_edit, new_colors_by_tag, tag_old_class,
-                 new_vertex_tags=(), extern_glues=()):
-    """Assemble the complex after a move and transport link, charge, coloring.
-
-    ``new_specs`` is a list of (corner tags, orientation); tags are shared
-    between new tetrahedra and identify corners across the move.
-    ``tag_old_class`` maps tags to surviving old vertex classes (None for
-    vertices created by the move).  ``extern_glues`` attach faces of kept
-    tetrahedra directly to new ones (used when a move unglues a face).
-    """
+    T = scene.complex
     keep = [t for t in range(T.n_tets) if t not in removed]
     keep_index = {t: i for i, t in enumerate(keep)}
     base = len(keep)
-    orientations = [T.orientations[t] for t in keep] + \
-        [o for _, o in new_specs]
-    tag_pos = []
-    for idx, (tags, _) in enumerate(new_specs):
-        tag_pos.append({tag: i for i, tag in enumerate(tags)})
 
-    # resolve face_map entries given as (spec index, tag of opposite corner)
-    resolved = {}
-    for old_side, (spec_idx, opp_tag, tag_of_corner) in face_map.items():
-        nt = base + spec_idx
-        nf = tag_pos[spec_idx][opp_tag]
-        corner_tr = {c: tag_pos[spec_idx][tag_of_corner[c]]
-                     for c in FACE_CORNERS[old_side[1]]}
-        resolved[old_side] = (nt, nf, corner_tr)
+    def rank(tag):
+        return T.vertex_rank[tag] if tag < T.n_vertices else tag
 
-    gluings = _remap_gluings(T, removed, keep_index, resolved, skip)
-    for (ia, ta_opp), (ib, tb_opp) in internal_glues:
-        ta, tb = base + ia, base + ib
-        fa, fb = tag_pos[ia][ta_opp], tag_pos[ib][tb_opp]
-        shared = [tag for tag in new_specs[ia][0] if tag != ta_opp]
-        cmap = tuple(sorted((tag_pos[ia][tag], tag_pos[ib][tag])
-                            for tag in shared))
-        gluings.append(Gluing((ta, fa), (tb, fb), cmap))
-    for (old_t, old_f), spec_idx, opp_tag, tag_of_corner in extern_glues:
-        nt, nf = base + spec_idx, tag_pos[spec_idx][opp_tag]
-        cmap = tuple(sorted(
-            (c, tag_pos[spec_idx][tag_of_corner[c]])
-            for c in FACE_CORNERS[old_f]))
-        gluings.append(Gluing((keep_index[old_t], old_f), (nt, nf), cmap))
+    tets, orientations = [], [T.orientations[t] for t in keep]
+    for tags, o in new:
+        s = tuple(sorted(tags, key=rank))
+        tets.append(s)
+        orientations.append(o * _perm_sign([tags.index(tag) for tag in s]))
 
-    T_new = TriComplex(orientations, gluings)
-    vertex_corr = _vertex_correspondence(T, T_new, keep_index)
-    tag_vertex = {}
-    for spec_idx, (tags, _) in enumerate(new_specs):
-        for i, tag in enumerate(tags):
-            tag_vertex[tag] = T_new.vertex_class(base + spec_idx, i)
-            old_cls = tag_old_class.get(tag)
-            if old_cls is not None:
-                vertex_corr[old_cls] = tag_vertex[tag]
-    T_new = _transport_ranks(T, T_new, vertex_corr,
-                             [tag_vertex[tag] for tag in new_vertex_tags])
+    def kept_end(t, f):
+        tag_at = {T.vertex_class(t, c): c for c in FACE_CORNERS[f]}
+        return (keep_index[t], f), tag_at
 
-    # slot correspondence for surviving old edges
-    slot_corr = {}
-    for t in keep:
-        for e in range(6):
-            slot_corr[(t, e)] = (keep_index[t], e)
-    for old_side, (nt, nf, corner_tr) in resolved.items():
-        t, f = old_side
-        for ca, cb in itertools.combinations(FACE_CORNERS[f], 2):
-            slot_corr[(t, _EDGE_INDEX[(ca, cb)])] = \
-                (nt, _EDGE_INDEX[(corner_tr[ca], corner_tr[cb])])
-
-    removed_link, added_link_slots = link_edit
-    link_new = set()
-    for cls in scene.link:
-        if cls in removed_link:
+    ends: dict[frozenset, list] = {}
+    gluings = []
+    for g in T.gluings:
+        if g.a in glue:
             continue
-        for (t, e) in T.edge_incidences(cls):
-            if (t, e) in slot_corr:
-                t2, e2 = slot_corr[(t, e)]
-                link_new.add(T_new.edge_class(t2, e2))
-                break
-        else:
+        out_a, out_b = g.a[0] in removed, g.b[0] in removed
+        if not (out_a or out_b):
+            gluings.append(Gluing((keep_index[g.a[0]], g.a[1]),
+                                  (keep_index[g.b[0]], g.b[1]), g.corner_map))
+        elif not (out_a and out_b):
+            side, tag_at = kept_end(*(g.b if out_a else g.a))
+            ends.setdefault(frozenset(tag_at), []).append((side, tag_at))
+    for i, s in enumerate(tets):
+        for f in range(4):
+            tag_at = {s[c]: c for c in FACE_CORNERS[f]}
+            ends.setdefault(frozenset(tag_at), []).append(((base + i, f), tag_at))
+    pairs = []
+    for side in glue:
+        end = kept_end(*side)
+        pairs.append((end, ends[frozenset(end[1])].pop(0)))
+    for triple, those in ends.items():
+        if len(those) not in (0, 2):
+            raise TopologyError(f"face {sorted(triple)} has {len(those)} "
+                                "ends after the move")
+        if those:
+            pairs.append(those)
+    for (sa, ta), (sb, tb) in pairs:
+        gluings.append(Gluing(sa, sb, tuple(sorted((ta[v], tb[v]) for v in ta))))
+    T_new = TriComplex(orientations, gluings)
+
+    vertex_map = {T.vertex_class(t, c): T_new.vertex_class(i, c)
+                  for t, i in keep_index.items() for c in range(4)}
+    for i, s in enumerate(tets):
+        vertex_map.update((tag, T_new.vertex_class(base + i, c))
+                          for c, tag in enumerate(s))
+    if len(vertex_map) != T_new.n_vertices:
+        raise TopologyError("vertex bookkeeping failed during the move")
+    ranks = [0] * T_new.n_vertices
+    for r, tag in enumerate(sorted(vertex_map, key=rank)):
+        ranks[vertex_map[tag]] = r
+    T_new = T_new.with_vertex_ranks(ranks)
+    edge_map = {T.edge_class(t, e): T_new.edge_class(i, e)
+                for t, i in keep_index.items() for e in range(6)}
+
+    def new_edge(u, w):
+        i, s = next((i, s) for i, s in enumerate(tets) if u in s and w in s)
+        return T_new.edge_class(base + i, _EDGE_INDEX[(s.index(u), s.index(w))])
+
+    link_new = {new_edge(u, w) for u, w in new_link}
+    for cls in scene.link if link is None else link:
+        if cls not in edge_map:
             raise TopologyError(f"link class {cls} lost by the move")
-    for spec_idx, tag_a, tag_b in added_link_slots:
-        ea = _EDGE_INDEX[(tag_pos[spec_idx][tag_a], tag_pos[spec_idx][tag_b])]
-        link_new.add(T_new.edge_class(base + spec_idx, ea))
+        link_new.add(edge_map[cls])
     link_new = frozenset(link_new)
     validate_link(T_new, link_new)
-
-    new_colors = {}
-    for (spec_idx, tag_a, tag_b), g in new_colors_by_tag.items():
-        pa, pb = tag_pos[spec_idx][tag_a], tag_pos[spec_idx][tag_b]
-        t2 = base + spec_idx
-        cls2 = T_new.edge_class(t2, _EDGE_INDEX[(pa, pb)])
-        lo, _ = T_new.edge_ends(cls2)
-        if T_new.vertex_class(t2, pa) != lo:
-            g = group_inv(g)
-        new_colors[(t2, _EDGE_INDEX[(pa, pb)])] = g
-    coloring_new = _transport_coloring(T, scene.coloring, T_new, slot_corr,
-                                       vertex_corr, new_colors)
-
-    kept_rows = [None] * T_new.n_tets
+    coloring = None
+    if scene.coloring is not None:
+        coloring = _transport_coloring(
+            T, scene.coloring, T_new, edge_map, vertex_map,
+            {new_edge(u, w): (vertex_map[u], g)
+             for (u, w), g in (new_colors or {}).items()})
+    charge = None
     if scene.charge is not None:
-        for t in keep:
-            kept_rows[keep_index[t]] = list(scene.charge.doubled[t])
-    charge_new = _transport_charge(
-        T_new, link_new, scene.charge, kept_rows,
-        [base + i for i in range(len(new_specs))])
-    return Scene(T_new, link_new, coloring_new, charge_new)
+        rows = [list(scene.charge.doubled[t]) for t in keep] + [None] * len(new)
+        charge = _transport_charge(T_new, link_new, rows,
+                                   range(base, base + len(new)))
+    return Scene(T_new, link_new, coloring, charge)
 
 
 def pachner_plus(scene: Scene, tet: int, face: int) -> Scene:
     """The 2 -> 3 move at a face: replace the two adjacent tetrahedra by
     three around a new interior edge joining the opposite corners."""
     T = scene.complex
+    _check_range(tet, T.n_tets, "tet")
+    _check_range(face, 4, "face")
     tb, fb, cmap = T.partner(tet, face)
     if tb == tet:
         raise MoveNotApplicable("the face is glued to its own tetrahedron")
     wA = FACE_CORNERS[face]
-    if T.vertex_class(tet, face) == T.vertex_class(tb, fb):
+    uA, uB = T.vertex_class(tet, face), T.vertex_class(tb, fb)
+    if uA == uB:
         raise MoveNotApplicable("apex vertices coincide; the new edge "
                                 "would be a loop")
-    # tags: shared face corners named by the first tetrahedron's corners
-    w = [("w", c) for c in wA]
-    uA, uB = ("uA", face), ("uB", fb)
-    tag_class = {("w", c): T.vertex_class(tet, c) for c in wA}
-    tag_class[uA] = T.vertex_class(tet, face)
-    tag_class[uB] = T.vertex_class(tb, fb)
+    w0, w1, w2 = (T.vertex_class(tet, c) for c in wA)
     o = T.orientations[tet] * _perm_sign((wA[0], face, wA[1], wA[2]))
-    o_b = T.orientations[tb] * _perm_sign(
-        (cmap[wA[0]], cmap[wA[1]], fb, cmap[wA[2]]))
-    if o_b != o:
-        raise TopologyError("inconsistent orientations at the glued face")
-    raw = [
-        ((w[0], uA, w[1], uB), o),   # misses w3
-        ((w[0], uA, uB, w[2]), o),   # misses w2
-        ((uA, w[1], uB, w[2]), o),   # misses w1
-    ]
-    specs = []
-    for tags, sign in raw:
-        s = _sorted_tags(T, tag_class, tags)
-        specs.append((s, sign * _perm_sign([tags.index(tag) for tag in s])))
-    # external faces: old (tet, corner wA[r]) and its partner-side twin
-    # land on the new tetrahedron missing w_r, opposite uB resp. uA
-    face_map = {}
-    spec_of_missing = {2: 0, 1: 1, 0: 2}
-    for r in range(3):
-        spec_idx = spec_of_missing[r]
-        tag_of = {c: ("w", c) for c in wA if c != wA[r]}
-        tag_of[face] = uA
-        face_map[(tet, wA[r])] = (spec_idx, uB, tag_of)
-        tag_of_b = {cmap[c]: ("w", c) for c in wA if c != wA[r]}
-        tag_of_b[fb] = uB
-        face_map[(tb, cmap[wA[r]])] = (spec_idx, uA, tag_of_b)
-    # interior faces {uA, uB, w_r}: opposite the other two w corners
-    internal = [((0, w[1]), (1, w[2])),   # {uA, uB, w1}
-                ((0, w[0]), (2, w[2])),   # {uA, uB, w2}
-                ((1, w[0]), (2, w[1]))]   # {uA, uB, w3}
     new_colors = {}
     if scene.coloring is not None:
         g = group_mul(color_of(T, scene.coloring, tet, face, wA[0]),
                       color_of(T, scene.coloring, tb, cmap[wA[0]], fb))
-        if abs(g.x) < 1e-6 or abs(g.x) / g.y < 1e-6:
+        if not _regular(g):
             raise AdmissibilityFailed("the induced color of the new edge "
                                       "is out of the regular part")
-        new_colors[(0, uA, uB)] = g
-    return _finish_move(T, scene, {tet, tb}, specs, internal, face_map,
-                        {(tet, face), (tb, fb)}, (set(), []), new_colors,
-                        tag_class)
+        new_colors[uA, uB] = g
+    return _swap_star(scene, {tet, tb},
+                      [((w0, uA, w1, uB), o), ((w0, uA, uB, w2), o),
+                       ((uA, w1, uB, w2), o)], new_colors=new_colors)
 
 
 def pachner_minus(scene: Scene, tet: int, edge: int) -> Scene:
     """The 3 -> 2 move at an interior edge of degree three (not in the link)."""
     T = scene.complex
+    _check_range(tet, T.n_tets, "tet")
+    _check_range(edge, 6, "edge")
     cls = T.edge_class(tet, edge)
     if cls in scene.link:
         raise MoveNotApplicable("the edge belongs to the link")
@@ -1089,61 +1007,19 @@ def pachner_minus(scene: Scene, tet: int, edge: int) -> Scene:
     if len(steps) != 3:
         raise MoveNotApplicable(f"edge class {cls} has degree {len(steps)}, "
                                 "need exactly 3")
-    tets3 = [s[0] for s in steps]
-    if len(set(tets3)) != 3:
+    tets3 = {s[0] for s in steps}
+    if len(tets3) != 3:
         raise MoveNotApplicable("the three tetrahedra around the edge "
                                 "are not distinct")
-    # first step: tet t* covering the sector w_a -> w_b around p -> q
-    t0, _, p0, q0, ra0, rb0 = steps[0]
-    tag_p, tag_q = ("p",), ("q",)
-    # equator tags w_b, w_a, w_c in the model positions w1, w2, w3
-    w_cls = [T.vertex_class(steps[0][0], steps[0][5]),   # w_b
-             T.vertex_class(steps[0][0], steps[0][4]),   # w_a
-             T.vertex_class(steps[1][0], steps[1][5])]   # w_c
-    p_cls = T.vertex_class(t0, p0)
-    q_cls = T.vertex_class(t0, q0)
-    if len({p_cls, q_cls, *w_cls}) != 5:
+    # the first step's tetrahedron covers the sector w0 -> w1 around p -> q
+    (t0, _, p0, q0, r_from, r_to), (t1, *_, r_next) = steps[:2]
+    p, q = T.vertex_class(t0, p0), T.vertex_class(t0, q0)
+    w0, w1 = T.vertex_class(t0, r_to), T.vertex_class(t0, r_from)
+    w2 = T.vertex_class(t1, r_next)
+    if len({p, q, w0, w1, w2}) != 5:
         raise MoveNotApplicable("equator or apex vertices coincide")
-    w_tags = [("w", 0), ("w", 1), ("w", 2)]
-    tag_class = {("p",): p_cls, ("q",): q_cls}
-    for tag, cls_v in zip(w_tags, w_cls):
-        tag_class[tag] = cls_v
-    o = T.orientations[t0] * _perm_sign((rb0, p0, ra0, q0))
-    raw = [
-        ((w_tags[0], tag_p, w_tags[1], w_tags[2]), o),   # apex p
-        ((w_tags[0], w_tags[1], tag_q, w_tags[2]), o),   # apex q
-    ]
-    specs = []
-    for tags, sign in raw:
-        s = _sorted_tags(T, tag_class, tags)
-        specs.append((s, sign * _perm_sign([tags.index(tag) for tag in s])))
-    # per walk step i the sector is (w_from -> w_to); the faces of that
-    # tetrahedron away from q resp. p survive on the new tetrahedra
-    model_w = {}   # vertex class -> w tag
-    for tag, cls_v in zip(w_tags, w_cls):
-        model_w[cls_v] = tag
-    face_map = {}
-    skip = set()
-    for (t, s, p, q, r_from, r_to) in steps:
-        skip.add((t, r_from))
-        skip.add(T.partner(t, r_from)[:2])
-        tags_of = {}
-        for c in range(4):
-            if c == p:
-                tags_of[c] = tag_p
-            elif c == q:
-                tags_of[c] = tag_q
-            else:
-                tags_of[c] = model_w[T.vertex_class(t, c)]
-        missing = [tag for tag in w_tags
-                   if tag not in (tags_of[r_from], tags_of[r_to])][0]
-        face_map[(t, q)] = (0, missing,
-                            {c: tags_of[c] for c in FACE_CORNERS[q]})
-        face_map[(t, p)] = (1, missing,
-                            {c: tags_of[c] for c in FACE_CORNERS[p]})
-    internal = [((0, tag_p), (1, tag_q))]
-    return _finish_move(T, scene, set(tets3), specs, internal, face_map,
-                        skip, (set(), []), {}, tag_class)
+    o = T.orientations[t0] * _perm_sign((r_to, p0, r_from, q0))
+    return _swap_star(scene, tets3, [((w0, p, w1, w2), o), ((w0, w1, q, w2), o)])
 
 
 def bubble_plus(scene: Scene, tet: int, face: int,
@@ -1154,7 +1030,9 @@ def bubble_plus(scene: Scene, tet: int, face: int,
     and reroutes the link edge through the new vertex.
     """
     T = scene.complex
-    tb, fb, cmap = T.partner(tet, face)
+    _check_range(tet, T.n_tets, "tet")
+    _check_range(face, 4, "face")
+    tb, fb, _ = T.partner(tet, face)
     corners = FACE_CORNERS[face]
     link_slots = [
         _EDGE_INDEX[(a, b)] for a, b in itertools.combinations(corners, 2)
@@ -1167,49 +1045,30 @@ def bubble_plus(scene: Scene, tet: int, face: int,
     elif link_slot not in link_slots:
         raise MoveNotApplicable(f"edge ({tet}, {link_slot}) is not a link "
                                 "edge of the face")
-    va, vb = EDGE_CORNERS[link_slot]      # corners of the rerouted edge
-    w = {c: ("w", c) for c in corners}
-    top = ("new",)
-    tag_class = {w[c]: T.vertex_class(tet, c) for c in corners}
-    tag_class[top] = None
-    s_tags = _sorted_tags(T, tag_class, (w[corners[0]], w[corners[1]],
-                                         w[corners[2]], top),
-                          extra_rank=T.n_vertices)
-    # the new vertex ranks last, so it sits at corner 3 and the face glued
-    # back onto (tet, face) is face 3; the parity rule fixes the sign
-    images = [s_tags.index(w[c]) for c in corners]
-    sign_glued = -_perm_sign(images) * T.orientations[tet] * (-1) ** (face + 3)
-    specs = [(s_tags, sign_glued), (s_tags, -sign_glued)]
-    extern = [
-        ((tet, face), 0, top, {c: w[c] for c in corners}),
-        ((tb, fb), 1, top, {cmap[c]: w[c] for c in corners}),
-    ]
-    internal = [((0, w[c]), (1, w[c])) for c in corners]
-    link_removed = {T.edge_class(tet, link_slot)}
-    link_added = [(0, w[va], top), (0, w[vb], top)]
+    w = {c: T.vertex_class(tet, c) for c in corners}
+    top = T.n_vertices
     new_colors = {}
     if scene.coloring is not None:
-        anchor = corners[0]
         for g_top in _GENERIC_TOPS:
-            colors = {}
-            ok = True
-            for c in corners:
-                g = g_top if c == anchor else group_mul(
-                    color_of(T, scene.coloring, tet, c, anchor), g_top)
-                if abs(g.x) < 1e-6 or abs(g.x) / g.y < 1e-6:
-                    ok = False
-                    break
-                colors[(0, w[c], top)] = g
-            if ok:
+            colors = {(w[c], top): g_top if c == corners[0] else group_mul(
+                color_of(T, scene.coloring, tet, c, corners[0]), g_top)
+                for c in corners}
+            if all(map(_regular, colors.values())):
                 new_colors = colors
                 break
         else:
             raise AdmissibilityFailed("no admissible color for the new "
                                       "vertex edges")
-    return _finish_move(T, scene, set(), specs, internal, {},
-                        {(tet, face), (tb, fb)},
-                        (link_removed, link_added), new_colors, tag_class,
-                        new_vertex_tags=(top,), extern_glues=extern)
+    # the two new tetrahedra share every face but the one over the cut;
+    # this sign makes (tet, face) meet the first one reversing orientation
+    tags = (*w.values(), top)
+    o = T.orientations[tet] * (-1) ** face
+    va, vb = EDGE_CORNERS[link_slot]
+    return _swap_star(scene, set(), [(tags, o), (tags, -o)],
+                      glue=((tet, face), (tb, fb)),
+                      link=scene.link - {T.edge_class(tet, link_slot)},
+                      new_link=((w[va], top), (w[vb], top)),
+                      new_colors=new_colors)
 
 
 _GENERIC_TOPS = tuple(
@@ -1224,6 +1083,7 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
     """The negative bubble move: remove a two-tetrahedron ball around a
     vertex of the link with exactly two incident tetrahedra."""
     T = scene.complex
+    _check_range(vertex, T.n_vertices, "vertex")
     inc = T.vertex_incidences(vertex)
     if len(inc) != 2:
         raise MoveNotApplicable(f"vertex {vertex} lies in {len(inc)} "
@@ -1231,96 +1091,25 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
     (t1, c1), (t2, c2) = inc
     if t1 == t2:
         raise MoveNotApplicable("the two corners lie in one tetrahedron")
-    for f in range(4):
-        if f == c1:
-            continue
-        if T.partner(t1, f)[0] != t2:
-            raise MoveNotApplicable("the ball around the vertex is not "
-                                    "two tetrahedra glued along three faces")
-    link_at = [cls for cls in scene.link
-               if vertex in T.edge_ends(cls)]
+    if any(T.partner(t1, f)[0] != t2 for f in range(4) if f != c1):
+        raise MoveNotApplicable("the ball around the vertex is not "
+                                "two tetrahedra glued along three faces")
+    link_at = {cls for cls in scene.link if vertex in T.edge_ends(cls)}
     if len(link_at) != 2:
         raise MoveNotApplicable("the vertex does not lie on exactly two "
                                 "link edges")
-    ends = []
-    for cls in link_at:
-        u, wv = T.edge_ends(cls)
-        ends.append(wv if u == vertex else u)
-    if ends[0] == ends[1]:
+    ends = {u for cls in link_at for u in T.edge_ends(cls)} - {vertex}
+    if len(ends) != 2:
         raise MoveNotApplicable("the two link edges at the vertex share "
                                 "both endpoints")
-    # the restored link edge joins the two outer endpoints within t1
-    slot_restored = None
-    for e, (a, b) in enumerate(EDGE_CORNERS):
-        cl = {T.vertex_class(t1, a), T.vertex_class(t1, b)}
-        if cl == set(ends):
-            slot_restored = e
-            break
-    if slot_restored is None:
-        raise MoveNotApplicable("no edge joining the link endpoints")
-    pa, fa, cm_a = T.partner(t1, c1)
-    pb, fb, cm_b = T.partner(t2, c2)
-    if pa in (t1, t2) or pb in (t1, t2):
+    if T.partner(t1, c1)[0] in (t1, t2) or T.partner(t2, c2)[0] in (t1, t2):
         raise MoveNotApplicable("the ball boundary is glued to the ball")
-    # compose the corner identification t1 -> t2 through one shared face
-    shared = next(f for f in range(4) if f != c1)
-    _, _, through = T.partner(t1, shared)
-    corr = {c: through[c] for c in range(4) if c not in (c1, shared)}
-    # complete over the remaining corner via a second shared face
-    shared2 = next(f for f in range(4) if f not in (c1, shared))
-    _, _, through2 = T.partner(t1, shared2)
-    for c in range(4):
-        if c not in (c1, shared2) and c not in corr:
-            corr[c] = through2[c]
-        elif c in corr and c not in (c1, shared2) \
-                and through2[c] != corr[c]:
-            raise MoveNotApplicable("inconsistent ball gluings")
-    new_map = tuple(sorted(
-        (cm_a[c], cm_b[corr[c]]) for c in FACE_CORNERS[c1]))
-    keep = [t for t in range(T.n_tets) if t not in (t1, t2)]
-    keep_index = {t: i for i, t in enumerate(keep)}
-    gluings = []
-    handled = set()
-    for g in T.gluings:
-        if g.a[0] in (t1, t2) or g.b[0] in (t1, t2):
-            handled.add(g.a)
-            handled.add(g.b)
-            continue
-        gluings.append(Gluing((keep_index[g.a[0]], g.a[1]),
-                              (keep_index[g.b[0]], g.b[1]), g.corner_map))
-    gluings.append(Gluing((keep_index[pa], fa), (keep_index[pb], fb), new_map))
-    T_new = TriComplex([T.orientations[t] for t in keep], gluings)
-    vertex_corr = _vertex_correspondence(T, T_new, keep_index)
-    T_new = _transport_ranks(T, T_new, vertex_corr)
-    slot_corr = {}
-    for t in keep:
-        for e in range(6):
-            slot_corr[(t, e)] = (keep_index[t], e)
-    link_new = set()
-    for cls in scene.link:
-        if cls in link_at:
-            continue
-        for (t, e) in T.edge_incidences(cls):
-            if (t, e) in slot_corr:
-                t2_, e2_ = slot_corr[(t, e)]
-                link_new.add(T_new.edge_class(t2_, e2_))
-                break
-        else:
-            raise TopologyError(f"link class {cls} lost by the move")
-    t_res, e_res = next(
-        (t, e) for (t, e) in T.edge_incidences(T.edge_class(t1, slot_restored))
-        if (t, e) in slot_corr)
-    rt, re = slot_corr[(t_res, e_res)]
-    link_new.add(T_new.edge_class(rt, re))
-    link_new = frozenset(link_new)
-    validate_link(T_new, link_new)
-    coloring_new = _transport_coloring(T, scene.coloring, T_new, slot_corr,
-                                       vertex_corr, {})
-    charge_new = None
-    if scene.charge is not None:
-        charge_new = Charge(tuple(tuple(scene.charge.doubled[t]) for t in keep))
-        validate_charge(T_new, link_new, charge_new)
-    return Scene(T_new, link_new, coloring_new, charge_new)
+    # the restored link edge joins the two outer endpoints, on the face of
+    # t1 opposite the vertex
+    a, b = (c for c in range(4) if T.vertex_class(t1, c) in ends)
+    restored = T.edge_class(t1, _EDGE_INDEX[(a, b)])
+    return _swap_star(scene, {t1, t2}, [],
+                      link=scene.link - link_at | {restored})
 
 
 # -- gauges and admissibility ---------------------------------------
@@ -1355,10 +1144,7 @@ def random_gauge(T: TriComplex, rng: np.random.Generator) -> GGauge:
 def is_admissible(coloring: dict[int, GroupElement],
                   margin: float = 1e-6) -> bool:
     """All edge colors (in both orientations) stay in the regular part."""
-    for g in coloring.values():
-        if abs(g.x) < margin or abs(g.x) / g.y < margin:
-            return False
-    return True
+    return all(_regular(g, margin) for g in coloring.values())
 
 
 def make_admissible(T: TriComplex, coloring: dict[int, GroupElement],
@@ -1367,17 +1153,14 @@ def make_admissible(T: TriComplex, coloring: dict[int, GroupElement],
     """Gauge away bad vertices by random point gauges until admissible."""
     current = dict(coloring)
     for _ in range(budget):
-        bad = None
-        for cls, g in sorted(current.items()):
-            if abs(g.x) < margin or abs(g.x) / g.y < margin:
-                bad = T.edge_ends(cls)[0]
-                break
+        bad = next((cls for cls, g in sorted(current.items())
+                    if not _regular(g, margin)), None)
         if bad is None:
             return current
         x = float(rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0]))
         y = float(rng.uniform(0.6, 1.6))
-        current = gauge_transform(T, current,
-                                  point_gauge(T, bad, GroupElement(x, y)))
+        current = gauge_transform(
+            T, current, point_gauge(T, T.edge_ends(bad)[0], GroupElement(x, y)))
     raise AdmissibilityFailed(f"still inadmissible after {budget} gauges")
 
 

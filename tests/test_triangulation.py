@@ -1,18 +1,22 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclic6j.algebra import GroupElement, group_inv, group_mul
+from cyclic6j.algebra import AlgebraError, GroupElement, group_inv, group_mul
 from cyclic6j.fixtures import boundary4simplex_document, boundary4simplex_scene
+from cyclic6j.statesum import mod_qtilde_residual, state_sum
 from cyclic6j.triangulation import (
     BadCharge, BadColoring, BadLoop, Charge, EDGE_CORNERS, FACE_CORNERS,
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
-    NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TriComplex,
+    NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
+    TriComplex,
     _EDGE_INDEX, _charge_rows, _perm_sign, _smith_eliminate, _smith_solve,
     bubble_minus, bubble_plus,
     charge_class, color_of, deform_charge, edge_between, find_charge,
@@ -449,6 +453,109 @@ def test_pachner_round_trip_restores_combinatorics(fixture_scene):
     load_document(scene_document(back))
 
 
+# excursions: three positive draws to one negative on the way up, then
+# negative moves only on the way down
+_UP = ("pachner+", "bubble+") * 3 + ("pachner-", "bubble-")
+_DOWN = ("pachner-", "bubble-")
+
+
+def _random_move(kind: str, scene: Scene, rng) -> Scene:
+    T = scene.complex
+    if kind == "bubble-":
+        return bubble_minus(scene, int(rng.integers(T.n_vertices)))
+    t = int(rng.integers(T.n_tets))
+    if kind == "pachner+":
+        return pachner_plus(scene, t, int(rng.integers(4)))
+    if kind == "pachner-":
+        return pachner_minus(scene, t, int(rng.integers(6)))
+    return bubble_plus(scene, t, int(rng.integers(4)))
+
+
+def _excursion(seed: int, top: int, bottom: int, patience: int = 200):
+    """Seeded moves of all four kinds at random cells, from the fixture up
+    to ``top`` tetrahedra and back down to ``bottom`` (or until
+    ``patience`` moves in a row are refused).  Yields ``(kind, scene)``
+    for every applied move and ``(kind, exception)`` for every refusal."""
+    rng = np.random.default_rng(seed)
+    scene, kinds, refused = boundary4simplex_scene(), _UP, 0
+    while refused < patience:
+        if scene.complex.n_tets >= top:
+            kinds = _DOWN
+        if kinds is _DOWN and scene.complex.n_tets <= bottom:
+            return
+        kind = kinds[int(rng.integers(len(kinds)))]
+        try:
+            scene = _random_move(kind, scene, rng)
+        except (TopologyError, AlgebraError) as exc:
+            refused += 1
+            yield kind, exc
+            continue
+        refused = 0
+        yield kind, scene
+
+
+def _canonical(scene: Scene) -> bytes:
+    """The scene independent of gluing order: orientations, the set of
+    gluings (each with its lower side first), ranks, link, coloring bits
+    and charge rows."""
+    T = scene.complex
+    gluings = sorted(
+        min((g.a, g.b, tuple(sorted(g.corner_map))),
+            (g.b, g.a, tuple(sorted((j, i) for i, j in g.corner_map))))
+        for g in T.gluings)
+    coloring = None if scene.coloring is None else [
+        (cls, g.x.hex(), g.y.hex()) for cls, g in sorted(scene.coloring.items())]
+    charge = None if scene.charge is None else scene.charge.doubled
+    return repr((T.orientations, gluings, T.vertex_rank, sorted(scene.link),
+                 coloring, charge)).encode()
+
+
+# SHA-256 of the four excursions below; any change to what a move builds,
+# or to which moves it refuses and how, changes it
+WALK_DIGEST = ("4a1fdd3ec52de802018c1f0dc34b6203"
+               "f3b8c24915658fc620e1d07a60527605")
+
+
+def test_move_walk_digest_is_pinned():
+    digest = hashlib.sha256()
+    refusals = Counter()
+    for seed in range(4):
+        for kind, out in _excursion(seed, top=30, bottom=8):
+            if isinstance(out, Scene):
+                digest.update(_canonical(out))
+            else:
+                refusals[kind, type(out).__name__] += 1
+    digest.update(repr(sorted(refusals.items())).encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_negative_moves_keep_the_invariant_beyond_the_fixture(root3,
+                                                             fixture_scene):
+    K0 = state_sum(root3, fixture_scene)
+    applied = Counter()
+    for seed in (10, 11):
+        for kind, out in _excursion(seed, top=30, bottom=8):
+            if kind in _DOWN and isinstance(out, Scene):
+                K = state_sum(root3, out)
+                assert mod_qtilde_residual(K, K0, root3)[0] <= 1e-8, kind
+                applied[kind] += 1
+    assert min(applied[kind] for kind in _DOWN) >= 10, applied
+
+
+@pytest.mark.parametrize("move", [pachner_plus, pachner_minus, bubble_plus,
+                                  bubble_minus])
+def test_moves_refuse_targets_out_of_range(move, fixture_scene):
+    T = fixture_scene.complex
+    limits = {pachner_plus: (T.n_tets, 4), pachner_minus: (T.n_tets, 6),
+              bubble_plus: (T.n_tets, 4), bubble_minus: (T.n_vertices,)}[move]
+    for pos, limit in enumerate(limits):
+        for bad in (-1, limit):
+            args = [0] * len(limits)
+            args[pos] = bad
+            with pytest.raises(MoveNotApplicable, match="out of range"):
+                move(fixture_scene, *args)
+
+
 def test_pachner_minus_refusals(fixture_scene):
     T = fixture_scene.complex
     link_cls = next(iter(fixture_scene.link))
@@ -532,6 +639,13 @@ def test_make_admissible_recovers_from_bad_gauge(fixture_scene, rng):
     assert not is_admissible(broken)
     fixed = make_admissible(T, broken, rng)
     assert is_admissible(fixed)
+
+
+def test_admissibility_bounds_both_orientations():
+    assert is_admissible({0: GroupElement(1e-3, 1.0)})
+    # one bound at a time: the inverse's |x| / y, then |x| itself
+    assert not is_admissible({0: GroupElement(1e-3, 1e4)})
+    assert not is_admissible({0: GroupElement(-1e-7, 1e-4)})
 
 
 def test_edge_between_endpoints(fixture_scene):
