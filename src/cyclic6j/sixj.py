@@ -393,12 +393,15 @@ def _pentagon_charges_ok(a: tuple[HalfInt, ...], c: tuple[HalfInt, ...]) -> bool
 def check_charged_pentagon(root: RootData, labels: dict[str, GroupElement],
                            a: tuple[HalfInt, ...], c: tuple[HalfInt, ...],
                            skip_constraint_check: bool = False) -> float:
-    """Frobenius residual of the charged pentagon identity.
+    """Relative Frobenius residual of the charged pentagon identity.
 
     ``labels`` is the output of :func:`pentagon_labels` (or a dict with the
     same keys); ``a`` and ``c`` are the five charge pairs ``(a_0..a_4)``
     and ``(c_0..c_4)``.  The sum over the middle label collapses to the
-    single admissible value ``j = j2 j3``.
+    single admissible value ``j = j2 j3``.  The residual
+    ``|lhs - rhs|`` is divided by ``|S1||S2||S3| + |SA||SB|``, the scale
+    of rounding in the two products: charges scale single factors by
+    orders of magnitude, and with them the absolute error.
     """
     if not skip_constraint_check and not _pentagon_charges_ok(a, c):
         raise ChargeConstraint("pentagon charges violate the five linear relations")
@@ -416,7 +419,9 @@ def check_charged_pentagon(root: RootData, labels: dict[str, GroupElement],
     lhs = np.einsum("abqr,crpd,pqef->abcdef", S1, S2, S3, optimize=True)
     pre = np.einsum("sabc,defs->abcdef", SA, SB, optimize=True)
     rhs = permute_legs(pre, ((1, 2, 6, 5), (3, 4)))
-    return float(np.linalg.norm(lhs - rhs))
+    norm = np.linalg.norm
+    scale = norm(S1) * norm(S2) * norm(S3) + norm(SA) * norm(SB)
+    return float(norm(lhs - rhs) / scale)
 
 
 def check_charged_inversion(root: RootData, lab: LabelSix, a: HalfInt,

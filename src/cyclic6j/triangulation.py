@@ -1,8 +1,11 @@
 """Quasi-regular triangulations of closed oriented 3-manifolds.
 
 A complex is a list of oriented tetrahedra plus a perfect matching of
-their faces; vertex, edge and face classes are derived by union-find
-over the gluing maps.  On top of the bare complex live:
+their faces, held as one integer array with a row per gluing (its two
+sides and its three corner pairs).  Checks and vertex, edge and face
+classes are array operations on it; classes are numbered by first
+appearance in (tetrahedron, local index) order.  On top of the bare
+complex live:
 
 * Hamiltonian links (edge sets covering every vertex exactly twice),
 * half-integer charges (stored as doubled integers) with per-face sums
@@ -13,19 +16,10 @@ over the gluing maps.  On top of the bare complex live:
   pair (manifold, link): Pachner 2<->3 and bubble.
 
 Every move swaps a star for another star with the same boundary, and one
-routine, ``_swap_star``, carries it out.  A move checks that it applies,
-then names the tetrahedra it removes and lists the new ones as tuples of
-vertex tags with an orientation; a corner's tag is its vertex class, and
-a vertex the move creates takes the next free id.  The routine derives
-every new gluing by matching the tag triples of faces: each boundary face
-of the old star meets the new face with its triple, two new faces with
-one triple are glued to each other, and with nothing new (``bubble_minus``)
-the two boundary faces sharing a triple are glued together.  The positive
-bubble also unglues one face and names which new tetrahedron each side of
-it meets.  Kept tetrahedra keep their order and the new ones follow; the
-vertex ranks, link, coloring and charge are carried over through the
-old-to-new vertex and edge class maps, and the charge of the new
-tetrahedra is the minimal-norm integral solution of the local system.
+routine, ``_swap_star``, carries it out: a move checks that it applies,
+names the tetrahedra it removes and lists the new ones by the vertex
+classes of their corners.  The routine glues faces by matching vertex
+triples and carries the ranks, link, coloring and charge across.
 
 Local index conventions (normative for the JSON format): corners 0..3,
 face f is opposite corner f, edges 0..5 enumerate the corner pairs
@@ -108,38 +102,15 @@ class AdmissibilityFailed(TopologyError):
 EDGE_CORNERS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
 FACE_CORNERS = tuple(tuple(c for c in range(4) if c != f) for f in range(4))
-_EDGE_INDEX = {}
-for _i, (_a, _b) in enumerate(EDGE_CORNERS):
-    _EDGE_INDEX[(_a, _b)] = _i
-    _EDGE_INDEX[(_b, _a)] = _i
+_EDGE_INDEX = {pair: e for e, (a, b) in enumerate(EDGE_CORNERS)
+               for pair in ((a, b), (b, a))}
 _PAIR_OF_EDGE = (0, 1, 2, 2, 1, 0)
 _PAIR_REPS = (0, 1, 2)  # edge slots representing the three opposite pairs
 
 
 def _perm_sign(seq) -> int:
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -156,14 +127,63 @@ class Gluing:
     corner_map: tuple[tuple[int, int], ...]
 
 
+_FACE_CORNER_ARRAY = np.array(FACE_CORNERS)
+_EDGE_ENDS = np.array(EDGE_CORNERS).T
+_EDGE_SLOT = np.array([[_EDGE_INDEX.get((a, b), -1) for b in range(4)]
+                       for a in range(4)])  # edge slot of a corner pair
+_SIGN = np.zeros((4,) * 4, dtype=np.int64)  # 0 off the permutations
+for _p in itertools.permutations(range(4)):
+    _SIGN[_p] = _perm_sign(_p)
+# the checks of one gluing, in the order they are reported
+_GLUING_FAULTS = (
+    (ParseError, "gluing references missing face {a}"),
+    (ParseError, "gluing references missing face {b}"),
+    (ParseError, "face {a} glued to itself"),
+    (ParseError, "gluing {a}~{b}: corner map is not a bijection of the face "
+                 "corners"),
+    (NotClosed, "face {a} glued twice"),
+    (NotClosed, "face {b} glued twice"))
+
+
+def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Classes of the relation ``a[i] ~ b[i]`` on ``range(size)``: the
+    class of each slot, numbered by first appearance, and the count.
+
+    Hooks the larger label of each pair onto the smaller and jumps
+    pointers until stable (Shiloach & Vishkin, J. Algorithms 3, 1982).  A
+    label never exceeds its slot, so it ends as its class's smallest slot.
+    """
+    label = np.arange(size)
+    while not (label[a] == label[b]).all():
+        la, lb = label[a], label[b]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not (label[label] == label).all():
+            label = label[label]
+    roots, ids = np.unique(label, return_inverse=True)
+    return ids, len(roots)
+
+
+def _incidences(ids: np.ndarray, count: int, width: int) -> list[list]:
+    """Per class, its (tetrahedron, slot) cells in lexicographic order."""
+    order = np.argsort(ids, kind="stable")
+    cells = list(zip((order // width).tolist(), (order % width).tolist()))
+    ends = np.cumsum(np.bincount(ids, minlength=count)).tolist()
+    return [cells[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 class TriComplex:
     """Validated closed oriented quasi-regular triangulation.
 
-    Immutable after construction; all derived classes (vertices, edges,
-    faces) are numbered by first appearance in lexicographic
-    (tetrahedron, local index) order, so numbering is reproducible.
-    ``with_vertex_ranks`` copies only the rank tuple: the copy shares the
-    validated gluings, classes and incidences, which ranks do not touch.
+    The gluings become one integer array, a row per gluing: the sides
+    ``ta, fa, tb, fb`` and the three corner pairs, sorted.  Sending ``fa``
+    to ``fb`` extends a corner map to a permutation of the corners (what
+    ``partner(t, f)`` returns, as a 4-tuple indexed by corner), and the
+    gluing reverses the face orientation when its sign is ``-o_a * o_b``.
+    The classes of the slots ``4 t + c``, ``6 t + e`` and ``4 t + f`` that
+    gluings identify are the vertex, edge and face classes, numbered by
+    first appearance in lexicographic (tetrahedron, local index) order.
+    Immutable; ``with_vertex_ranks`` copies only the rank tuple and shares
+    the gluings, classes and incidences, which ranks do not touch.
     """
 
     def __init__(self, orientations, gluings, vertex_ranks=None):
@@ -175,101 +195,74 @@ class TriComplex:
         for t, o in enumerate(self.orientations):
             if o not in (1, -1):
                 raise ParseError(f"tetrahedron {t}: orientation must be +-1")
-        self._build_partners(n)
-        self._build_classes(n)
-        self._check_orientations()
-        self._check_quasi_regular()
+        # a map without three pairs gets corner -1, which no face has
+        rows = [(*g.a, *g.b, *itertools.chain.from_iterable(
+            sorted(g.corner_map) if len(g.corner_map) == 3
+            else [(-1, -1)] * 3)) for g in self.gluings]
+        try:
+            rows = np.array(rows, dtype=np.int64).reshape(-1, 10)
+        except OverflowError:  # such an index is out of range; clip it
+            rows = np.array(rows, dtype=object).reshape(-1, 10).clip(
+                -1, 4 * n).astype(np.int64)
+        tets, faces = rows[:, [0, 2]], rows[:, [1, 3]]
+        ca, cb = rows[:, 4::2], rows[:, 5::2]
+        sides = 4 * tets + faces
+        seen = np.ones(sides.size, dtype=bool)
+        seen[np.unique(sides, return_index=True)[1]] = False
+        faults = np.column_stack([
+            (tets < 0) | (tets >= n) | (faces < 0) | (faces >= 4),
+            (tets[:, 0] == tets[:, 1]) & (faces[:, 0] == faces[:, 1]),
+            (ca != _FACE_CORNER_ARRAY[faces[:, 0] % 4]).any(axis=1)
+            | (np.sort(cb) != _FACE_CORNER_ARRAY[faces[:, 1] % 4]).any(axis=1),
+            seen.reshape(-1, 2)])
+        bad = np.flatnonzero(faults.any(axis=1))
+        if bad.size:
+            g = self.gluings[bad[0]]
+            error, message = _GLUING_FAULTS[np.argmax(faults[bad[0]])]
+            raise error(message.format(a=g.a, b=g.b))
+        covered = np.bincount(sides.ravel(), minlength=4 * n)
+        if not covered.all():
+            t, f = divmod(int(np.argmin(covered)), 4)
+            raise NotClosed(f"face ({t}, {f}) is unglued")
+
+        (ta, tb), (fa, fb) = tets.T, faces.T
+        perm = np.empty((len(rows), 4), dtype=np.int64)
+        perm[np.arange(len(rows))[:, None], ca] = cb
+        perm[np.arange(len(rows)), fa] = fb
+        o = np.array(self.orientations)
+        wrong = np.flatnonzero(_SIGN[tuple(perm.T)] != -o[ta] * o[tb])
+        if wrong.size:
+            g = self.gluings[wrong[0]]
+            raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
+                                "the face orientation")
+        vc, self.n_vertices = _classes(4 * n, (4 * ta[:, None] + ca).ravel(),
+                                       (4 * tb[:, None] + cb).ravel())
+        # the edges of the three corner pairs of each side's face
+        ea = 6 * ta[:, None] + _EDGE_SLOT[ca[:, [0, 0, 1]], ca[:, [1, 2, 2]]]
+        eb = 6 * tb[:, None] + _EDGE_SLOT[cb[:, [0, 0, 1]], cb[:, [1, 2, 2]]]
+        ec, self.n_edges = _classes(6 * n, ea.ravel(), eb.ravel())
+        fc, self.n_faces = _classes(4 * n, *sides.T)
+        self._vertex_classes = vc.reshape(n, 4)
+        self._edge_classes = ec.reshape(n, 6)
+        loops = np.flatnonzero(self._vertex_classes[:, _EDGE_ENDS[0]]
+                               == self._vertex_classes[:, _EDGE_ENDS[1]])
+        if loops.size:
+            t, e = divmod(int(loops[0]), 6)
+            raise NotQuasiRegular(f"edge ({t}, {e}) is a loop at vertex "
+                                  f"{vc[4 * t + EDGE_CORNERS[e][0]]}")
+        self._vc = self._vertex_classes.tolist()
+        self._ec = self._edge_classes.tolist()
+        self._fc = fc.reshape(n, 4).tolist()
+        self._vertex_inc = _incidences(vc, self.n_vertices, 4)
+        self._edge_inc = _incidences(ec, self.n_edges, 6)
+        other = np.empty((4 * n, 6), dtype=np.int64)
+        other[sides[:, 0]] = np.column_stack([tb, fb, perm])
+        other[sides[:, 1]] = np.column_stack([ta, fa, np.argsort(perm)])
+        self._partner = [(t, f, tuple(p)) for t, f, *p in other.tolist()]
         if vertex_ranks is None:
             self.vertex_rank = tuple(range(self.n_vertices))
         else:
             self.vertex_rank = self._checked_ranks(vertex_ranks)
-
-    # -- construction ------------------------------------------------
-
-    def _build_partners(self, n: int) -> None:
-        partner: dict[tuple[int, int], tuple[int, int, dict[int, int]]] = {}
-        for g in self.gluings:
-            for (t, f) in (g.a, g.b):
-                if not (0 <= t < n and 0 <= f < 4):
-                    raise ParseError(f"gluing references missing face {(t, f)}")
-            if g.a == g.b:
-                raise ParseError(f"face {g.a} glued to itself")
-            fwd = {i: j for i, j in g.corner_map}
-            bwd = {j: i for i, j in g.corner_map}
-            if sorted(fwd) != list(FACE_CORNERS[g.a[1]]) \
-                    or sorted(bwd) != list(FACE_CORNERS[g.b[1]]):
-                raise ParseError(f"gluing {g.a}~{g.b}: corner map is not a "
-                                 "bijection of the face corners")
-            for side, cmap in ((g.a, fwd), (g.b, bwd)):
-                if side in partner:
-                    raise NotClosed(f"face {side} glued twice")
-                other = g.b if side == g.a else g.a
-                partner[side] = (other[0], other[1], cmap)
-        for t in range(n):
-            for f in range(4):
-                if (t, f) not in partner:
-                    raise NotClosed(f"face ({t}, {f}) is unglued")
-        self._partner = partner
-
-    def _build_classes(self, n: int) -> None:
-        vuf = _UnionFind(4 * n)
-        euf = _UnionFind(6 * n)
-        fuf = _UnionFind(4 * n)
-        for g in self.gluings:
-            (ta, fa), (tb, fb) = g.a, g.b
-            fuf.union(4 * ta + fa, 4 * tb + fb)
-            cmap = {i: j for i, j in g.corner_map}
-            for ca, cb in cmap.items():
-                vuf.union(4 * ta + ca, 4 * tb + cb)
-            for ca, cb in itertools.combinations(sorted(cmap), 2):
-                ea = _EDGE_INDEX[(ca, cb)]
-                eb = _EDGE_INDEX[(cmap[ca], cmap[cb])]
-                euf.union(6 * ta + ea, 6 * tb + eb)
-
-        def number(uf, count):
-            ids, nxt = {}, 0
-            out = []
-            for i in range(count):
-                r = uf.find(i)
-                if r not in ids:
-                    ids[r] = nxt
-                    nxt += 1
-                out.append(ids[r])
-            return out, nxt
-
-        vflat, self.n_vertices = number(vuf, 4 * n)
-        eflat, self.n_edges = number(euf, 6 * n)
-        fflat, self.n_faces = number(fuf, 4 * n)
-        self._vc = tuple(tuple(vflat[4 * t:4 * t + 4]) for t in range(n))
-        self._ec = tuple(tuple(eflat[6 * t:6 * t + 6]) for t in range(n))
-        self._fc = tuple(tuple(fflat[4 * t:4 * t + 4]) for t in range(n))
-        self._edge_inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n_edges)]
-        for t in range(n):
-            for e in range(6):
-                self._edge_inc[self._ec[t][e]].append((t, e))
-        self._vertex_inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for t in range(n):
-            for c in range(4):
-                self._vertex_inc[self._vc[t][c]].append((t, c))
-
-    def _check_orientations(self) -> None:
-        # the gluing must reverse the boundary orientation of the face
-        for g in self.gluings:
-            (ta, fa), (tb, fb) = g.a, g.b
-            cmap = {i: j for i, j in g.corner_map}
-            images = [cmap[c] for c in FACE_CORNERS[fa]]
-            want = -self.orientations[ta] * self.orientations[tb] \
-                * (-1) ** (fa + fb)
-            if _perm_sign(images) != want:
-                raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
-                                    "the face orientation")
-
-    def _check_quasi_regular(self) -> None:
-        for t in range(len(self.orientations)):
-            for e, (a, b) in enumerate(EDGE_CORNERS):
-                if self._vc[t][a] == self._vc[t][b]:
-                    raise NotQuasiRegular(f"edge ({t}, {e}) is a loop at "
-                                          f"vertex {self._vc[t][a]}")
 
     # -- accessors ---------------------------------------------------
 
@@ -286,8 +279,8 @@ class TriComplex:
     def face_class(self, t: int, f: int) -> int:
         return self._fc[t][f]
 
-    def partner(self, t: int, f: int) -> tuple[int, int, dict[int, int]]:
-        return self._partner[(t, f)]
+    def partner(self, t: int, f: int) -> tuple[int, int, tuple[int, ...]]:
+        return self._partner[4 * t + f]
 
     def edge_incidences(self, cls: int) -> list[tuple[int, int]]:
         return list(self._edge_inc[cls])
@@ -342,6 +335,9 @@ class Scene:
     charge: Charge | None = None
 
 
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError)
+
+
 def load_complex(doc: dict) -> TriComplex:
     """Build and validate the bare complex of a triangulation document."""
     if not isinstance(doc, dict) or "tetrahedra" not in doc:
@@ -354,25 +350,43 @@ def load_complex(doc: dict) -> TriComplex:
                    tuple((int(i), int(j)) for i, j in g["corner_map"]))
             for g in doc.get("gluings", [])
         ]
-    except (KeyError, TypeError, IndexError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"malformed document: {exc}") from exc
     return TriComplex(orientations, gluings)
+
+
+def _entries(doc: dict, key: str, convert):
+    """Convert the entries of list ``key`` one at a time, or ParseError."""
+    try:
+        for entry in doc.get(key, ()):
+            yield convert(entry)
+    except _MALFORMED as exc:
+        raise ParseError(f"malformed {key} entry: {exc}") from exc
+
+
+def _pair(cell, kind=int) -> tuple:
+    a, b = cell
+    return kind(a), kind(b)
+
+
+def _edge_cell(T: TriComplex, what: str, t: int, e: int) -> tuple[int, int]:
+    if not (0 <= t < T.n_tets and 0 <= e < 6):
+        raise ParseError(f"{what} entry references missing edge ({t}, {e})")
+    return t, e
 
 
 def load_document(doc: dict) -> Scene:
     """Load a full document: complex, link, optional coloring and charge."""
     T = load_complex(doc)
-    link = frozenset(T.edge_class(int(t), int(e)) for t, e in doc.get("link", []))
+    link = frozenset(T.edge_class(*_edge_cell(T, "link", t, e))
+                     for t, e in _entries(doc, "link", _pair))
     coloring = None
     if "coloring" in doc:
         coloring = {}
-        for entry in doc["coloring"]:
-            try:
-                t, e = (int(v) for v in entry["edge"])
-                start = int(entry["from_corner"])
-                x, y = (float(v) for v in entry["g"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"malformed coloring entry: {exc}") from exc
+        for t, e, start, x, y in _entries(doc, "coloring", lambda entry: (
+                *_pair(entry["edge"]), int(entry["from_corner"]),
+                *_pair(entry["g"], float))):
+            _edge_cell(T, "coloring", t, e)
             a, b = EDGE_CORNERS[e]
             if start not in (a, b):
                 raise ParseError(f"coloring entry for ({t}, {e}): from_corner "
@@ -396,10 +410,9 @@ def load_document(doc: dict) -> Scene:
     charge = None
     if "charge" in doc:
         vals = [[None] * 6 for _ in range(T.n_tets)]
-        for entry in doc["charge"]:
-            t, e, d = int(entry["tet"]), int(entry["edge_index"]), int(entry["doubled"])
-            if not (0 <= t < T.n_tets and 0 <= e < 6):
-                raise ParseError(f"charge entry references missing edge ({t}, {e})")
+        for t, e, d in _entries(doc, "charge", lambda entry: tuple(
+                int(entry[k]) for k in ("tet", "edge_index", "doubled"))):
+            _edge_cell(T, "charge", t, e)
             for slot in (e, OPPOSITE_EDGE[e]):
                 if vals[t][slot] is not None and vals[t][slot] != d:
                     raise ParseError(f"conflicting charge at ({t}, {slot})")
@@ -423,69 +436,58 @@ def scene_document(scene: Scene) -> dict:
         ],
     }
     if scene.link:
-        reps = []
-        for cls in sorted(scene.link):
-            reps.append(list(T.edge_incidences(cls)[0]))
-        doc["link"] = reps
+        doc["link"] = [list(T.edge_incidences(cls)[0])
+                       for cls in sorted(scene.link)]
     if scene.coloring is not None:
         entries = []
         for cls in sorted(scene.coloring):
             t, e = T.edge_incidences(cls)[0]
-            a, b = EDGE_CORNERS[e]
-            lo, _ = T.edge_ends(cls)
-            start = a if T.vertex_class(t, a) == lo else b
+            start = min(EDGE_CORNERS[e], key=lambda c: T.vertex_class(t, c))
             g = scene.coloring[cls]
             entries.append({"edge": [t, e], "from_corner": start,
                             "g": [g.x, g.y]})
         doc["coloring"] = entries
     if scene.charge is not None:
-        entries = []
-        for t in range(T.n_tets):
-            for e in _PAIR_REPS:
-                entries.append({"tet": t, "edge_index": e,
-                                "doubled": scene.charge.doubled[t][e]})
-        doc["charge"] = entries
+        doc["charge"] = [{"tet": t, "edge_index": e,
+                          "doubled": scene.charge.doubled[t][e]}
+                         for t in range(T.n_tets) for e in _PAIR_REPS]
     return doc
-
-
-# per face, the corners a < b < c and the edge slots of ab, bc and ac
-_FACE_TRIANGLES = tuple(
-    (a, b, c, _EDGE_INDEX[(a, b)], _EDGE_INDEX[(b, c)], _EDGE_INDEX[(a, c)])
-    for a, b, c in FACE_CORNERS)
 
 
 def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
                    tol: float = 1e-10) -> None:
     """g_ab g_bc = g_ac on every face, to ``group_close`` tolerance.
 
-    ``color_of`` inlined on floats: each class's color and its inverse,
-    computed as ``group_inv`` does, then the product of ``group_mul``.
+    All faces at once, with the float operations of ``color_of`` and
+    ``group_mul``: each class's color and its inverse as ``group_inv``
+    computes it, then the product.  The first failing face is reported.
     """
-    colors = {cls: (g.x, g.y, -g.x / g.y, 1.0 / g.y)
-              for cls, g in coloring.items()}
-    for t in range(T.n_tets):
-        vc, ec = T._vc[t], T._ec[t]
-        for f, (a, b, c, e_ab, e_bc, e_ac) in enumerate(_FACE_TRIANGLES):
-            # color of the edge a -> b: forward when vc[a] < vc[b]
-            x1, y1, ix, iy = colors[ec[e_ab]]
-            if vc[a] > vc[b]:
-                x1, y1 = ix, iy
-            x2, y2, ix, iy = colors[ec[e_bc]]
-            if vc[b] > vc[c]:
-                x2, y2 = ix, iy
-            x3, y3, ix, iy = colors[ec[e_ac]]
-            if vc[a] > vc[c]:
-                x3, y3 = ix, iy
-            x, y = x1 + y1 * x2, y1 * y2
-            # GroupElement refuses these: an inverse of y = inf, an
-            # underflowed product
-            if not (y > 0 and y3 > 0):
-                raise BadOperands(f"face ({t}, {f}): an edge color leaves "
-                                  "the group")
-            if not (abs(x - x3) <= tol * max(1.0, abs(x))
-                    and abs(y - y3) <= tol * max(1.0, abs(y))):
-                raise BadColoring(f"face ({t}, {f}): edge colors do not "
-                                  "satisfy the cocycle condition")
+    x, y = np.array([(coloring[cls].x, coloring[cls].y)
+                     for cls in range(T.n_edges)]).T
+    cx, cy = np.array([x, -x / y]), np.array([y, 1.0 / y])
+    vc, ec = T._vertex_classes, T._edge_classes
+
+    def leg(u, w):
+        # color of the edge u -> w of every face: forward when vc[u] < vc[w]
+        inverse = (vc[:, u] > vc[:, w]).astype(int)
+        cls = ec[:, _EDGE_SLOT[u, w]]
+        return cx[inverse, cls], cy[inverse, cls]
+
+    a, b, c = _FACE_CORNER_ARRAY.T      # per face, corners a < b < c
+    (x1, y1), (x2, y2), (x3, y3) = leg(a, b), leg(b, c), leg(a, c)
+    x, y = x1 + y1 * x2, y1 * y2
+    # GroupElement refuses an inverse of y = inf and an underflowed product
+    in_group = (y > 0) & (y3 > 0)
+    close = ((np.abs(x - x3) <= tol * np.maximum(1.0, np.abs(x)))
+             & (np.abs(y - y3) <= tol * np.maximum(1.0, np.abs(y))))
+    bad = np.flatnonzero(~(in_group & close))
+    if bad.size:
+        t, f = divmod(int(bad[0]), 4)
+        if not in_group[t, f]:
+            raise BadOperands(f"face ({t}, {f}): an edge color leaves "
+                              "the group")
+        raise BadColoring(f"face ({t}, {f}): edge colors do not "
+                          "satisfy the cocycle condition")
 
 
 def color_of(T: TriComplex, coloring: dict[int, GroupElement],
@@ -510,9 +512,8 @@ def validate_link(T: TriComplex, link: frozenset[int]) -> None:
     for cls in link:
         if not (0 <= cls < T.n_edges):
             raise NotHamiltonian(f"unknown edge class {cls}")
-        u, w = T.edge_ends(cls)
-        degree[u] += 1
-        degree[w] += 1
+        for v in T.edge_ends(cls):
+            degree[v] += 1
     for v, d in enumerate(degree):
         if d != 2:
             raise NotHamiltonian(f"vertex {v} lies on {d} link edges, not 2")
@@ -637,15 +638,11 @@ def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],
     tetrahedra outside ``tets``; their contributions move to the right side.
     """
     var_of = {(t, p): 3 * i + p for i, t in enumerate(tets) for p in range(3)}
-    rows, rhs = [], []
-    for t in tets:
-        row = [0] * (3 * len(tets))
-        for p in range(3):
-            row[var_of[(t, p)]] = 1
-        rows.append(row)
-        rhs.append(1)
-    touched = sorted({T.edge_class(t, e) for t in tets for e in range(6)})
-    for cls in touched:
+    # one face-sum row per tetrahedron: its three pair variables sum to 1
+    rows = [[int(j // 3 == i) for j in range(3 * len(tets))]
+            for i in range(len(tets))]
+    rhs = [1] * len(tets)
+    for cls in sorted({T.edge_class(t, e) for t in tets for e in range(6)}):
         row = [0] * (3 * len(tets))
         target = _edge_target(link, cls)
         for (t, e) in T.edge_incidences(cls):
@@ -665,17 +662,13 @@ def find_charge(T: TriComplex, link: frozenset[int]) -> Charge:
     ``_smith_solve``, a function of the complex and the link alone.
     """
     validate_link(T, link)
-    tets = list(range(T.n_tets))
-    rows, rhs, _ = _charge_rows(T, link, tets)
+    rows, rhs, _ = _charge_rows(T, link, list(range(T.n_tets)))
     sol = _smith_solve(rows, rhs, 3 * T.n_tets)
     if sol is None:
         raise NoCharge("the charge system has no half-integer solution")
     x, _ = sol
-    doubled = tuple(
-        tuple(x[3 * t + _PAIR_OF_EDGE[e]] for e in range(6))
-        for t in range(T.n_tets)
-    )
-    charge = Charge(doubled)
+    charge = Charge(tuple(tuple(x[3 * t + p] for p in _PAIR_OF_EDGE)
+                          for t in range(T.n_tets)))
     validate_charge(T, link, charge)
     return charge
 
@@ -705,10 +698,8 @@ def _edge_walk(T: TriComplex, t0: int, e0: int):
     over the higher-ranked endpoint; positivity follows the manifold
     orientation around the edge directed towards that endpoint.
     """
-    a, b = EDGE_CORNERS[e0]
-    ra = T.vertex_rank[T.vertex_class(t0, a)]
-    rb = T.vertex_rank[T.vertex_class(t0, b)]
-    p, q = (a, b) if ra < rb else (b, a)
+    p, q = sorted(EDGE_CORNERS[e0],
+                  key=lambda c: T.vertex_rank[T.vertex_class(t0, c)])
     t, s = t0, e0
     steps = []
     while True:
@@ -725,8 +716,6 @@ def _edge_walk(T: TriComplex, t0: int, e0: int):
             break
         if len(steps) > 6 * T.n_tets:
             raise TopologyError("edge walk failed to close")
-    if len(steps) != len(T.edge_incidences(T.edge_class(t0, e0))):
-        raise TopologyError("edge walk does not cover the edge class")
     return steps
 
 
@@ -739,22 +728,15 @@ def deform_charge(T: TriComplex, link: frozenset[int], c: Charge,
     edge of that face which joins the top endpoint to the equator; the
     deformation preserves every charge constraint and the mod-2 class.
     """
-    t0, e0 = T.edge_incidences(edge_cls)[0]
-    delta = [[0] * 6 for _ in range(T.n_tets)]
-
-    def bump(t, slot, amount):
-        delta[t][slot] += amount
-        delta[t][OPPOSITE_EDGE[slot]] += amount
-
-    for (t, s, p, q, r_from, r_to) in _edge_walk(T, t0, e0):
-        e_i = _EDGE_INDEX[(q, r_to)]
-        bump(t, e_i, +1)
+    delta = np.zeros((T.n_tets, 6), dtype=np.int64)
+    for (t, s, p, q, r_from, r_to) in _edge_walk(
+            T, *T.edge_incidences(edge_cls)[0]):
+        delta[t, _EDGE_INDEX[(q, r_to)]] += 1
         t2, _, cmap = T.partner(t, r_from)
-        bump(t2, _EDGE_INDEX[(cmap[q], cmap[r_to])], -1)
-    out = Charge(tuple(
-        tuple(c.doubled[t][e] + delta[t][e] for e in range(6))
-        for t in range(T.n_tets)
-    ))
+        delta[t2, _EDGE_INDEX[(cmap[q], cmap[r_to])]] -= 1
+    delta += delta[:, OPPOSITE_EDGE]     # each slot moves with its opposite
+    out = Charge(tuple(tuple(c.doubled[t][e] + d for e, d in enumerate(row))
+                       for t, row in enumerate(delta.tolist())))
     validate_charge(T, link, out)
     return out
 
@@ -778,17 +760,18 @@ def charge_class(T: TriComplex, c: Charge,
         want = loop[(idx + 1) % len(loop)]
         if (t_next, f_next) != (want[0], want[1]):
             raise BadLoop(f"passages {idx} and {idx + 1} are not glued")
-        common = [c2 for c2 in range(4) if c2 not in (f_in, f_out)]
-        total += c.doubled[t][_EDGE_INDEX[tuple(common)]]
+        # the edge on both faces joins the corners other than f_in, f_out
+        total += c.doubled[t][OPPOSITE_EDGE[_EDGE_INDEX[(f_in, f_out)]]]
     return total % 2
 
 
 # -- moves -----------------------------------------------------------
 
 
-def _check_range(value: int, limit: int, label: str) -> None:
+def _check_range(value: int, limit: int, label: str,
+                 error: type = MoveNotApplicable) -> None:
     if not 0 <= value < limit:
-        raise MoveNotApplicable(f"{label} {value} out of range [0, {limit})")
+        raise error(f"{label} {value} out of range [0, {limit})")
 
 
 def _regular(g: GroupElement, margin: float = 1e-6) -> bool:
@@ -804,13 +787,10 @@ def _transport_coloring(T_old, coloring, T_new, edge_map, vertex_map,
     ``new_edges`` maps the edge classes the move creates to their colors,
     each oriented from the first to the second new vertex class given.
     """
-    out: dict[int, GroupElement] = {}
-    for cls, g in coloring.items():
-        if cls in edge_map:
-            cls2, lo = edge_map[cls], vertex_map[T_old.edge_ends(cls)[0]]
-            out[cls2] = g if lo == T_new.edge_ends(cls2)[0] else group_inv(g)
-    for cls2, (u, g) in new_edges.items():
-        out[cls2] = g if u == T_new.edge_ends(cls2)[0] else group_inv(g)
+    carried = {edge_map[cls]: (vertex_map[T_old.edge_ends(cls)[0]], g)
+               for cls, g in coloring.items() if cls in edge_map}
+    out = {cls: g if u == T_new.edge_ends(cls)[0] else group_inv(g)
+           for cls, (u, g) in {**carried, **new_edges}.items()}
     missing = set(range(T_new.n_edges)) - set(out)
     if missing:
         raise TopologyError(f"coloring transport missed classes {sorted(missing)}")
@@ -836,20 +816,19 @@ def _transport_charge(T_new, link_new, rows, new_tets: range) -> Charge:
     if sol is None:
         raise NoCharge("charge transport system is inconsistent")
     x0, kernel = sol
-    best = None
+
+    def key(x):
+        flat = tuple(x[3 * i + p] for i in range(len(new_tets))
+                     for p in _PAIR_OF_EDGE)
+        return sum(v * v for v in flat), flat
+
     if kernel and len(kernel) <= 4:
         K = np.array(kernel, dtype=float).T
         lam, *_ = np.linalg.lstsq(K, -np.array(x0, dtype=float), rcond=None)
         grids = [range(int(np.floor(v)) - 1, int(np.ceil(v)) + 2) for v in lam]
-        for combo in itertools.product(*grids):
-            x = [x0[j] + sum(c * kernel[i][j] for i, c in enumerate(combo))
-                 for j in range(len(x0))]
-            flat = tuple(x[3 * i + _PAIR_OF_EDGE[e]]
-                         for i in range(len(new_tets)) for e in range(6))
-            key = (sum(v * v for v in flat), flat)
-            if best is None or key < best[0]:
-                best = (key, x)
-        x0 = best[1]
+        x0 = min(([x0[j] + sum(c * kernel[i][j] for i, c in enumerate(combo))
+                   for j in range(len(x0))]
+                  for combo in itertools.product(*grids)), key=key)
     for i, t in enumerate(new_tets):
         rows[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
     out = Charge(tuple(tuple(r) for r in rows))
@@ -1034,10 +1013,8 @@ def bubble_plus(scene: Scene, tet: int, face: int,
     _check_range(face, 4, "face")
     tb, fb, _ = T.partner(tet, face)
     corners = FACE_CORNERS[face]
-    link_slots = [
-        _EDGE_INDEX[(a, b)] for a, b in itertools.combinations(corners, 2)
-        if T.edge_class(tet, _EDGE_INDEX[(a, b)]) in scene.link
-    ]
+    link_slots = [e for e in map(_EDGE_INDEX.get, itertools.combinations(
+        corners, 2)) if T.edge_class(tet, e) in scene.link]
     if link_slot is None:
         if not link_slots:
             raise MoveNotApplicable("the face has no link edge")
@@ -1088,9 +1065,8 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
     if len(inc) != 2:
         raise MoveNotApplicable(f"vertex {vertex} lies in {len(inc)} "
                                 "tetrahedron corners, need exactly 2")
+    # quasi-regularity puts the two corners in two tetrahedra
     (t1, c1), (t2, c2) = inc
-    if t1 == t2:
-        raise MoveNotApplicable("the two corners lie in one tetrahedron")
     if any(T.partner(t1, f)[0] != t2 for f in range(4) if f != c1):
         raise MoveNotApplicable("the ball around the vertex is not "
                                 "two tetrahedra glued along three faces")
@@ -1118,27 +1094,26 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
 def gauge_transform(T: TriComplex, coloring: dict[int, GroupElement],
                     gauge: GGauge) -> dict[int, GroupElement]:
     """Act on a coloring: conjugate each edge color by the endpoint gauges."""
-    out = {}
-    for cls, g in coloring.items():
-        lo, hi = T.edge_ends(cls)
-        out[cls] = group_mul(gauge.values[lo],
-                             group_mul(g, group_inv(gauge.values[hi])))
-    return out
+    d = gauge.values
+    return {cls: group_mul(d[lo], group_mul(g, group_inv(d[hi])))
+            for cls, g in coloring.items() for lo, hi in [T.edge_ends(cls)]}
 
 
 def point_gauge(T: TriComplex, vertex: int, g: GroupElement) -> GGauge:
+    _check_range(vertex, T.n_vertices, "vertex", TopologyError)
     vals = [GroupElement(0.0, 1.0)] * T.n_vertices
     vals[vertex] = g
     return GGauge(tuple(vals))
 
 
+def _random_element(rng: np.random.Generator, x_min: float) -> GroupElement:
+    x = float(rng.uniform(x_min, 1.5) * rng.choice([-1.0, 1.0]))
+    return GroupElement(x, float(rng.uniform(0.6, 1.6)))
+
+
 def random_gauge(T: TriComplex, rng: np.random.Generator) -> GGauge:
-    vals = []
-    for _ in range(T.n_vertices):
-        x = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
-        y = float(rng.uniform(0.6, 1.6))
-        vals.append(GroupElement(x, y))
-    return GGauge(tuple(vals))
+    return GGauge(tuple(_random_element(rng, 0.2)
+                        for _ in range(T.n_vertices)))
 
 
 def is_admissible(coloring: dict[int, GroupElement],
@@ -1157,10 +1132,8 @@ def make_admissible(T: TriComplex, coloring: dict[int, GroupElement],
                     if not _regular(g, margin)), None)
         if bad is None:
             return current
-        x = float(rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0]))
-        y = float(rng.uniform(0.6, 1.6))
-        current = gauge_transform(
-            T, current, point_gauge(T, T.edge_ends(bad)[0], GroupElement(x, y)))
+        current = gauge_transform(T, current, point_gauge(
+            T, T.edge_ends(bad)[0], _random_element(rng, 0.3)))
     raise AdmissibilityFailed(f"still inadmissible after {budget} gauges")
 
 
@@ -1178,11 +1151,7 @@ def holonomy(T: TriComplex, coloring: dict[int, GroupElement],
              vertices: list[int]) -> GroupElement:
     """Product of edge colors along a closed vertex path (unique edges only)."""
     total = GroupElement(0.0, 1.0)
-    n = len(vertices)
-    for i in range(n):
-        u, w = vertices[i], vertices[(i + 1) % n]
-        cls = edge_between(T, u, w)
-        g = coloring[cls]
-        lo, _ = T.edge_ends(cls)
-        total = group_mul(total, g if u == lo else group_inv(g))
+    for u, w in zip(vertices, vertices[1:] + vertices[:1]):
+        g = coloring[edge_between(T, u, w)]     # stored oriented low -> high
+        total = group_mul(total, g if u < w else group_inv(g))
     return total

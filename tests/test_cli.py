@@ -160,6 +160,62 @@ def test_move_not_applicable_is_input_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def _set_gluing_side(doc):
+    doc["gluings"][0]["a"] = ["x", 0]
+
+
+def _set_orientation(doc):
+    doc["tetrahedra"][0]["orientation"] = "up"
+
+
+def _set_link(doc):
+    doc["link"] = [[99, 0]]
+
+
+def _set_charge_value(doc):
+    doc["charge"][0]["doubled"] = "one"
+
+
+def _set_coloring_edge(doc):
+    doc["coloring"][0]["edge"] = [0, 9]
+
+
+def _drop_charge_tet(doc):
+    del doc["charge"][0]["tet"]
+
+
+def _set_coloring_scalar(doc):
+    doc["coloring"] = 5
+
+
+def _set_charge_scalar(doc):
+    doc["charge"] = 5
+
+
+@pytest.mark.parametrize("edit", [
+    _set_gluing_side, _set_orientation, _set_link, _set_charge_value,
+    _set_coloring_edge, _drop_charge_tet, _set_coloring_scalar,
+    _set_charge_scalar,
+])
+def test_malformed_document_is_input_error(edit, tmp_path, capsys):
+    doc = boundary4simplex_document()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["invariant", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("vertex", ["99", "-1"])
+def test_gauge_vertex_out_of_range_is_input_error(vertex, tmp_path, capsys):
+    code, _, err = run(["gauge", FIXTURE, "--vertex", vertex, "--x", "1",
+                        "--y", "1", "--out", str(tmp_path / "out.json")],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error:") and "out of range" in err
+
+
 def test_find_charge_roundtrip(tmp_path, capsys):
     doc = boundary4simplex_document()
     del doc["charge"]

@@ -6,7 +6,7 @@ from cyclic6j.algebra import (
     BadOperands, GroupElement, RootData, Resonance, ZeroX, group_mul,
     psi_coeffs, psi_coeffs_product, psi_stack, random_admissible_pair,
 )
-from cyclic6j.cli import _random_label_six, _random_pentagon
+from cyclic6j.cli import _random_label_six, _random_pentagon, run_suite
 from cyclic6j.operators import (
     HalfInt, NegativeBase, NotScalarError, compose, pow_L, pow_R, qtilde,
 )
@@ -243,6 +243,15 @@ def test_charged_pentagon(root3, rng):
     c = tuple(HalfInt(v) for v in
               (c0, c0 + a4, c0 + a4 + a0 + c4, a0 + c4, c4))
     assert check_charged_pentagon(root3, jd, a, c) < 1e-8
+
+
+def test_pentagon_residual_is_relative_to_the_factor_scale():
+    # seed 28 draws charges of +-2 that scale the products to ~6e7, where
+    # the absolute residual of a valid pentagon reads ~1e-8
+    rows, ok = run_suite("sixj", 7, 28, 3, 1e-8, 1e-10)
+    assert ok, rows
+    control = next(r for r in rows if r[0] == "control_pentagon_bad_charge")
+    assert control[1] >= 1e-3
 
 
 def test_pentagon_rejects_or_detects_bad_charges(root3, rng):

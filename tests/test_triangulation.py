@@ -17,7 +17,8 @@ from cyclic6j.triangulation import (
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
     TriComplex,
-    _EDGE_INDEX, _charge_rows, _perm_sign, _smith_eliminate, _smith_solve,
+    _EDGE_INDEX, _charge_rows, _check_cocycle, _perm_sign, _smith_eliminate,
+    _smith_solve,
     bubble_minus, bubble_plus,
     charge_class, color_of, deform_charge, edge_between, find_charge,
     gauge_transform, holonomy, is_admissible, load_complex, load_document,
@@ -285,6 +286,131 @@ def test_with_vertex_ranks_copies_only_the_ranks(grown_s3):
         assert T2.edge_incidences(cls) == rebuilt.edge_incidences(cls)
 
 
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def _oracle_classes(T: TriComplex):
+    """Vertex, edge and face classes per tetrahedron by union-find over
+    the gluings, numbered by first appearance in (tetrahedron, slot)
+    order."""
+    n = T.n_tets
+    vuf, euf, fuf = _UnionFind(4 * n), _UnionFind(6 * n), _UnionFind(4 * n)
+    for g in T.gluings:
+        (ta, fa), (tb, fb) = g.a, g.b
+        fuf.union(4 * ta + fa, 4 * tb + fb)
+        cmap = dict(g.corner_map)
+        for ca, cb in cmap.items():
+            vuf.union(4 * ta + ca, 4 * tb + cb)
+        for ca, cb in itertools.combinations(sorted(cmap), 2):
+            euf.union(6 * ta + _EDGE_INDEX[(ca, cb)],
+                      6 * tb + _EDGE_INDEX[(cmap[ca], cmap[cb])])
+
+    def number(uf, width):
+        ids: dict[int, int] = {}
+        flat = [ids.setdefault(uf.find(i), len(ids)) for i in range(width * n)]
+        return [tuple(flat[width * t:width * t + width]) for t in range(n)]
+
+    return number(vuf, 4), number(euf, 6), number(fuf, 4)
+
+
+def _excursion_peak(top: int) -> Scene:
+    return next(out for _, out in _excursion(0, top=top, bottom=top)
+                if isinstance(out, Scene) and out.complex.n_tets >= top)
+
+
+@pytest.mark.parametrize("source", ["fixture", "grown30", "grown60",
+                                    "excursion30"])
+def test_classes_match_the_union_find_oracle(source, fixture_scene,
+                                             grown_s3):
+    scene = {"fixture": lambda: fixture_scene,
+             "grown30": lambda: grown_s3(30), "grown60": lambda: grown_s3(60),
+             "excursion30": lambda: _excursion_peak(30)}[source]()
+    T = scene.complex
+    vc, ec, fc = _oracle_classes(T)
+    assert T.n_vertices == 1 + max(map(max, vc))
+    assert T.n_edges == 1 + max(map(max, ec))
+    assert T.n_faces == 1 + max(map(max, fc))
+    for t in range(T.n_tets):
+        assert tuple(T.vertex_class(t, c) for c in range(4)) == vc[t]
+        assert tuple(T.edge_class(t, e) for e in range(6)) == ec[t]
+        assert tuple(T.face_class(t, f) for f in range(4)) == fc[t]
+    for cls in range(T.n_vertices):
+        assert T.vertex_incidences(cls) == [
+            (t, c) for t in range(T.n_tets) for c in range(4) if vc[t][c] == cls]
+    for cls in range(T.n_edges):
+        assert T.edge_incidences(cls) == [
+            (t, e) for t in range(T.n_tets) for e in range(6) if ec[t][e] == cls]
+    for g in T.gluings:
+        tb, fb, a_to_b = T.partner(*g.a)
+        ta, fa, b_to_a = T.partner(*g.b)
+        assert (ta, fa, tb, fb) == (*g.a, *g.b)
+        for i, j in g.corner_map:
+            assert (a_to_b[i], b_to_a[j]) == (j, i)
+
+
+_TWO_TETS = double_tet().gluings
+
+
+@pytest.mark.parametrize("orientations,gluings,error,message", [
+    ([], [], ParseError, "empty complex"),
+    ([0, -1], _TWO_TETS, ParseError,
+     "tetrahedron 0: orientation must be +-1"),
+    ([1, -1], (Gluing((0, 0), (0, 0), ((1, 1), (2, 2), (3, 3))),)
+     + _TWO_TETS[1:], ParseError, "face (0, 0) glued to itself"),
+    ([1, -1], _TWO_TETS + (Gluing((1, 0), (0, 0),
+                                  ((1, 1), (2, 2), (3, 3))),),
+     NotClosed, "face (1, 0) glued twice"),
+    ([1, -1], (Gluing((0, 0), (1, 0), ((1, 1), (2, 2), (0, 3))),)
+     + _TWO_TETS[1:], ParseError,
+     "gluing (0, 0)~(1, 0): corner map is not a bijection of the face "
+     "corners"),
+    ([1, -1], (Gluing((0, 0), (1, 0), ((1, 1), (2, 2))),)
+     + _TWO_TETS[1:], ParseError,
+     "gluing (0, 0)~(1, 0): corner map is not a bijection of the face "
+     "corners"),
+    # several faults: the first faulty gluing, at its first failing check
+    ([1, -1], (Gluing((0, 0), (1, 0), ((1, 1), (2, 2), (0, 3))),
+               Gluing((0, 1), (5, 1), ((0, 0), (2, 2), (3, 3))))
+     + _TWO_TETS[2:], ParseError,
+     "gluing (0, 0)~(1, 0): corner map is not a bijection of the face "
+     "corners"),
+    ([1, -1], (Gluing((0, 0), (1, 7), ((1, 1), (2, 2), (0, 3))),)
+     + _TWO_TETS[1:], ParseError, "gluing references missing face (1, 7)"),
+    ([1, -1], _TWO_TETS[:3] + (Gluing((0, 0), (1, 3),
+                                      ((1, 0), (2, 1), (3, 2))),),
+     NotClosed, "face (0, 0) glued twice"),
+    ([1, -1], _TWO_TETS[:3], NotClosed, "face (0, 3) is unglued"),
+], ids=["empty", "orientation-0", "self-glued", "glued-twice",
+        "not-a-bijection", "two-pairs", "first-gluing-first",
+        "range-before-bijection", "first-side-glued-twice", "unglued"])
+def test_complex_refusals(orientations, gluings, error, message):
+    with pytest.raises(error) as exc:
+        TriComplex(orientations, gluings)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_index_beyond_int64_is_a_missing_face():
+    gluings = (Gluing((0, 0), (-2**70, 0), ((1, 1), (2, 2), (3, 3))),
+               Gluing((2**70, 1), (1, 1), ((0, 0), (2, 2), (3, 3))))
+    with pytest.raises(ParseError) as exc:
+        TriComplex([1, -1], gluings + _TWO_TETS[2:])
+    assert str(exc.value) == f"gluing references missing face {(-2**70, 0)}"
+
+
 def test_unglued_face_detected():
     with pytest.raises(NotClosed):
         TriComplex([1, -1], [
@@ -322,6 +448,21 @@ def test_parse_errors():
             "gluings": [{"a": [0, 0], "b": [5, 0],
                          "corner_map": [[1, 1], [2, 2], [3, 3]]}],
         })
+
+
+@pytest.mark.parametrize("key", ["link", "coloring", "charge"])
+def test_document_cells_past_the_last_tetrahedron_are_refused(key):
+    doc = boundary4simplex_document()
+    n_tets = len(doc["tetrahedra"])
+    if key == "link":
+        doc["link"][0] = [n_tets, 0]
+    elif key == "coloring":
+        doc["coloring"][0]["edge"][0] = n_tets
+    else:
+        doc["charge"][0]["tet"] = n_tets
+    with pytest.raises(ParseError, match=f"{key} entry references missing "
+                                         f"edge \\({n_tets}, "):
+        load_document(doc)
 
 
 def test_short_link_rejected(fixture_scene):
@@ -375,6 +516,18 @@ def test_cocycle_check_compares_both_coordinates(fixture_scene):
         tampered = dataclasses.replace(scene, coloring={**col, 0: g})
         with pytest.raises(BadColoring):
             load_document(scene_document(tampered))
+
+
+def test_cocycle_check_names_the_first_failing_face(grown_s3):
+    T, col = grown_s3(30).complex, grown_s3(30).coloring
+    for cls in (0, T.n_edges // 2, T.n_edges - 1):
+        first = min((t, f) for t, e in T.edge_incidences(cls)
+                    for f in range(4) if f not in EDGE_CORNERS[e])
+        g = col[cls]
+        with pytest.raises(BadColoring) as exc:
+            _check_cocycle(T, {**col, cls: GroupElement(g.x + 0.5, g.y)})
+        assert str(exc.value) == (f"face {first}: edge colors do not "
+                                  "satisfy the cocycle condition")
 
 
 def test_charge_values_in_doubled_range(fixture_scene):
