@@ -19,7 +19,6 @@ Everything is plain numpy; matrices are complex128 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -262,31 +261,25 @@ def psi_scalar(root: RootData, g: GroupElement, h: GroupElement, z: complex) -> 
     return acc
 
 
-def nu(root: RootData, x: complex, tol: float = 1e-12) -> complex:
+# Closest approach of the argument of ``nu`` to 1, and largest norm of
+# ``U**N - Id``, ``V**N - Id`` and ``UV - VU`` that :func:`gauss_L` accepts.
+_NU_GUARD = 1e-12
+_GAUSS_TOL = 1e-9
+
+
+def nu(root: RootData, x: complex) -> complex:
     """The averaged geometric sum ``(1 - x**N) / (N (1 - x))``."""
-    if abs(1.0 - x) < tol:
-        raise NearOne(f"nu argument within {tol:.1e} of 1")
+    if abs(1.0 - x) < _NU_GUARD:
+        raise NearOne(f"nu argument within {_NU_GUARD:.1e} of 1")
     return (1.0 - x ** root.N) / (root.N * (1.0 - x))
-
-
-@lru_cache(maxsize=None)
-def _clock_shift_cached(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    w = np.exp(2j * np.pi * k * np.arange(N) / N)
-    X = np.diag(w)
-    Y = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        Y[(i + 1) % N, i] = 1.0
-    return X, Y
 
 
 def clock_shift(root: RootData) -> tuple[np.ndarray, np.ndarray]:
     """Clock matrix ``X e_i = w**i e_i`` and shift matrix ``Y e_i = e_{i+1}``."""
-    X, Y = _clock_shift_cached(root.N, root.k)
-    return X.copy(), Y.copy()
+    return np.diag(_powers(root)), np.roll(np.eye(root.N, dtype=complex), 1, axis=0)
 
 
-def gauss_L(root: RootData, U: np.ndarray, V: np.ndarray,
-            tol: float = 1e-9) -> np.ndarray:
+def gauss_L(root: RootData, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Gauss-sum operator ``(1/N) sum_{i,j} w**(ij) U**i V**j``.
 
     Requires ``U**N = V**N = Id`` and ``UV = VU``; raises
@@ -296,10 +289,10 @@ def gauss_L(root: RootData, U: np.ndarray, V: np.ndarray,
     eye = np.eye(n)
     if U.shape != V.shape or U.shape[0] != U.shape[1]:
         raise BadOperands("gauss_L needs square operands of equal shape")
-    if np.linalg.norm(np.linalg.matrix_power(U, root.N) - eye) > tol \
-            or np.linalg.norm(np.linalg.matrix_power(V, root.N) - eye) > tol:
+    if np.linalg.norm(np.linalg.matrix_power(U, root.N) - eye) > _GAUSS_TOL \
+            or np.linalg.norm(np.linalg.matrix_power(V, root.N) - eye) > _GAUSS_TOL:
         raise BadOperands("gauss_L operands must have order dividing N")
-    if np.linalg.norm(U @ V - V @ U) > tol:
+    if np.linalg.norm(U @ V - V @ U) > _GAUSS_TOL:
         raise BadOperands("gauss_L operands must commute")
     Ui = [np.linalg.matrix_power(U, i) for i in range(root.N)]
     Vj = [np.linalg.matrix_power(V, j) for j in range(root.N)]
@@ -392,19 +385,24 @@ def random_element(rng: np.random.Generator) -> GroupElement:
     return GroupElement(x, y)
 
 
-def random_admissible_pair(root: RootData, rng: np.random.Generator,
-                           min_x: float = 0.05,
-                           max_tries: int = 1000) -> tuple[GroupElement, GroupElement]:
+# Rejection sampling of pairs: the smallest product ``|x|`` kept, and the
+# number of draws before giving up.
+_MIN_PRODUCT_X = 0.05
+_MAX_DRAWS = 1000
+
+
+def random_admissible_pair(root: RootData, rng: np.random.Generator
+                           ) -> tuple[GroupElement, GroupElement]:
     """Rejection-sample an admissible pair, avoiding near-singular products.
 
-    Rejects draws whose product has ``|x| < min_x`` and draws for which the
-    psi recursion reports a resonance.
+    Rejects draws whose product has ``|x| < _MIN_PRODUCT_X`` and draws for
+    which the psi recursion reports a resonance.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         g = random_element(rng)
         h = random_element(rng)
         gh = group_mul(g, h)
-        if abs(gh.x) < min_x:
+        if abs(gh.x) < _MIN_PRODUCT_X:
             continue
         try:
             psi_coeffs(root, g, h, tol=1e-6)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .algebra import (
     AlgebraError, BadOperands, GroupElement, RootData,
-    coords, duality_d, eps_sign, group_inv, group_mul, intertwiner_S,
-    nu, pair_admissible, phi, phi_bar, psi_scalar,
+    coords, duality_d, eps_sign, group_close, group_inv, group_mul,
+    intertwiner_S, nu, pair_admissible, phi, phi_bar, psi_scalar,
 )
 
 __all__ = [
@@ -78,10 +78,12 @@ class HalfInt:
         return self.doubled != 0
 
 
-def _labels_close(p: tuple[GroupElement, GroupElement],
-                  q: tuple[GroupElement, GroupElement], tol: float = 1e-9) -> bool:
-    return all(abs(a.x - b.x) <= tol and abs(a.y - b.y) <= tol
-               for a, b in zip(p, q))
+# Largest label drift, relative to max(1, |coordinate|), that operator
+# composition accepts; and largest defect, relative to max(1, |c|), of a
+# composite that must equal c Id (a matrix here, each tensor of a stack in
+# :mod:`cyclic6j.sixj`).
+_LABEL_TOL = 1e-9
+_COMPOSITE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,9 @@ def identity_block(root: RootData, g: GroupElement, h: GroupElement) -> BlockOpe
     return BlockOperator((g, h), (g, h), eye, eye.copy(), False)
 
 
-def compose(f: BlockOperator, g: BlockOperator, tol: float = 1e-9) -> BlockOperator:
+def compose(f: BlockOperator, g: BlockOperator) -> BlockOperator:
     """The composite ``f after g``; raises :class:`LabelMismatch` on label drift."""
-    if not _labels_close(f.source, g.target, tol):
+    if not all(group_close(a, b, _LABEL_TOL) for a, b in zip(f.source, g.target)):
         raise LabelMismatch(
             f"cannot compose: inner labels {g.target} vs {f.source}")
     if g.swaps_parts:
@@ -143,170 +145,128 @@ def _require_admissible(g: GroupElement, h: GroupElement) -> None:
         raise BadOperands(f"pair ({g}, {h}) is not admissible")
 
 
-def op_A(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
-    """Exchange operator ``A`` at the label pair ``(g, h)``."""
+def _circulant(root: RootData, g: GroupElement, h: GroupElement,
+               star: bool) -> BlockOperator:
+    """``A``, or ``A*`` when ``star``: circulant on both parts.
+
+    ``A`` reads its check part at ``i - j`` from ``g*`` and
+    ``Psi_{g*,gh}(eps_g w)``, its hat part at ``j - i`` from ``g`` and
+    ``1 / (N Psi_{g,h}(w / eps_g))``; ``A*`` swaps the two pairs, each
+    with its index difference.
+    """
     _require_admissible(g, h)
     N = root.N
     gs, gh = _flow_A(g, h)
-    sc_check = psi_scalar(root, gs, gh, eps_sign(root, g) * root.omega)
-    sc_hat = 1.0 / (N * psi_scalar(root, g, h, root.omega / eps_sign(root, g)))
-    check = np.empty((N, N), dtype=complex)
-    hat = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            check[j, i] = sc_check * phi(root, gs, i - j)
-            hat[j, i] = sc_hat * phi_bar(root, g, j - i)
+    e = eps_sign(root, g)
+    parts = [(gs, psi_scalar(root, gs, gh, e * root.omega), 1),
+             (g, psi_scalar(root, g, h, root.omega / e), -1)]
+    (lc, sc_check, sgn_c), (lh, psi_hat, sgn_h) = parts[::-1] if star else parts
+    sc_hat = 1.0 / (N * psi_hat)
+    check = np.array([[sc_check * phi(root, lc, sgn_c * (i - j))
+                       for i in range(N)] for j in range(N)])
+    hat = np.array([[sc_hat * phi_bar(root, lh, sgn_h * (i - j))
+                     for i in range(N)] for j in range(N)])
     return BlockOperator((g, h), (gs, gh), check, hat, True)
+
+
+def op_A(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
+    """Exchange operator ``A`` at the label pair ``(g, h)``."""
+    return _circulant(root, g, h, star=False)
 
 
 def op_Astar(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """Exchange operator ``A*`` at the label pair ``(g, h)``."""
+    return _circulant(root, g, h, star=True)
+
+
+def _antidiagonal(root: RootData, g: GroupElement, h: GroupElement,
+                  star: bool) -> BlockOperator:
+    """``B``, or ``B*`` when ``star``: ``e_i -> (scalar) e*_{-i}``.
+
+    ``B`` reads its check part at ``i`` from ``h`` and ``1 / nu(v_gh /
+    v_g)``, its hat part at ``-i`` from ``h*`` and ``nu(v_g / v_gh)``;
+    ``B*`` swaps the two pairs, each with its index.
+    """
     _require_admissible(g, h)
     N = root.N
-    gs, gh = _flow_A(g, h)
-    sc_check = psi_scalar(root, g, h, root.omega / eps_sign(root, g))
-    sc_hat = 1.0 / (N * psi_scalar(root, gs, gh, eps_sign(root, g) * root.omega))
-    check = np.empty((N, N), dtype=complex)
-    hat = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            check[j, i] = sc_check * phi(root, g, j - i)
-            hat[j, i] = sc_hat * phi_bar(root, gs, i - j)
-    return BlockOperator((g, h), (gs, gh), check, hat, True)
+    gh, hs = _flow_B(g, h)
+    vg, vgh = coords(root, g).v, coords(root, gh).v
+    parts = [(h, vgh / vg, 1), (hs, vg / vgh, -1)]
+    (lc, ratio_c, sgn_c), (lh, ratio_h, sgn_h) = parts[::-1] if star else parts
+    sc_check, sc_hat = 1.0 / nu(root, ratio_c), nu(root, ratio_h)
+    i = np.arange(N)
+    check = np.zeros((N, N), dtype=complex)
+    hat = np.zeros((N, N), dtype=complex)
+    check[-i % N, i] = [sc_check * phi(root, lc, sgn_c * m) for m in range(N)]
+    hat[-i % N, i] = [sc_hat * phi_bar(root, lh, sgn_h * m) for m in range(N)]
+    return BlockOperator((g, h), (gh, hs), check, hat, True)
 
 
 def op_B(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """Exchange operator ``B``; anti-diagonal, ``e_i -> (scalar) e*_{-i}``."""
-    _require_admissible(g, h)
-    N = root.N
-    gh = group_mul(g, h)
-    hs = group_inv(h)
-    vg, vgh = coords(root, g).v, coords(root, gh).v
-    sc_check = 1.0 / nu(root, vgh / vg)
-    sc_hat = nu(root, vg / vgh)
-    check = np.zeros((N, N), dtype=complex)
-    hat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        check[(-i) % N, i] = sc_check * phi(root, h, i)
-        hat[(-i) % N, i] = sc_hat * phi_bar(root, hs, -i)
-    return BlockOperator((g, h), (gh, hs), check, hat, True)
+    return _antidiagonal(root, g, h, star=False)
 
 
 def op_Bstar(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """Exchange operator ``B*`` at the label pair ``(g, h)``."""
-    _require_admissible(g, h)
-    N = root.N
-    gh = group_mul(g, h)
-    hs = group_inv(h)
-    vg, vgh = coords(root, g).v, coords(root, gh).v
-    sc_check = 1.0 / nu(root, vg / vgh)
-    sc_hat = nu(root, vgh / vg)
-    check = np.zeros((N, N), dtype=complex)
-    hat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        check[(-i) % N, i] = sc_check * phi(root, hs, -i)
-        hat[(-i) % N, i] = sc_hat * phi_bar(root, h, i)
-    return BlockOperator((g, h), (gh, hs), check, hat, True)
+    return _antidiagonal(root, g, h, star=True)
 
 
-def _scalar_part(mat: np.ndarray, tol: float = 1e-9) -> complex:
-    """Extract c from a matrix equal to c * Id, with a proportionality check."""
-    n = mat.shape[0]
-    c = np.trace(mat) / n
-    if np.linalg.norm(mat - c * np.eye(n)) > tol * max(1.0, abs(c)):
+def _scalar_split(mat: np.ndarray) -> tuple[complex, float]:
+    """``c = trace / n`` of a square matrix and its off-scalar norm ``|mat - c Id|``."""
+    c = complex(np.trace(mat) / mat.shape[0])
+    return c, float(np.linalg.norm(mat - c * np.eye(mat.shape[0])))
+
+
+def _scalar_part(mat: np.ndarray) -> complex:
+    """``c`` of a composite that must equal ``c Id``, within ``_COMPOSITE_TOL``."""
+    c, off = _scalar_split(mat)
+    if off > _COMPOSITE_TOL * max(1.0, abs(c)):
         raise NotScalarError("composite is not proportional to the identity")
-    return complex(c)
+    return c
 
 
-def _a_check_entries(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Matrix of A on the check space via duality and intertwiners.
+def _kron(a: np.ndarray, b: np.ndarray, mirror: bool) -> np.ndarray:
+    """``a (x) b``, or ``b (x) a`` for the mirror composite."""
+    return np.kron(b, a) if mirror else np.kron(a, b)
 
-    Uses the composite (d_{g*} x id)(id x S_{g,h})(S_{g*,gh} x id), which
-    sends x (x) e_gamma (x) e_beta to <e_gamma, A e_beta> x.
+
+def _oracle(root: RootData, g: GroupElement, h: GroupElement, flow,
+            mirror: bool) -> BlockOperator:
+    """``A``, or ``B`` when ``mirror``, from duality and intertwiners.
+
+    ``(d_{g*} x id)(id x S_{g,h})(S_{g*,gh} x id)`` sends ``x (x) e_gamma
+    (x) e_beta`` to ``<e_gamma, A e_beta> x``; for ``B`` the factors are
+    mirrored, with ``d_h`` and ``S_{gh,h*}``.  The hat part, by
+    involutivity, inverts the check part at the target pair.
     """
-    N = root.N
-    eyeN = np.eye(N)
-    gs, gh = _flow_A(g, h)
-    S_out = intertwiner_S(root, gs, gh)
-    S_in = intertwiner_S(root, g, h)
-    d_row = duality_d(root, gs).reshape(1, -1)
-    out = np.empty((N, N), dtype=complex)
-    for gamma in range(N):
-        e_g = np.zeros((N, 1)); e_g[gamma, 0] = 1.0
-        m1 = S_out @ np.kron(eyeN, e_g)                    # V_h -> V_g* (x) V_gh
-        for beta in range(N):
-            e_b = np.zeros((N, 1)); e_b[beta, 0] = 1.0
-            m2 = S_in @ np.kron(eyeN, e_b)                 # V_gh -> V_g (x) V_h
-            full = np.kron(eyeN, m2) @ m1                  # V_h -> V_g* (x) V_g (x) V_h
-            comp = np.kron(d_row, eyeN) @ full             # V_h -> V_h
-            out[gamma, beta] = _scalar_part(comp)
-    return out
+    N, eyeN = root.N, np.eye(root.N)
 
-
-def _b_check_entries(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarray:
-    """Matrix of B on the check space via duality and intertwiners.
-
-    Uses (id x d_h)(S_{g,h} P x id)(id x S_{gh,h*}) applied to
-    e_beta (x) x (x) e_gamma.
-    """
-    N = root.N
-    eyeN = np.eye(N)
-    gh, hs = _flow_B(g, h)
-    S_out = intertwiner_S(root, gh, hs)
-    S_in = intertwiner_S(root, g, h)
-    d_row = duality_d(root, h).reshape(1, -1)
-    out = np.empty((N, N), dtype=complex)
-    for gamma in range(N):
-        e_g = np.zeros((N, 1)); e_g[gamma, 0] = 1.0
-        m1 = S_out @ np.kron(eyeN, e_g)                    # V_g -> V_gh (x) V_h*
-        for beta in range(N):
-            e_b = np.zeros((N, 1)); e_b[beta, 0] = 1.0
-            m2 = S_in @ np.kron(eyeN, e_b)                 # V_gh -> V_g (x) V_h
-            full = np.kron(m2, eyeN) @ m1                  # V_g -> V_g (x) V_h (x) V_h*
-            comp = np.kron(eyeN, d_row) @ full             # V_g -> V_g
-            out[gamma, beta] = _scalar_part(comp)
-    return out
+    def check(g: GroupElement, h: GroupElement) -> np.ndarray:
+        target = flow(g, h)
+        S_out, S_in = intertwiner_S(root, *target), intertwiner_S(root, g, h)
+        d_row = duality_d(root, h if mirror else target[0]).reshape(1, -1)
+        out = np.empty((N, N), dtype=complex)
+        for gamma in range(N):
+            m1 = S_out @ np.kron(eyeN, eyeN[:, [gamma]])
+            for beta in range(N):
+                m2 = S_in @ np.kron(eyeN, eyeN[:, [beta]])
+                full = _kron(eyeN, m2, mirror) @ m1
+                out[gamma, beta] = _scalar_part(_kron(d_row, eyeN, mirror) @ full)
+        return out
+    target = flow(g, h)
+    return BlockOperator((g, h), target, check(g, h),
+                         np.linalg.inv(check(*target)), True)
 
 
 def op_A_oracle(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """``A`` recomputed categorically; hat part from the involutivity of A."""
-    gs, gh = _flow_A(g, h)
-    check = _a_check_entries(root, g, h)
-    hat = np.linalg.inv(_a_check_entries(root, gs, gh))
-    return BlockOperator((g, h), (gs, gh), check, hat, True)
+    return _oracle(root, g, h, _flow_A, mirror=False)
 
 
 def op_B_oracle(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """``B`` recomputed categorically; hat part from the involutivity of B."""
-    gh, hs = _flow_B(g, h)
-    check = _b_check_entries(root, g, h)
-    hat = np.linalg.inv(_b_check_entries(root, gh, hs))
-    return BlockOperator((g, h), (gh, hs), check, hat, True)
-
-
-def op_L(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
-    """Grading-preserving ``L = A*A``: a scaled cyclic shift on both parts."""
-    _require_admissible(g, h)
-    N = root.N
-    gh = group_mul(g, h)
-    sc = (coords(root, g).u * coords(root, h).v / coords(root, gh).v) ** (N - 1)
-    check = np.zeros((N, N), dtype=complex)
-    hat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        check[(i - 1) % N, i] = sc
-        hat[(i + 1) % N, i] = sc
-    return BlockOperator((g, h), (g, h), check, hat, False)
-
-
-def op_R(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
-    """Grading-preserving ``R = B*B``: diagonal on both parts."""
-    _require_admissible(g, h)
-    N = root.N
-    gh = group_mul(g, h)
-    sc = (coords(root, g).v / coords(root, gh).v) ** (N - 1)
-    diag = np.array([root.omega_pow(-i) * sc for i in range(N)])
-    check = np.diag(diag)
-    return BlockOperator((g, h), (g, h), check, check.copy(), False)
+    return _oracle(root, g, h, _flow_B, mirror=True)
 
 
 def _half_powers(root: RootData, ratio):
@@ -321,32 +281,58 @@ def _half_powers(root: RootData, ratio):
     return ratio ** ((root.N - 1) // 2)
 
 
-def op_sqrtR(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
-    """The square root of ``R``: diagonal with entries ``w^{-i(N+1)/2} (v_g/v_gh)^{(N-1)/2}``."""
+def _positive_part(root: RootData, g: GroupElement, h: GroupElement,
+                   base: int, half: bool) -> tuple[float, int]:
+    """Scalar and index step of ``L`` (``base`` 0, ``u_g v_h / v_gh``) or
+    ``R`` (``base`` 1, ``v_g / v_gh``): the base to the ``N-1`` and step 1,
+    or for the root when ``half``, its half power and step ``(N+1)/2``."""
     _require_admissible(g, h)
+    cg, cgh = coords(root, g), coords(root, group_mul(g, h))
+    ratio = (cg.u * coords(root, h).v / cgh.v, cg.v / cgh.v)[base]
+    if half:
+        return _half_powers(root, ratio), root.half
+    return ratio ** (root.N - 1), 1
+
+
+def _shift(root: RootData, g: GroupElement, h: GroupElement,
+           half: bool) -> BlockOperator:
+    """``L``, or ``sqrtL`` when ``half``: a scaled shift, down on the check
+    part and up (the transpose) on the hat part."""
+    sc, n = _positive_part(root, g, h, 0, half)
     N = root.N
-    gh = group_mul(g, h)
-    sc = _half_powers(root, coords(root, g).v / coords(root, gh).v)
-    s = root.half
-    diag = np.array([root.omega_pow(-s * i) * sc for i in range(N)])
-    check = np.diag(diag)
+    check = np.zeros((N, N), dtype=complex)
+    check[(np.arange(N) - n) % N, np.arange(N)] = sc
+    return BlockOperator((g, h), (g, h), check, check.T.copy(), False)
+
+
+def _diagonal(root: RootData, g: GroupElement, h: GroupElement,
+              half: bool) -> BlockOperator:
+    """``R``, or ``sqrtR`` when ``half``: the diagonal ``w^{-n i}`` times
+    the scalar on both parts."""
+    sc, n = _positive_part(root, g, h, 1, half)
+    check = np.diag(np.array([root.omega_pow(-n * i) * sc
+                              for i in range(root.N)]))
     return BlockOperator((g, h), (g, h), check, check.copy(), False)
+
+
+def op_L(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
+    """Grading-preserving ``L = A*A``: a scaled cyclic shift on both parts."""
+    return _shift(root, g, h, half=False)
 
 
 def op_sqrtL(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     """The square root of ``L``: shift by ``(N+1)/2`` with the half-power scalar."""
-    _require_admissible(g, h)
-    N = root.N
-    gh = group_mul(g, h)
-    sc = _half_powers(
-        root, coords(root, g).u * coords(root, h).v / coords(root, gh).v)
-    s = root.half
-    check = np.zeros((N, N), dtype=complex)
-    hat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        check[(i - s) % N, i] = sc
-        hat[(i + s) % N, i] = sc
-    return BlockOperator((g, h), (g, h), check, hat, False)
+    return _shift(root, g, h, half=True)
+
+
+def op_R(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
+    """Grading-preserving ``R = B*B``: diagonal on both parts."""
+    return _diagonal(root, g, h, half=False)
+
+
+def op_sqrtR(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
+    """The square root of ``R``: diagonal with entries ``w^{-i(N+1)/2} (v_g/v_gh)^{(N-1)/2}``."""
+    return _diagonal(root, g, h, half=True)
 
 
 def op_C(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
@@ -354,8 +340,9 @@ def op_C(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     return op_word(root, g, h, "A B A B A B")
 
 
-def _int_power(op: BlockOperator, k: int, tol: float = 1e-9) -> BlockOperator:
-    if not _labels_close(op.source, op.target, tol) or op.swaps_parts:
+def _int_power(op: BlockOperator, k: int) -> BlockOperator:
+    if op.swaps_parts or not all(group_close(a, b, _LABEL_TOL)
+                                 for a, b in zip(op.source, op.target)):
         raise LabelMismatch("integer powers need a grading- and label-preserving operator")
     base = op if k >= 0 else op.inverse()
     check = np.linalg.matrix_power(base.check_mat, abs(k))

@@ -24,15 +24,17 @@ every leg from one closed-form graded ``S``
 leg from one ``np.linalg.inv``, the composites one einsum per slice of
 at most ``_SLICE_ENTRIES`` entries, and the twist in closed form as one
 index gather and one phase multiply.  The composite guard stays per
-tensor: each tensor's worst diagonal deviation is compared with ``tol``
-times its own ``max(1, max|tensor|)``, never with a scale taken across
-the stack.  :func:`tform_tensor`, :func:`tbar_tensor`, :func:`sixj_pos`
-and :func:`sixj_neg` are its one-tensor cases; :func:`t_form`,
-:func:`tbar_form` and the operator powers of :mod:`cyclic6j.operators`
-stay independent of it, as oracles.  The checkers at the
-bottom return residuals for the charged pentagon, the two inversion
-identities and the three symmetry relations; each residual should sit at
-rounding level for valid inputs and order one for violated charges.
+tensor: each tensor's worst diagonal deviation is compared with
+``_COMPOSITE_TOL`` times its own ``max(1, max|tensor|)``, never with a
+scale taken across the stack.  :func:`tform_tensor`, :func:`tbar_tensor`,
+:func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases;
+:func:`t_form`, :func:`tbar_form` and the operator powers of
+:mod:`cyclic6j.operators` stay independent of it, as oracles.  The
+checkers at the bottom return residuals for the charged pentagon, the two
+inversion identities and the three symmetry relations; each residual
+should sit at rounding level for valid inputs and order one for violated
+charges.  The pentagon and charged symmetry residuals are relative to
+the scale of their sides; the inversion and uncharged ones are absolute.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ from .algebra import (
     group_close, group_inv, group_mul, in_I, intertwiner_S, real_roots,
 )
 from .operators import (
-    HalfInt, NotScalarError, _half_powers, op_A, op_Astar, op_B, op_Bstar,
-    op_sfA, op_sfB, qtilde,
+    HalfInt, NotScalarError, _COMPOSITE_TOL, _half_powers, _kron,
+    _scalar_part, op_A, op_Astar, op_B, op_Bstar, op_sfA, op_sfB, qtilde,
 )
 
 __all__ = [
@@ -153,8 +155,8 @@ _COMPOSITE = "tsacz,tsacy,tsacx,tsacw->tzyxws"
 _COMPOSITE_PATH = ["einsum_path", (0, 1), (0, 1), (0, 1)]
 
 
-def _composites(root: RootData, pairs: np.ndarray, right: np.ndarray,
-                tol: float) -> np.ndarray:
+def _composites(root: RootData, pairs: np.ndarray,
+                right: np.ndarray) -> np.ndarray:
     """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``.
 
     Each tensor is the composite of its four intertwiners, an
@@ -165,8 +167,8 @@ def _composites(root: RootData, pairs: np.ndarray, right: np.ndarray,
     blocks of the stack are inverted in one call.  Off the diagonal the
     composite vanishes by the support, so it is proportional to the
     identity exactly when its N diagonal entries agree.  Each tensor's
-    worst deviation from their mean is checked against ``tol`` times its
-    own scale, ``max(1, max|tensor|)``.
+    worst deviation from their mean is checked against ``_COMPOSITE_TOL``
+    times its own scale, ``max(1, max|tensor|)``.
     """
     N, T = root.N, len(right)
     G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
@@ -186,12 +188,12 @@ def _composites(root: RootData, pairs: np.ndarray, right: np.ndarray,
         tensor = diag.mean(axis=-1)
         worst = np.abs(diag - tensor[..., None]).max(axis=(1, 2, 3, 4, 5))
         scale = np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3, 4)))
-        bad = np.flatnonzero(worst > tol * scale)
+        bad = np.flatnonzero(worst > _COMPOSITE_TOL * scale)
         if bad.size:
             b = bad[0]
             raise NotScalarError(
                 f"composite defect {worst[b]:.3e} of tensor {lo + b} exceeds "
-                f"{tol:.1e} (x {scale[b]:.1e})")
+                f"{_COMPOSITE_TOL:.1e} (x {scale[b]:.1e})")
         out[t] = tensor
     return out
 
@@ -241,7 +243,7 @@ def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
 
 def sixj_stack(root: RootData, labs: Sequence[LabelSix],
                right: Sequence[bool], a: Sequence[HalfInt],
-               c: Sequence[HalfInt], tol: float = 1e-9) -> np.ndarray:
+               c: Sequence[HalfInt]) -> np.ndarray:
     """Charged 6j tensors of a stack of label six-tuples, in one pass.
 
     Tensor ``t`` is the positive symbol of ``labs[t]`` at charges
@@ -255,10 +257,10 @@ def sixj_stack(root: RootData, labs: Sequence[LabelSix],
     pairs = _leg_pairs(labs, right)
     return _twist(root, pairs, right, np.array([x.doubled for x in a]),
                   np.array([x.doubled for x in c]),
-                  _composites(root, pairs, right, tol))
+                  _composites(root, pairs, right))
 
 
-def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
+def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     """Uncharged positive 6j tensor, indexed ``[hat(k,l), hat(i,j), check(j,l), check(i,n)]``.
 
     The composite ``S^-1_{k,l} (S^-1_{i,j} x id) (id x S_{j,l}) S_{i,n}``
@@ -268,55 +270,44 @@ def tform_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray
     supports fix ``V_k = a + c``, ``V_l = s - a - c`` and ``V_n = s - a``.
     """
     right = np.array([True])
-    return _composites(root, _leg_pairs([lab], right), right, tol)[0]
+    return _composites(root, _leg_pairs([lab], right), right)[0]
 
 
-def tbar_tensor(root: RootData, lab: LabelSix, tol: float = 1e-9) -> np.ndarray:
+def tbar_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     """Uncharged negative 6j tensor, indexed ``[hat(i,n), hat(j,l), check(i,j), check(k,l)]``.
 
     Composite ``S^-1_{i,n} (id x S^-1_{j,l}) (S_{i,j} x id) S_{k,l}``,
     read along the supports as in :func:`tform_tensor`.
     """
     right = np.array([False])
-    return _composites(root, _leg_pairs([lab], right), right, tol)[0]
+    return _composites(root, _leg_pairs([lab], right), right)[0]
+
+
+def _form(root: RootData, legs: list, mirror: bool, alpha: int, beta: int,
+          gamma: int, delta: int) -> complex:
+    """One form scalar as a chain of matrix products, independent of
+    :func:`sixj_stack`: ``u (v x id) (id x x) y``, mirrored ``u (id x v)
+    (x x id) y``, with ``u = e*_alpha S_1^-1``, ``v = e*_beta S_2^-1``,
+    ``x = S_3 e_gamma``, ``y = S_4 e_delta`` on the legs' intertwiners."""
+    eyeN, e = np.eye(root.N), np.eye(root.N, dtype=complex)
+    S = [intertwiner_S(root, g, h) for _, g, h in legs]
+    y = S[3] @ np.kron(eyeN, e[:, [delta]])
+    x = S[2] @ np.kron(eyeN, e[:, [gamma]])
+    v = np.kron(eyeN, e[[beta], :]) @ np.linalg.inv(S[1])
+    u = np.kron(eyeN, e[[alpha], :]) @ np.linalg.inv(S[0])
+    return _scalar_part(u @ _kron(v, eyeN, mirror) @ _kron(eyeN, x, mirror) @ y)
 
 
 def t_form(root: RootData, lab: LabelSix, alpha: int, beta: int,
-           gamma: int, delta: int, tol: float = 1e-9) -> complex:
-    """Single positive-form scalar via the explicit morphism pipeline.
-
-    Independent of :func:`tform_tensor`: builds the composite
-    ``u (v x id) (id x x) y`` as a chain of matrix products.
-    """
-    N = root.N
-    eyeN = np.eye(N)
-    e = np.eye(N, dtype=complex)
-    y = intertwiner_S(root, lab.i, lab.n) @ np.kron(eyeN, e[:, [delta]])
-    x = intertwiner_S(root, lab.j, lab.l) @ np.kron(eyeN, e[:, [gamma]])
-    v = np.kron(eyeN, e[[beta], :]) @ np.linalg.inv(intertwiner_S(root, lab.i, lab.j))
-    u = np.kron(eyeN, e[[alpha], :]) @ np.linalg.inv(intertwiner_S(root, lab.k, lab.l))
-    comp = u @ np.kron(v, eyeN) @ np.kron(eyeN, x) @ y
-    c = np.trace(comp) / N
-    if np.linalg.norm(comp - c * eyeN) > tol * max(1.0, abs(c)):
-        raise NotScalarError("positive-form composite is not scalar")
-    return complex(c)
+           gamma: int, delta: int) -> complex:
+    """Single positive-form scalar via the explicit morphism pipeline."""
+    return _form(root, lab.pos_legs(), False, alpha, beta, gamma, delta)
 
 
 def tbar_form(root: RootData, lab: LabelSix, alpha: int, beta: int,
-              gamma: int, delta: int, tol: float = 1e-9) -> complex:
-    """Single negative-form scalar ``u (id x v) (x x id) y`` via matrix products."""
-    N = root.N
-    eyeN = np.eye(N)
-    e = np.eye(N, dtype=complex)
-    y = intertwiner_S(root, lab.k, lab.l) @ np.kron(eyeN, e[:, [delta]])
-    x = intertwiner_S(root, lab.i, lab.j) @ np.kron(eyeN, e[:, [gamma]])
-    v = np.kron(eyeN, e[[beta], :]) @ np.linalg.inv(intertwiner_S(root, lab.j, lab.l))
-    u = np.kron(eyeN, e[[alpha], :]) @ np.linalg.inv(intertwiner_S(root, lab.i, lab.n))
-    comp = u @ np.kron(eyeN, v) @ np.kron(x, eyeN) @ y
-    c = np.trace(comp) / N
-    if np.linalg.norm(comp - c * eyeN) > tol * max(1.0, abs(c)):
-        raise NotScalarError("negative-form composite is not scalar")
-    return complex(c)
+              gamma: int, delta: int) -> complex:
+    """Single negative-form scalar via the explicit morphism pipeline."""
+    return _form(root, lab.neg_legs(), True, alpha, beta, gamma, delta)
 
 
 def apply_to_leg(tensor: np.ndarray, mat: np.ndarray, leg: int) -> np.ndarray:
@@ -347,26 +338,24 @@ def permute_legs(tensor: np.ndarray, cycles: tuple[tuple[int, ...], ...]) -> np.
     return np.transpose(tensor, axes=inv)
 
 
-def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt,
-             tol: float = 1e-9) -> Sixj:
+def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt) -> Sixj:
     """Charged positive 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     The charge twist acts on the arguments of the form: ``q^{4ac} R^c`` on
     slot 1, ``R^{-a}`` on slot 2, ``L^{-a} R^{-c}`` on slot 3 (slot 4
     untouched).
     """
-    return Sixj(sixj_stack(root, [lab], [True], [a], [c], tol)[0],
+    return Sixj(sixj_stack(root, [lab], [True], [a], [c])[0],
                 lab.pos_legs())
 
 
-def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt,
-             tol: float = 1e-9) -> Sixj:
+def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt) -> Sixj:
     """Charged negative 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     Twist on the form's arguments: ``q^{-4ac}`` on slot 1, ``L^{-a} R^{-c}``
     on slot 2, ``R^{-a}`` on slot 3 and ``R^{c}`` on slot 4.
     """
-    return Sixj(sixj_stack(root, [lab], [False], [a], [c], tol)[0],
+    return Sixj(sixj_stack(root, [lab], [False], [a], [c])[0],
                 lab.neg_legs())
 
 
@@ -444,63 +433,58 @@ def check_charged_inversion(root: RootData, lab: LabelSix, a: HalfInt,
 
 def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,
                  c: HalfInt, charged: bool) -> list[np.ndarray]:
-    """Right-hand sides of the three symmetry relations (charged or not)."""
+    """Right-hand sides of the three symmetry relations (charged or not).
+
+    Each is a mirror symbol with a check-part and a hat-part operator on
+    the stated legs: the symmetrized involutions and a power of q when
+    charged, plain A/A*/B/B* at zero charge otherwise.  Every q power is
+    read on the check-valued first leg of the mirror symbol, where q acts
+    as 1/qtilde per unit.
+    """
     i, j, k, l, m, n = lab.i, lab.j, lab.k, lab.l, lab.m, lab.n
     ist, jst, lst = group_inv(i), group_inv(j), group_inv(l)
-    qt = qtilde(root)
-    zero = HalfInt(0)
-
-    lab01 = LabelSix(ist, k, j, l, n, m)
-    lab12 = LabelSix(k, jst, i, n, m, l)
-    lab23 = LabelSix(i, n, m, lst, k, j)
     if charged:
-        neg01 = sixj_neg(root, lab01, a, b).entries
-        neg12 = sixj_neg(root, lab12, b, c).entries
-        neg23 = sixj_neg(root, lab23, a, b).entries
-        # involutions on the stated legs; every q power below is read on
-        # the check-valued first leg of the mirror symbol, where q acts
-        # as 1/qtilde per unit
-        t01 = apply_to_leg(neg01, op_sfA(root, ist, m).check_mat, 0)
-        t01 = apply_to_leg(t01, op_sfA(root, ist, k).hat_mat, 2)
-        t01 = qt ** (-a.doubled) * t01                  # q^{2a}
-        t12 = apply_to_leg(neg12, op_sfA(root, jst, n).check_mat, 1)
-        t12 = apply_to_leg(t12, op_sfB(root, k, jst).hat_mat, 2)
-        t12 = qt ** c.doubled * t12                     # q^{-2c}
-        t23 = apply_to_leg(neg23, op_sfB(root, n, lst).check_mat, 1)
-        t23 = apply_to_leg(t23, op_sfB(root, m, lst).hat_mat, 3)
-        t23 = qt ** (-a.doubled) * t23                  # q^{2a}
+        A, As, B, Bs = op_sfA, op_sfA, op_sfB, op_sfB
     else:
-        neg01 = sixj_neg(root, lab01, zero, zero).entries
-        neg12 = sixj_neg(root, lab12, zero, zero).entries
-        neg23 = sixj_neg(root, lab23, zero, zero).entries
-        t01 = apply_to_leg(neg01, op_A(root, ist, m).check_mat, 0)
-        t01 = apply_to_leg(t01, op_Astar(root, ist, k).hat_mat, 2)
-        t12 = apply_to_leg(neg12, op_Astar(root, jst, n).check_mat, 1)
-        t12 = apply_to_leg(t12, op_Bstar(root, k, jst).hat_mat, 2)
-        t23 = apply_to_leg(neg23, op_Bstar(root, n, lst).check_mat, 1)
-        t23 = apply_to_leg(t23, op_B(root, m, lst).hat_mat, 3)
-    return [permute_legs(t01, ((4, 3, 2, 1),)),
-            permute_legs(t12, ((2, 3),)),
-            permute_legs(t23, ((1, 2, 3, 4),))]
+        A, As, B, Bs = op_A, op_Astar, op_B, op_Bstar
+        a = b = c = HalfInt(0)
+    qt = qtilde(root)
+    relations = [  # q^{2a}, q^{-2c} and q^{2a}
+        (LabelSix(ist, k, j, l, n, m), a, b, A(root, ist, m).check_mat, 0,
+         As(root, ist, k).hat_mat, 2, -a.doubled, ((4, 3, 2, 1),)),
+        (LabelSix(k, jst, i, n, m, l), b, c, As(root, jst, n).check_mat, 1,
+         Bs(root, k, jst).hat_mat, 2, c.doubled, ((2, 3),)),
+        (LabelSix(i, n, m, lst, k, j), a, b, Bs(root, n, lst).check_mat, 1,
+         B(root, m, lst).hat_mat, 3, -a.doubled, ((1, 2, 3, 4),))]
+    out = []
+    for mirror, x, y, check, leg, hat, leg2, power, cycles in relations:
+        t = apply_to_leg(sixj_neg(root, mirror, x, y).entries, check, leg)
+        t = apply_to_leg(t, hat, leg2)
+        out.append(permute_legs(qt ** power * t if charged else t, cycles))
+    return out
 
 
 def check_symmetry_relations(root: RootData, lab: LabelSix, a: HalfInt,
                              b: HalfInt, c: HalfInt) -> tuple[float, float, float]:
-    """Residuals of the three charged symmetry relations.
+    """Relative residuals of the three charged symmetry relations.
 
-    Requires ``a + b + c = 1/2`` exactly; raises
-    :class:`ChargeConstraint` otherwise.
+    Each residual ``|pos - t|`` is divided by ``|pos| + |t|``, the scale
+    of the two sides: charges scale the symbols, and the rounding of the
+    contractions with them, by orders of magnitude.  Requires ``a + b + c
+    = 1/2`` exactly; raises :class:`ChargeConstraint` otherwise.
     """
     if a.doubled + b.doubled + c.doubled != 1:
         raise ChargeConstraint("symmetry relations need a + b + c = 1/2")
     pos = sixj_pos(root, lab, a, c).entries
     rhs = _sym_targets(root, lab, a, b, c, charged=True)
-    return tuple(float(np.linalg.norm(pos - t)) for t in rhs)
+    norm = np.linalg.norm
+    return tuple(float(norm(pos - t) / (norm(pos) + norm(t))) for t in rhs)
 
 
 def check_uncharged_symmetries(root: RootData,
                                lab: LabelSix) -> tuple[float, float, float]:
-    """Residuals of the three uncharged symmetry relations (plain A/A*/B/B*)."""
+    """Absolute residuals of the three uncharged symmetry relations (plain
+    A/A*/B/B*)."""
     pos = tform_tensor(root, lab)
     rhs = _sym_targets(root, lab, HalfInt(0), HalfInt(0), HalfInt(0), charged=False)
     return tuple(float(np.linalg.norm(pos - t)) for t in rhs)

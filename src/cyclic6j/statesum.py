@@ -82,8 +82,7 @@ def _corners(T: TriComplex, t: int) -> tuple[list[int], bool, list[int]]:
 
 def tetra_weights(root: RootData, T: TriComplex,
                   coloring: dict[int, GroupElement], charge: Charge,
-                  tets: Sequence[int],
-                  tol: float = 1e-9) -> list[tuple[Sixj, list[int]]]:
+                  tets: Sequence[int]) -> list[tuple[Sixj, list[int]]]:
     """The 6j tensors of the given tetrahedra, built in one stacked pass,
     each with the face class of each of its legs.
 
@@ -103,17 +102,17 @@ def tetra_weights(root: RootData, T: TriComplex,
         a.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[0], vs[1])]]))
         c.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[1], vs[2])]]))
         faces.append(fs)
-    entries = sixj_stack(root, labs, rights, a, c, tol)
+    entries = sixj_stack(root, labs, rights, a, c)
     return [(Sixj(e, lab.pos_legs() if r else lab.neg_legs()), fs)
             for e, lab, r, fs in zip(entries, labs, rights, faces)]
 
 
 def tetra_weight(root: RootData, T: TriComplex,
                  coloring: dict[int, GroupElement], charge: Charge,
-                 t: int, tol: float = 1e-9) -> tuple[Sixj, list[int]]:
+                 t: int) -> tuple[Sixj, list[int]]:
     """The 6j tensor of one tetrahedron and the face class of each leg:
     the one-tetrahedron case of :func:`tetra_weights`."""
-    return tetra_weights(root, T, coloring, charge, [t], tol)[0]
+    return tetra_weights(root, T, coloring, charge, [t])[0]
 
 
 # Largest tensor, in complex entries (256 MiB), that a contraction may
@@ -181,7 +180,7 @@ def _trace_self_glued(array: np.ndarray, faces: list[int]) -> np.ndarray:
     return np.einsum(array, ids, [i for i in ids if ids.count(i) == 1])
 
 
-def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
+def state_sum(root: RootData, scene: Scene) -> complex:
     """Contract all tetra weights over the interior faces.
 
     Requires a coloring and a valid charge on the scene; raises
@@ -209,7 +208,7 @@ def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
             f"contraction needs a tensor of {root.N}^{peak} entries, over "
             f"the budget of {MAX_ENTRIES}")
     weights = tetra_weights(root, T, scene.coloring, scene.charge,
-                            range(T.n_tets), tol)
+                            range(T.n_tets))
     _check_faces(weights)
     arrays = [_trace_self_glued(S.entries, fs) for S, fs in weights]
     for a, b, axes in steps:
@@ -218,15 +217,11 @@ def state_sum(root: RootData, scene: Scene, tol: float = 1e-9) -> complex:
     return complex(arrays[-1]) * (1.0 / root.N) ** len(scene.link)
 
 
-def qtilde_order(root: RootData, tol: float = 1e-9) -> int:
-    """Multiplicative order of the grading scalar."""
-    q = qtilde(root)
-    z = q
-    for d in range(1, 4 * root.N + 1):
-        if abs(z - 1.0) < tol:
-            return d
-        z *= q
-    raise InvariantError("grading scalar is not a root of unity")
+def qtilde_order(root: RootData) -> int:
+    """Multiplicative order of the grading scalar ``(-1)^((N-1)/2)
+    w^(-(N^2-1)/8)``: N when N = 1 mod 4, else 2N, as ``(N^2-1)/8`` is a
+    unit mod N."""
+    return root.N if root.N % 4 == 1 else 2 * root.N
 
 
 def mod_qtilde_residual(z1: complex, z2: complex,

@@ -145,22 +145,30 @@ _GLUING_FAULTS = (
     (NotClosed, "face {b} glued twice"))
 
 
-def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Classes of the relation ``a[i] ~ b[i]`` on ``range(size)``: the
-    class of each slot, numbered by first appearance, and the count.
+def _classes(*kinds: tuple[int, np.ndarray, np.ndarray]) -> list:
+    """Per ``(size, a, b)`` of ``kinds``, the classes of ``a[i] ~ b[i]`` on
+    ``range(size)``: each slot's class, numbered by first appearance, and
+    the count.  The kinds are stacked at consecutive offsets.
 
     Hooks the larger label of each pair onto the smaller and jumps
     pointers until stable (Shiloach & Vishkin, J. Algorithms 3, 1982).  A
-    label never exceeds its slot, so it ends as its class's smallest slot.
+    label never exceeds its slot, so it ends as its class's smallest slot,
+    and each kind's roots follow its own slot order.
     """
-    label = np.arange(size)
+    sizes, a, b = zip(*kinds)
+    offsets = np.cumsum((0,) + sizes)
+    a, b = (np.concatenate([o + np.ravel(x) for o, x in zip(offsets, side)])
+            for side in (a, b))
+    label = np.arange(offsets[-1])
     while not (label[a] == label[b]).all():
         la, lb = label[a], label[b]
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while not (label[label] == label).all():
             label = label[label]
     roots, ids = np.unique(label, return_inverse=True)
-    return ids, len(roots)
+    first = np.searchsorted(roots, offsets).tolist()
+    return [(ids[lo:hi] - f, g - f) for lo, hi, f, g
+            in zip(offsets, offsets[1:], first, first[1:])]
 
 
 def _incidences(ids: np.ndarray, count: int, width: int) -> list[list]:
@@ -235,13 +243,12 @@ class TriComplex:
             g = self.gluings[wrong[0]]
             raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
                                 "the face orientation")
-        vc, self.n_vertices = _classes(4 * n, (4 * ta[:, None] + ca).ravel(),
-                                       (4 * tb[:, None] + cb).ravel())
         # the edges of the three corner pairs of each side's face
         ea = 6 * ta[:, None] + _EDGE_SLOT[ca[:, [0, 0, 1]], ca[:, [1, 2, 2]]]
         eb = 6 * tb[:, None] + _EDGE_SLOT[cb[:, [0, 0, 1]], cb[:, [1, 2, 2]]]
-        ec, self.n_edges = _classes(6 * n, ea.ravel(), eb.ravel())
-        fc, self.n_faces = _classes(4 * n, *sides.T)
+        (vc, self.n_vertices), (ec, self.n_edges), (fc, self.n_faces) = \
+            _classes((4 * n, 4 * ta[:, None] + ca, 4 * tb[:, None] + cb),
+                     (6 * n, ea, eb), (4 * n, *sides.T))
         self._vertex_classes = vc.reshape(n, 4)
         self._edge_classes = ec.reshape(n, 6)
         loops = np.flatnonzero(self._vertex_classes[:, _EDGE_ENDS[0]]
@@ -1122,19 +1129,22 @@ def is_admissible(coloring: dict[int, GroupElement],
     return all(_regular(g, margin) for g in coloring.values())
 
 
+# Point gauges that :func:`make_admissible` tries before giving up.
+_GAUGE_BUDGET = 100
+
+
 def make_admissible(T: TriComplex, coloring: dict[int, GroupElement],
-                    rng: np.random.Generator, margin: float = 1e-6,
-                    budget: int = 100) -> dict[int, GroupElement]:
+                    rng: np.random.Generator) -> dict[int, GroupElement]:
     """Gauge away bad vertices by random point gauges until admissible."""
     current = dict(coloring)
-    for _ in range(budget):
+    for _ in range(_GAUGE_BUDGET):
         bad = next((cls for cls, g in sorted(current.items())
-                    if not _regular(g, margin)), None)
+                    if not _regular(g)), None)
         if bad is None:
             return current
         current = gauge_transform(T, current, point_gauge(
             T, T.edge_ends(bad)[0], _random_element(rng, 0.3)))
-    raise AdmissibilityFailed(f"still inadmissible after {budget} gauges")
+    raise AdmissibilityFailed(f"still inadmissible after {_GAUGE_BUDGET} gauges")
 
 
 def edge_between(T: TriComplex, u: int, w: int) -> int:

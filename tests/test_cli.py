@@ -216,6 +216,31 @@ def test_gauge_vertex_out_of_range_is_input_error(vertex, tmp_path, capsys):
     assert err.startswith("error:") and "out of range" in err
 
 
+@pytest.mark.parametrize("command,record", [
+    ("canonical", {"value": ["a", 1]}),
+    ("canonical", {"value": 5}),
+    ("canonical", {"N": "x", "value": [1, 0]}),
+    ("baseline", {"N": 3}),
+    ("trials", "0"),
+    ("trials", "-1"),
+])
+def test_malformed_record_or_trials_is_input_error(command, record, tmp_path,
+                                                   capsys):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    argv = {"canonical": ["canonical", str(path)],
+            "baseline": ["invariant", FIXTURE, "--baseline", str(path)],
+            "trials": ["verify", "--level", "algebra", "--trials", record],
+            }[command]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser refuses the option
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_find_charge_roundtrip(tmp_path, capsys):
     doc = boundary4simplex_document()
     del doc["charge"]

@@ -48,7 +48,7 @@ def test_multiplicity_spaces_have_full_dimension(root3, root5):
 def test_tensor_entries_match_scalar_forms(rng):
     for N in (3, 5):
         root = RootData(N)
-        lab = _random_label_six(root, rng)
+        lab = _random_label_six(rng)
         tp = tform_tensor(root, lab)
         tn = tbar_tensor(root, lab)
         for _ in range(8):
@@ -59,13 +59,14 @@ def test_tensor_entries_match_scalar_forms(rng):
                                            abs=1e-10)
 
 
-def test_composite_simplicity_is_checked(root3):
+def test_composite_simplicity_is_checked(root3, monkeypatch):
     # rounding alone leaves the diagonal of each composite unequal by more
     # than a tolerance of 1e-30
+    monkeypatch.setattr(sixj, "_COMPOSITE_TOL", 1e-30)
     lab = LabelSix.from_generators(I0, J0, L0)
     for tensor in (tform_tensor, tbar_tensor):
         with pytest.raises(NotScalarError):
-            tensor(root3, lab, tol=1e-30)
+            tensor(root3, lab)
 
 
 def _oracle_pos(root, lab, a, c):
@@ -93,7 +94,7 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
     # 2 * 3**5 entries cut the N = 3 stack into slices of two tensors
     monkeypatch.setattr(sixj, "_SLICE_ENTRIES", slice_entries)
     root = RootData(N)
-    labs = [_random_label_six(root, rng) for _ in range(5)]
+    labs = [_random_label_six(rng) for _ in range(5)]
     right = [True, False, False, True, False]
     a = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
     c = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
@@ -186,7 +187,7 @@ def test_permute_legs_round_trip(rng):
 
 
 def test_zero_charge_symbols_reduce_to_bare_tensors(root3, rng):
-    lab = _random_label_six(root3, rng)
+    lab = _random_label_six(rng)
     zero = HalfInt(0)
     assert np.allclose(sixj_pos(root3, lab, zero, zero).entries,
                        tform_tensor(root3, lab))
@@ -195,14 +196,14 @@ def test_zero_charge_symbols_reduce_to_bare_tensors(root3, rng):
 
 
 def test_charged_inversions(root3, rng):
-    lab = _random_label_six(root3, rng)
+    lab = _random_label_six(rng)
     for da, dc in ((0, 0), (1, 0), (-2, 3)):
         r1, r2 = check_charged_inversion(root3, lab, HalfInt(da), HalfInt(dc))
         assert r1 < 1e-9 and r2 < 1e-9
 
 
 def test_inversion_fails_at_mismatched_charges(root3, rng):
-    lab = _random_label_six(root3, rng)
+    lab = _random_label_six(rng)
     pos = sixj_pos(root3, lab, HalfInt(1), HalfInt(0)).entries
     neg = sixj_neg(root3, lab, HalfInt(-1), HalfInt(1)).entries
     target = np.einsum("ad,bg->abgd", np.eye(3), np.eye(3))
@@ -211,7 +212,7 @@ def test_inversion_fails_at_mismatched_charges(root3, rng):
 
 
 def test_symmetry_relations_charged_and_not(root3, rng):
-    lab = _random_label_six(root3, rng)
+    lab = _random_label_six(rng)
     assert max(check_uncharged_symmetries(root3, lab)) < 1e-9
     for da, db in ((1, 0), (0, 0), (-2, 1)):
         rs = check_symmetry_relations(root3, lab, HalfInt(da), HalfInt(db),
@@ -220,7 +221,7 @@ def test_symmetry_relations_charged_and_not(root3, rng):
 
 
 def test_symmetry_charges_must_sum_to_one_half(root3, rng):
-    lab = _random_label_six(root3, rng)
+    lab = _random_label_six(rng)
     with pytest.raises(ChargeConstraint):
         check_symmetry_relations(root3, lab, HalfInt(1), HalfInt(1),
                                  HalfInt(1))
@@ -235,7 +236,7 @@ def test_pentagon_labels_compose():
 
 
 def test_charged_pentagon(root3, rng):
-    jd = _random_pentagon(root3, rng)
+    jd = _random_pentagon(rng)
     zero = tuple(HalfInt(0) for _ in range(5))
     assert check_charged_pentagon(root3, jd, zero, zero) < 1e-8
     a0, a2, a4, c0, c4 = 1, -1, 2, 0, -2
@@ -254,8 +255,30 @@ def test_pentagon_residual_is_relative_to_the_factor_scale():
     assert control[1] >= 1e-3
 
 
+@pytest.mark.parametrize("seed", [533, 855, 1691])
+def test_charged_symmetry_residuals_are_relative_to_the_scale(seed):
+    # these seeds draw symbols of norm up to ~5e8, where the absolute
+    # residual of a valid relation reads up to ~8e-6
+    rows, ok = run_suite("sixj", 7, seed, 3, 1e-8, 1e-10)
+    assert ok, rows
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_charged_symmetry_residuals_detect_a_wrong_charge_split(N, rng):
+    # the same a + b + c = 1/2, split as (a + 1/2, b - 1/2, c)
+    root = RootData(N)
+    lab = _random_label_six(rng)
+    a, b, c = HalfInt(1), HalfInt(-2), HalfInt(2)
+    pos = sixj_pos(root, lab, a, c).entries
+    norm = np.linalg.norm
+    for t in sixj._sym_targets(root, lab, a + HalfInt(1), b - HalfInt(1), c,
+                               charged=True):
+        assert norm(pos - t) / (norm(pos) + norm(t)) >= 1e-3
+    assert max(check_symmetry_relations(root, lab, a, b, c)) < 1e-9
+
+
 def test_pentagon_rejects_or_detects_bad_charges(root3, rng):
-    jd = _random_pentagon(root3, rng)
+    jd = _random_pentagon(rng)
     zero = tuple(HalfInt(0) for _ in range(5))
     bad = (HalfInt(1),) + zero[1:]
     with pytest.raises(ChargeConstraint):

@@ -22,6 +22,16 @@ def test_qtilde_order(root3, root5):
     assert abs(q5 ** qtilde_order(root5) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("N", range(3, 22, 2))
+def test_qtilde_order_is_the_least_period(N):
+    # the closed form against the powers themselves, at every k coprime to N
+    for k in (k for k in range(1, N) if np.gcd(k, N) == 1):
+        root = RootData(N, k)
+        powers = qtilde(root) ** np.arange(1, qtilde_order(root) + 1)
+        assert abs(powers[-1] - 1) < 1e-9
+        assert np.all(np.abs(powers[:-1] - 1) > 1e-3)
+
+
 def test_fixture_value_is_one_ninth(root3, fixture_scene):
     K = state_sum(root3, fixture_scene)
     assert K.real == pytest.approx(1.0 / 9.0, abs=1e-10)
