@@ -14,6 +14,7 @@ import json
 import sys
 
 import numpy as np
+from numpy.linalg import norm
 
 from .algebra import (
     AlgebraError, GroupElement, RootData, clock_shift, coords, duality_b,
@@ -26,9 +27,9 @@ from .operators import (
     op_B, op_B_oracle, op_C, op_L, op_R, op_sqrtL, op_word, q_scalar,
 )
 from .sixj import (
-    LabelSix, check_charged_inversion, check_charged_pentagon,
-    check_symmetry_relations, check_uncharged_symmetries, pentagon_labels,
-    sixj_neg, sixj_pos,
+    LabelSix, _inversion_defect, check_charged_inversion,
+    check_charged_pentagon, check_symmetry_relations,
+    check_uncharged_symmetries, pentagon_labels, sixj_neg, sixj_pos,
 )
 from .statesum import (
     InvariantError, equal_mod_qtilde, invariant_record, mod_qtilde_residual,
@@ -46,41 +47,18 @@ __all__ = [
     "suite_moves", "SUITE_LEVELS",
 ]
 
-SUITE_LEVELS = ("algebra", "operators", "sixj", "moves")
 
-# default trial counts per level; acceptance runs raise these explicitly
-_DEFAULT_TRIALS = {"algebra": 50, "operators": 25, "sixj": 4, "moves": 5}
-
-
-class _Rows:
-    """Accumulates (identity name, worst residual) in first-seen order.
-
-    ``kind`` is "max" for residuals bounded above and "min" for negative
-    controls bounded below.
-    """
-
-    def __init__(self) -> None:
-        self._order: list[str] = []
-        self._val: dict[str, float] = {}
-        self._bound: dict[str, float] = {}
-        self._kind: dict[str, str] = {}
+class _Rows(dict):
+    """Identity name -> (name, worst residual, bound, kind), first seen first;
+    kind "max" bounds a residual above, "min" a negative control below."""
 
     def rec(self, name: str, value: float, bound: float,
             kind: str = "max") -> None:
-        if name not in self._val:
-            self._order.append(name)
-            self._val[name] = float(value)
-            self._bound[name] = float(bound)
-            self._kind[name] = kind
-            return
-        if kind == "max":
-            self._val[name] = max(self._val[name], float(value))
-        else:
-            self._val[name] = min(self._val[name], float(value))
-
-    def rows(self) -> list[tuple[str, float, float, str]]:
-        return [(n, self._val[n], self._bound[n], self._kind[n])
-                for n in self._order]
+        value = float(value)
+        if name in self:
+            _, old, bound, kind = self[name]
+            value = max(old, value) if kind == "max" else min(old, value)
+        self[name] = (name, value, float(bound), kind)
 
 
 def _row_ok(row: tuple[str, float, float, str]) -> bool:
@@ -91,8 +69,7 @@ def _row_ok(row: tuple[str, float, float, str]) -> bool:
 def _block_diff(f, g) -> float:
     if f.swaps_parts != g.swaps_parts:
         return float("inf")
-    return max(float(np.linalg.norm(f.check_mat - g.check_mat)),
-               float(np.linalg.norm(f.hat_mat - g.hat_mat)))
+    return max(norm(f.check_mat - g.check_mat), norm(f.hat_mat - g.hat_mat))
 
 
 def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
@@ -124,11 +101,10 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
 
         psis = psi_coeffs(root, g, h)
         rows.rec("psi_product_oracle",
-                 float(np.max(np.abs(psis - psi_coeffs_product(root, g, h)))),
-                 tol_strict)
+                 np.max(np.abs(psis - psi_coeffs_product(root, g, h))), tol_strict)
         lhs = psi_of(psis, root.omega * E) @ np.linalg.inv(psi_of(psis, E))
         rhs = (cg.v * np.eye(N * N) - cg.u * ch.v * E) / cgh.v
-        rows.rec("functional_equation", float(np.linalg.norm(lhs - rhs)), tol)
+        rows.rec("functional_equation", norm(lhs - rhs), tol)
 
         S = intertwiner_S(root, g, h)
         Ag, Bg = rep_matrices(root, g)
@@ -136,10 +112,8 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
         Agh, Bgh = rep_matrices(root, gh)
         da = np.kron(Ag, Ah)
         db = np.kron(Ag, Bh) + np.kron(Bg, I_N)
-        rows.rec("intertwiner_a",
-                 float(np.linalg.norm(da @ S - S @ np.kron(Agh, I_N))), tol)
-        rows.rec("intertwiner_b",
-                 float(np.linalg.norm(db @ S - S @ np.kron(Bgh, I_N))), tol)
+        rows.rec("intertwiner_a", norm(da @ S - S @ np.kron(Agh, I_N)), tol)
+        rows.rec("intertwiner_b", norm(db @ S - S @ np.kron(Bgh, I_N)), tol)
 
         d_g = duality_d(root, g).reshape(1, -1)
         d_gi = duality_d(root, gi).reshape(1, -1)
@@ -147,9 +121,28 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
         b_gi = duality_b(root, gi).reshape(-1, 1)
         left = np.kron(I_N, d_gi) @ np.kron(b_g, I_N)
         right = np.kron(d_g, I_N) @ np.kron(I_N, b_gi)
-        rows.rec("zigzag_left", float(np.linalg.norm(left - I_N)), tol_strict)
-        rows.rec("zigzag_right", float(np.linalg.norm(right - I_N)), tol_strict)
-    return rows.rows()
+        rows.rec("zigzag_left", norm(left - I_N), tol_strict)
+        rows.rec("zigzag_right", norm(right - I_N), tol_strict)
+    return list(rows.values())
+
+
+# (row, left side, right side); a side is an ``op_word`` word or a builder
+_RELATIONS = (
+    ("A_involution", "A A", identity_block),
+    ("B_involution", "B B", identity_block),
+    ("A_vs_oracle", op_A, op_A_oracle),
+    ("B_vs_oracle", op_B, op_B_oracle),
+    ("L_from_AstarA", "A* A", op_L),
+    ("R_from_BstarB", "B* B", op_R),
+    ("C_identity", op_C, identity_block),
+    ("sqrtR_squared", "sqrtR sqrtR", op_R),
+    ("sqrtL_squared", "sqrtL sqrtL", op_L),
+    ("sqrtL_conjugation", "B A sqrtR^-1 A B", op_sqrtL),
+    ("ALA_inverts_L", "A L A", "L^-1"),
+    ("BRB_inverts_R", "B R B", "R^-1"),
+    ("ARA_flips_R", "A R A", "L^-1 R"),
+    ("BLB_flips_L", "B L B", "R^-1 L"),
+)
 
 
 def suite_operators(root: RootData, rng: np.random.Generator, trials: int,
@@ -158,43 +151,12 @@ def suite_operators(root: RootData, rng: np.random.Generator, trials: int,
     rows = _Rows()
     for _ in range(trials):
         g, h = random_admissible_pair(root, rng)
-        ident = identity_block(root, g, h)
-        rows.rec("A_involution",
-                 _block_diff(op_word(root, g, h, "A A"), ident), tol)
-        rows.rec("B_involution",
-                 _block_diff(op_word(root, g, h, "B B"), ident), tol)
-        rows.rec("A_vs_oracle",
-                 _block_diff(op_A(root, g, h), op_A_oracle(root, g, h)), tol)
-        rows.rec("B_vs_oracle",
-                 _block_diff(op_B(root, g, h), op_B_oracle(root, g, h)), tol)
-        rows.rec("L_from_AstarA",
-                 _block_diff(op_word(root, g, h, "A* A"), op_L(root, g, h)),
-                 tol)
-        rows.rec("R_from_BstarB",
-                 _block_diff(op_word(root, g, h, "B* B"), op_R(root, g, h)),
-                 tol)
-        rows.rec("C_identity", _block_diff(op_C(root, g, h), ident), tol)
-        rows.rec("sqrtR_squared",
-                 _block_diff(op_word(root, g, h, "sqrtR sqrtR"),
-                             op_R(root, g, h)), tol)
-        rows.rec("sqrtL_squared",
-                 _block_diff(op_word(root, g, h, "sqrtL sqrtL"),
-                             op_L(root, g, h)), tol)
-        rows.rec("sqrtL_conjugation",
-                 _block_diff(op_word(root, g, h, "B A sqrtR^-1 A B"),
-                             op_sqrtL(root, g, h)), tol)
-        rows.rec("ALA_inverts_L",
-                 _block_diff(op_word(root, g, h, "A L A"),
-                             op_word(root, g, h, "L^-1")), tol)
-        rows.rec("BRB_inverts_R",
-                 _block_diff(op_word(root, g, h, "B R B"),
-                             op_word(root, g, h, "R^-1")), tol)
-        rows.rec("ARA_flips_R",
-                 _block_diff(op_word(root, g, h, "A R A"),
-                             op_word(root, g, h, "L^-1 R")), tol)
-        rows.rec("BLB_flips_L",
-                 _block_diff(op_word(root, g, h, "B L B"),
-                             op_word(root, g, h, "R^-1 L")), tol)
+
+        def side(s):
+            return op_word(root, g, h, s) if isinstance(s, str) \
+                else s(root, g, h)
+        for name, left, right in _RELATIONS:
+            rows.rec(name, _block_diff(side(left), side(right)), tol)
 
         Q = assemble_q(root, g, h)
         c_chk, off_chk = _scalar_split(Q.check_mat)
@@ -203,7 +165,7 @@ def suite_operators(root: RootData, rng: np.random.Generator, trials: int,
         rows.rec("q_check_value", abs(c_chk - q_scalar(root, "check")),
                  tol_strict)
         rows.rec("q_hat_value", abs(c_hat - q_scalar(root, "hat")), tol_strict)
-    return rows.rows()
+    return list(rows.values())
 
 
 def _random_group_element(rng: np.random.Generator) -> GroupElement:
@@ -265,27 +227,20 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
         rows.rec("inversion_second", r2, tol)
 
         db = int(rng.integers(-3, 4))
-        s01, s12, s23 = check_symmetry_relations(
+        charged = check_symmetry_relations(
             root, lab, HalfInt(da), HalfInt(db), HalfInt(1 - da - db))
-        rows.rec("symmetry_charged_01", s01, tol)
-        rows.rec("symmetry_charged_12", s12, tol)
-        rows.rec("symmetry_charged_23", s23, tol)
-
-        u01, u12, u23 = check_uncharged_symmetries(root, lab)
-        rows.rec("symmetry_uncharged_01", u01, tol)
-        rows.rec("symmetry_uncharged_12", u12, tol)
-        rows.rec("symmetry_uncharged_23", u23, tol)
+        uncharged = check_uncharged_symmetries(root, lab)
+        for which, residuals in (("charged", charged), ("uncharged", uncharged)):
+            for pair, r in zip(("01", "12", "23"), residuals):
+                rows.rec(f"symmetry_{which}_{pair}", r, tol)
 
         if trial == 0:
             # contraction at non-opposite charges must miss the identity
             pos = sixj_pos(root, lab, HalfInt(1), HalfInt(0)).entries
             neg = sixj_neg(root, lab, HalfInt(-1), HalfInt(1)).entries
-            target = np.einsum("ad,bg->abgd", np.eye(root.N), np.eye(root.N))
-            got = np.einsum("abnm,mngd->abgd", pos, neg, optimize=True)
             rows.rec("control_inversion_mismatch",
-                     float(np.linalg.norm(got - target)),
-                     control_floor, kind="min")
-    return rows.rows()
+                     _inversion_defect(pos, neg), control_floor, kind="min")
+    return list(rows.values())
 
 
 def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
@@ -297,10 +252,11 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
     K0 = state_sum(root, scene)
     rows.rec("fixture_value_nonzero", abs(K0), 1e-12, kind="min")
 
+    def drift(sc: Scene) -> float:
+        return mod_qtilde_residual(state_sum(root, sc), K0, root)[0]
+
     sc = pachner_plus(scene, 0, 0)
-    K = state_sum(root, sc)
-    rows.rec("pachner_plus_mod_qtilde",
-             mod_qtilde_residual(K, K0, root)[0], tol)
+    rows.rec("pachner_plus_mod_qtilde", drift(sc), tol)
 
     # collapse the central edge of the freshly added triple
     T2 = sc.complex
@@ -309,82 +265,67 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
                    if {t for t, _ in T2.edge_incidences(cls)} == new_tets)
     t_at, e_at = T2.edge_incidences(central)[0]
     back = pachner_minus(sc, t_at, e_at)
-    rows.rec("pachner_roundtrip_mod_qtilde",
-             mod_qtilde_residual(state_sum(root, back), K0, root)[0], tol)
+    rows.rec("pachner_roundtrip_mod_qtilde", drift(back), tol)
 
     non_link = next(cls for cls in range(T.n_edges) if cls not in scene.link)
     t_at, e_at = T.edge_incidences(non_link)[0]
     rows.rec("pachner_minus_mod_qtilde",
-             mod_qtilde_residual(
-                 state_sum(root, pachner_minus(scene, t_at, e_at)),
-                 K0, root)[0], tol)
+             drift(pachner_minus(scene, t_at, e_at)), tol)
 
     tf = next((t, f) for t in range(T.n_tets) for f in range(4)
               if any(T.edge_class(t, _EDGE_INDEX[(a, b)]) in scene.link
                      for a, b in itertools.combinations(FACE_CORNERS[f], 2)))
     blown = bubble_plus(scene, *tf)
-    rows.rec("bubble_plus_mod_qtilde",
-             mod_qtilde_residual(state_sum(root, blown), K0, root)[0], tol)
+    rows.rec("bubble_plus_mod_qtilde", drift(blown), tol)
     new_v = max(range(blown.complex.n_vertices),
                 key=lambda v: blown.complex.vertex_rank[v])
     rows.rec("bubble_roundtrip_exact",
              abs(state_sum(root, bubble_minus(blown, new_v)) - K0), tol_strict)
 
-    worst = 0.0
     for cls in range(T.n_edges):
         c2 = deform_charge(T, scene.link, scene.charge, cls)
-        K = state_sum(root, Scene(T, scene.link, scene.coloring, c2))
-        worst = max(worst, mod_qtilde_residual(K, K0, root)[0])
-    rows.rec("charge_deform_mod_qtilde", worst, tol)
+        rows.rec("charge_deform_mod_qtilde",
+                 drift(Scene(T, scene.link, scene.coloring, c2)), tol)
 
-    worst = 0.0
     for _ in range(min(trials, 5)):
         perm = [int(v) for v in rng.permutation(T.n_vertices)]
         sc = Scene(T.with_vertex_ranks(perm), scene.link,
                    scene.coloring, scene.charge)
-        worst = max(worst, mod_qtilde_residual(state_sum(root, sc),
-                                                K0, root)[0])
-    rows.rec("vertex_reorder_mod_qtilde", worst, tol)
+        rows.rec("vertex_reorder_mod_qtilde", drift(sc), tol)
 
-    worst = 0.0
     for _ in range(2):
         gauged = gauge_transform(T, scene.coloring, random_gauge(T, rng))
         K = state_sum(root, Scene(T, scene.link, gauged, scene.charge))
-        worst = max(worst, abs(K - K0))
-    rows.rec("gauge_exact", worst, tol)
-    return rows.rows()
+        rows.rec("gauge_exact", abs(K - K0), tol)
+    return list(rows.values())
 
 
-_SUITES = {"algebra": suite_algebra, "operators": suite_operators,
-           "sixj": suite_sixj, "moves": suite_moves}
+# level -> (suite, default trial count; acceptance runs raise these explicitly)
+_SUITES = {"algebra": (suite_algebra, 50), "operators": (suite_operators, 25),
+           "sixj": (suite_sixj, 4), "moves": (suite_moves, 5)}
+SUITE_LEVELS = tuple(_SUITES)
 
 
 def run_suite(level: str, N: int, seed: int, trials: int | None,
               tol: float, tol_strict: float) -> tuple[list, bool]:
     """Runs one verification suite; returns (rows, all_ok)."""
-    root = RootData(N)
-    rng = np.random.default_rng(seed)
-    if trials is None:
-        trials = _DEFAULT_TRIALS[level]
-    rows = _SUITES[level](root, rng, trials, tol, tol_strict)
+    suite, default_trials = _SUITES[level]
+    rows = suite(RootData(N), np.random.default_rng(seed),
+                 default_trials if trials is None else trials, tol, tol_strict)
     return rows, all(_row_ok(r) for r in rows)
 
 
-def _print_rows(rows: list) -> None:
-    for name, value, bound, kind in rows:
-        flag = "ok  " if _row_ok((name, value, bound, kind)) else "FAIL"
-        rel = "<=" if kind == "max" else "> "
-        print(f"{flag} {name:32s} {value:11.3e}  {rel} {bound:.1e}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    rows, ok = run_suite(args.level, args.N, args.seed, args.trials,
+    trials = args.trials or _SUITES[args.level][1]
+    rows, ok = run_suite(args.level, args.N, args.seed, trials,
                          args.tol, args.tol_strict)
-    trials = args.trials if args.trials is not None \
-        else _DEFAULT_TRIALS[args.level]
     print(f"verify level={args.level} N={args.N} seed={args.seed} "
           f"trials={trials} tol={args.tol:.1e} tol_strict={args.tol_strict:.1e}")
-    _print_rows(rows)
+    for row in rows:
+        name, value, bound, kind = row
+        flag = "ok  " if _row_ok(row) else "FAIL"
+        rel = "<=" if kind == "max" else "> "
+        print(f"{flag} {name:32s} {value:11.3e}  {rel} {bound:.1e}")
     if ok:
         print(f"PASS {len(rows)} identities")
         return 0
@@ -409,21 +350,23 @@ def _emit_document(scene: Scene, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _prepare_scene(args: argparse.Namespace) -> Scene:
-    scene = load_document(_read_json(args.file))
+def _prepare_scene(doc: dict, hint: str, fix_coloring: bool = False,
+                   solve_charge: bool = False, seed: int = 0) -> Scene:
+    """A triangulation document as a scene with an admissible coloring and
+    a charge; a refusal names the option that would fix it after ``hint``."""
+    scene = load_document(doc)
     if scene.coloring is None:
         raise TopologyError("document has no coloring")
     if not is_admissible(scene.coloring):
-        if not getattr(args, "make_admissible", False):
+        if not fix_coloring:
             raise TopologyError(
-                "coloring is not admissible (rerun with --make-admissible)")
-        rng = np.random.default_rng(args.seed)
+                f"coloring is not admissible ({hint} --make-admissible)")
+        rng = np.random.default_rng(seed)
         fixed = make_admissible(scene.complex, scene.coloring, rng)
         scene = dataclasses.replace(scene, coloring=fixed)
     if scene.charge is None:
-        if not getattr(args, "find_charge", False):
-            raise TopologyError(
-                "document has no charge (rerun with --find-charge)")
+        if not solve_charge:
+            raise TopologyError(f"document has no charge ({hint} --find-charge)")
         scene = dataclasses.replace(
             scene, charge=find_charge(scene.complex, scene.link))
     return scene
@@ -433,19 +376,26 @@ def _read_record(doc, N: int) -> tuple[int, complex]:
     """The root order (default ``N``) and the ``[re, im]`` value of a result record."""
     try:
         re, im = doc["value"]
-        return int(doc.get("N", N)), complex(re, im)
+        value, N = complex(re, im), doc.get("N", N)
+        if type(N) is not int:  # 3.7, 3.0, "3" and true alike
+            raise TypeError(f"N = {N!r} is not an integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed result record: {exc!r}") from exc
+    return N, value
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     root = RootData(args.N, args.k_root)
-    scene = _prepare_scene(args)
+    scene = _prepare_scene(_read_json(args.file), "rerun with",
+                           args.make_admissible, args.find_charge, args.seed)
     value = state_sum(root, scene)
     print(json.dumps(invariant_record(value, root), sort_keys=True))
     if args.baseline is None:
         return 0
-    _, z_base = _read_record(_read_json(args.baseline), args.N)
+    N_base, z_base = _read_record(_read_json(args.baseline), args.N)
+    if N_base != args.N:
+        raise InvariantError(f"baseline record is at N = {N_base}, "
+                             f"not N = {args.N}")
     if equal_mod_qtilde(value, z_base, root, tol=args.tol):
         _, k = mod_qtilde_residual(value, z_base, root)
         print(f"baseline: equal mod qtilde, k={k}")
@@ -454,37 +404,29 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     return 1
 
 
-def _parse_target(raw: str, want: int, label: str) -> tuple[int, ...]:
-    parts = raw.split(",")
-    if len(parts) != want:
-        raise TopologyError(
-            f"--target for {label} needs {want} comma-separated integers")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise TopologyError(f"bad --target {raw!r}") from exc
+# kind -> (move, the cells its --target may name; the last form is the default)
+_MOVES = {
+    "pachner+": (pachner_plus, "tet,face"),
+    "pachner-": (pachner_minus, "tet,edge"),
+    "bubble+": (bubble_plus, "tet,face,slot", "tet,face"),
+    "bubble-": (bubble_minus, "vertex"),
+}
 
 
 def cmd_move(args: argparse.Namespace) -> int:
     scene = load_document(_read_json(args.file))
-    if args.kind == "pachner+":
-        t, f = _parse_target(args.target, 2, "pachner+ (tet,face)")
-        moved = pachner_plus(scene, t, f)
-    elif args.kind == "pachner-":
-        t, e = _parse_target(args.target, 2, "pachner- (tet,edge)")
-        moved = pachner_minus(scene, t, e)
-    elif args.kind == "bubble+":
-        parts = args.target.split(",")
-        if len(parts) == 3:
-            t, f, slot = _parse_target(args.target, 3,
-                                       "bubble+ (tet,face,slot)")
-        else:
-            t, f = _parse_target(args.target, 2, "bubble+ (tet,face)")
-            slot = None
-        moved = bubble_plus(scene, t, f, slot)
-    else:
-        (v,) = _parse_target(args.target, 1, "bubble- (vertex)")
-        moved = bubble_minus(scene, v)
+    move, *forms = _MOVES[args.kind]
+    parts = args.target.split(",")
+    cells = next((c for c in forms if c.count(",") == len(parts) - 1),
+                 forms[-1])
+    if cells.count(",") != len(parts) - 1:
+        raise TopologyError(f"--target for {args.kind} ({cells}) needs "
+                            f"{cells.count(',') + 1} comma-separated integers")
+    try:
+        target = [int(p) for p in parts]
+    except ValueError as exc:
+        raise TopologyError(f"bad --target {args.target!r}") from exc
+    moved = move(scene, *target)
     load_document(scene_document(moved))  # output must revalidate
     _emit_document(moved, args.out)
     return 0
@@ -502,12 +444,14 @@ def cmd_gauge(args: argparse.Namespace) -> int:
     if scene.coloring is None:
         raise TopologyError("document has no coloring to gauge")
     T = scene.complex
-    if args.vertex is not None:
-        if args.x is None or args.y is None:
-            raise TopologyError("point gauge needs --x and --y")
-        gauge = point_gauge(T, args.vertex, GroupElement(args.x, args.y))
-    else:
+    if args.vertex is None:
+        if (args.x, args.y) != (None, None):
+            raise TopologyError("--x and --y need --vertex")
         gauge = random_gauge(T, np.random.default_rng(args.seed))
+    elif args.x is None or args.y is None:
+        raise TopologyError("point gauge needs --x and --y")
+    else:
+        gauge = point_gauge(T, args.vertex, GroupElement(args.x, args.y))
     recolored = gauge_transform(T, scene.coloring, gauge)
     _emit_document(dataclasses.replace(scene, coloring=recolored), args.out)
     return 0
@@ -520,22 +464,37 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         root = RootData(N, args.k_root)
     else:
         root = RootData(args.N, args.k_root)
-        scene = _prepare_scene(
-            argparse.Namespace(file=args.file, seed=args.seed,
-                               make_admissible=False, find_charge=False))
-        value = state_sum(root, scene)
+        value = state_sum(root, _prepare_scene(doc, "use cyclic6j invariant"))
     print(json.dumps(invariant_record(value, root), sort_keys=True))
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, n_default: int = 3) -> None:
-    p.add_argument("--N", type=int, default=n_default,
-                   help=f"root order, odd and >= 3 (default {n_default})")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="residual tolerance (default 1e-8)")
-    p.add_argument("--tol-strict", type=float, default=1e-10,
-                   help="strict residual tolerance (default 1e-10)")
+def _int_type(ok, need: str):
+    """An argparse type: an int for which ``ok`` holds, else "must be ``need``"."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
+    return parse
+
+
+# the root order, seed and tolerances; each subcommand adds the ones it reads
+_SHARED = {
+    "--N": dict(type=_int_type(lambda n: n >= 3 and n % 2, "odd and >= 3"),
+                default=3, help="root order, odd and >= 3 (default 3)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--tol": dict(type=float, default=1e-8,
+                  help="residual tolerance (default 1e-8)"),
+    "--tol-strict": dict(type=float, default=1e-10,
+                         help="strict residual tolerance (default 1e-10)"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a residual verification suite")
     p.add_argument("--level", required=True, choices=SUITE_LEVELS)
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_int_type(lambda n: n >= 1, "at least 1"),
                    help="random draws per identity, at least 1 "
                         "(level-dependent default)")
-    _add_common(p)
+    _add_shared(p, "--N", "--seed", "--tol", "--tol-strict")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invariant",
@@ -564,24 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gauge away inadmissible edge colors first")
     p.add_argument("--find-charge", action="store_true",
                    help="solve for a charge if the document has none")
-    _add_common(p)
+    _add_shared(p, "--N", "--seed", "--tol")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("move", help="apply a move to a triangulation document")
     p.add_argument("file")
-    p.add_argument("--kind", required=True,
-                   choices=("pachner+", "pachner-", "bubble+", "bubble-"))
+    p.add_argument("--kind", required=True, choices=tuple(_MOVES))
     p.add_argument("--target", required=True,
                    help="cells: 'tet,face' / 'tet,edge' / 'vertex'")
     p.add_argument("--out", help="output path (default stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("find-charge",
                        help="solve the charge system and emit the document")
     p.add_argument("file")
     p.add_argument("--out")
-    _add_common(p)
     p.set_defaults(func=cmd_find_charge)
 
     p = sub.add_parser("gauge", help="apply a gauge transform to the coloring")
@@ -591,39 +547,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, help="point gauge element, x part")
     p.add_argument("--y", type=float, help="point gauge element, y part")
     p.add_argument("--out")
-    _add_common(p)
+    _add_shared(p, "--seed")
     p.set_defaults(func=cmd_gauge)
 
     p = sub.add_parser("canonical",
                        help="canonical representative of an invariant value")
     p.add_argument("file", help="result JSON or triangulation JSON")
     p.add_argument("--k-root", type=int, default=1)
-    _add_common(p)
+    _add_shared(p, "--N")
     p.set_defaults(func=cmd_canonical)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.N < 3 or args.N % 2 == 0:
-        parser.error(f"--N must be odd and >= 3, got {args.N}")
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        parser.error(f"--trials must be at least 1, got {args.trials}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TopologyError, AlgebraError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (TopologyError, AlgebraError, InvariantError,
+            FileNotFoundError) as exc:
+        why = str(exc)
     except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input ({exc})", file=sys.stderr)
-        return 2
+        why = f"bad JSON input ({exc})"
     except MemoryError as exc:
-        print(f"error: out of memory ({exc})", file=sys.stderr)
-        return 2
+        why = f"out of memory ({exc})"
+    print(f"error: {why}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

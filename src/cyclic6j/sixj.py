@@ -421,14 +421,16 @@ def check_charged_inversion(root: RootData, lab: LabelSix, a: HalfInt,
     opposite charges and must produce the doubled Kronecker pattern
     ``delta[alpha, delta'] delta[beta, gamma]``.
     """
-    N = root.N
     pos = sixj_pos(root, lab, a, c).entries
     neg = sixj_neg(root, lab, -a, -c).entries
-    target = np.einsum("ad,bg->abgd", np.eye(N), np.eye(N))
-    first = np.einsum("abnm,mngd->abgd", pos, neg, optimize=True)
-    second = np.einsum("abnm,mngd->abgd", neg, pos, optimize=True)
-    return (float(np.linalg.norm(first - target)),
-            float(np.linalg.norm(second - target)))
+    return _inversion_defect(pos, neg), _inversion_defect(neg, pos)
+
+
+def _inversion_defect(first: np.ndarray, second: np.ndarray) -> float:
+    """Frobenius distance of ``first . second`` from the inversion target."""
+    eye = np.eye(len(first))
+    got = np.einsum("abnm,mngd->abgd", first, second, optimize=True)
+    return float(np.linalg.norm(got - np.einsum("ad,bg->abgd", eye, eye)))
 
 
 def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,

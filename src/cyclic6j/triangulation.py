@@ -343,6 +343,8 @@ class Scene:
 
 
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError)
+# group_close tolerance of two colors of one edge class and of a face cocycle
+_COLOR_TOL = 1e-10
 
 
 def load_complex(doc: dict) -> TriComplex:
@@ -407,7 +409,7 @@ def load_document(doc: dict) -> Scene:
             if T.vertex_class(t, start) > T.vertex_class(t, end):
                 g = group_inv(g)
             cls = T.edge_class(t, e)
-            if cls in coloring and not group_close(coloring[cls], g, 1e-10):
+            if cls in coloring and not group_close(coloring[cls], g, _COLOR_TOL):
                 raise ParseError(f"conflicting colors for edge class {cls}")
             coloring[cls] = g
         missing = set(range(T.n_edges)) - set(coloring)
@@ -461,8 +463,7 @@ def scene_document(scene: Scene) -> dict:
     return doc
 
 
-def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
-                   tol: float = 1e-10) -> None:
+def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement]) -> None:
     """g_ab g_bc = g_ac on every face, to ``group_close`` tolerance.
 
     All faces at once, with the float operations of ``color_of`` and
@@ -485,8 +486,8 @@ def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
     x, y = x1 + y1 * x2, y1 * y2
     # GroupElement refuses an inverse of y = inf and an underflowed product
     in_group = (y > 0) & (y3 > 0)
-    close = ((np.abs(x - x3) <= tol * np.maximum(1.0, np.abs(x)))
-             & (np.abs(y - y3) <= tol * np.maximum(1.0, np.abs(y))))
+    close = ((np.abs(x - x3) <= _COLOR_TOL * np.maximum(1.0, np.abs(x)))
+             & (np.abs(y - y3) <= _COLOR_TOL * np.maximum(1.0, np.abs(y))))
     bad = np.flatnonzero(~(in_group & close))
     if bad.size:
         t, f = divmod(int(bad[0]), 4)

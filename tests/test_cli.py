@@ -44,6 +44,71 @@ def test_verify_reports_failures_with_exit_1(capsys):
     assert "FAIL" in out.splitlines()[-1]
 
 
+_TOLS = "tol=1.0e-08 tol_strict=1.0e-10"
+
+# Header line and ordered (name, bound, kind) rows of every suite at N = 3,
+# seed 0 and the default trials; residual values vary with the BLAS.
+VERIFY_SCHEMA = {
+    "algebra": (f"verify level=algebra N=3 seed=0 trials=50 {_TOLS}", [
+        ("u_multiplicative", 1e-10, "max"), ("u_inverse", 1e-10, "max"),
+        ("v_inverse", 1e-10, "max"), ("psi_product_oracle", 1e-10, "max"),
+        ("functional_equation", 1e-08, "max"), ("intertwiner_a", 1e-08, "max"),
+        ("intertwiner_b", 1e-08, "max"), ("zigzag_left", 1e-10, "max"),
+        ("zigzag_right", 1e-10, "max"),
+    ]),
+    "operators": (f"verify level=operators N=3 seed=0 trials=25 {_TOLS}", [
+        ("A_involution", 1e-08, "max"), ("B_involution", 1e-08, "max"),
+        ("A_vs_oracle", 1e-08, "max"), ("B_vs_oracle", 1e-08, "max"),
+        ("L_from_AstarA", 1e-08, "max"), ("R_from_BstarB", 1e-08, "max"),
+        ("C_identity", 1e-08, "max"), ("sqrtR_squared", 1e-08, "max"),
+        ("sqrtL_squared", 1e-08, "max"), ("sqrtL_conjugation", 1e-08, "max"),
+        ("ALA_inverts_L", 1e-08, "max"), ("BRB_inverts_R", 1e-08, "max"),
+        ("ARA_flips_R", 1e-08, "max"), ("BLB_flips_L", 1e-08, "max"),
+        ("q_block_scalar", 1e-10, "max"), ("q_check_value", 1e-10, "max"),
+        ("q_hat_value", 1e-10, "max"),
+    ]),
+    "sixj": (f"verify level=sixj N=3 seed=0 trials=4 {_TOLS}", [
+        ("pentagon_charged", 1e-08, "max"),
+        ("pentagon_zero_charge", 1e-08, "max"),
+        ("control_pentagon_bad_charge", 0.001, "min"),
+        ("inversion_first", 1e-08, "max"), ("inversion_second", 1e-08, "max"),
+        ("symmetry_charged_01", 1e-08, "max"),
+        ("symmetry_charged_12", 1e-08, "max"),
+        ("symmetry_charged_23", 1e-08, "max"),
+        ("symmetry_uncharged_01", 1e-08, "max"),
+        ("symmetry_uncharged_12", 1e-08, "max"),
+        ("symmetry_uncharged_23", 1e-08, "max"),
+        ("control_inversion_mismatch", 0.001, "min"),
+    ]),
+    "moves": (f"verify level=moves N=3 seed=0 trials=5 {_TOLS}", [
+        ("fixture_value_nonzero", 1e-12, "min"),
+        ("pachner_plus_mod_qtilde", 1e-08, "max"),
+        ("pachner_roundtrip_mod_qtilde", 1e-08, "max"),
+        ("pachner_minus_mod_qtilde", 1e-08, "max"),
+        ("bubble_plus_mod_qtilde", 1e-08, "max"),
+        ("bubble_roundtrip_exact", 1e-10, "max"),
+        ("charge_deform_mod_qtilde", 1e-08, "max"),
+        ("vertex_reorder_mod_qtilde", 1e-08, "max"),
+        ("gauge_exact", 1e-08, "max"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("level", list(VERIFY_SCHEMA))
+def test_verify_row_schema_is_pinned(level, capsys):
+    header, schema = VERIFY_SCHEMA[level]
+    code, out, _ = run(["verify", "--level", level], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == header
+    rows = []
+    for line in lines[1:-1]:
+        _, name, _, rel, bound = line.split()
+        rows.append((name, float(bound), "max" if rel == "<=" else "min"))
+    assert rows == schema
+    assert lines[-1] == f"PASS {len(schema)} identities"
+
+
 def test_even_order_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--level", "algebra", "--N", "4"])
@@ -105,6 +170,14 @@ def test_invariant_reads_stdin(monkeypatch, capsys):
                                                        abs=1e-9)
 
 
+def test_canonical_reads_a_triangulation_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(json.dumps(boundary4simplex_document())))
+    code, out, _ = run(["canonical", "-"], capsys)
+    assert code == 0
+    assert json.loads(out)["modulus"] == pytest.approx(1.0 / 9.0, abs=1e-9)
+
+
 def test_missing_charge_needs_flag(tmp_path, capsys):
     doc = boundary4simplex_document()
     del doc["charge"]
@@ -113,6 +186,9 @@ def test_missing_charge_needs_flag(tmp_path, capsys):
     code, _, err = run(["invariant", str(path)], capsys)
     assert code == 2
     assert "--find-charge" in err
+    code, _, err = run(["canonical", str(path)], capsys)
+    assert code == 2
+    assert "invariant --find-charge" in err
     code, out, _ = run(["invariant", str(path), "--find-charge"], capsys)
     assert code == 0
     assert json.loads(out)["value"][0] == pytest.approx(1.0 / 9.0,
@@ -207,13 +283,18 @@ def test_malformed_document_is_input_error(edit, tmp_path, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("vertex", ["99", "-1"])
-def test_gauge_vertex_out_of_range_is_input_error(vertex, tmp_path, capsys):
-    code, _, err = run(["gauge", FIXTURE, "--vertex", vertex, "--x", "1",
-                        "--y", "1", "--out", str(tmp_path / "out.json")],
-                       capsys)
+@pytest.mark.parametrize("vertex,message", [
+    pytest.param(["--vertex", "99"], "out of range", id="99"),
+    pytest.param(["--vertex", "-1"], "out of range", id="-1"),
+    pytest.param([], "need --vertex", id="no-vertex"),
+])
+def test_gauge_vertex_out_of_range_is_input_error(vertex, message, tmp_path,
+                                                  capsys):
+    code, _, err = run(["gauge", FIXTURE, *vertex, "--x", "1", "--y", "1",
+                        "--out", str(tmp_path / "out.json")], capsys)
     assert code == 2
-    assert err.startswith("error:") and "out of range" in err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command,record", [
@@ -223,6 +304,9 @@ def test_gauge_vertex_out_of_range_is_input_error(vertex, tmp_path, capsys):
     ("baseline", {"N": 3}),
     ("trials", "0"),
     ("trials", "-1"),
+    ("canonical", {"N": 3.7, "value": [0.1, 0]}),
+    ("canonical", {"N": True, "value": [0.1, 0]}),
+    ("baseline", {"N": 5, "value": [0.04, 0]}),
 ])
 def test_malformed_record_or_trials_is_input_error(command, record, tmp_path,
                                                    capsys):
