@@ -36,10 +36,10 @@ from .statesum import (
     state_sum,
 )
 from .triangulation import (
-    FACE_CORNERS, Scene, TopologyError, _EDGE_INDEX, bubble_minus,
-    bubble_plus, deform_charge, find_charge, gauge_transform, is_admissible,
-    load_document, make_admissible, pachner_minus, pachner_plus, point_gauge,
-    random_gauge, scene_document,
+    FACE_CORNERS, Scene, TopologyError, _EDGE_INDEX, _random_element,
+    bubble_minus, bubble_plus, deform_charge, find_charge, gauge_transform,
+    is_admissible, load_document, make_admissible, pachner_minus,
+    pachner_plus, point_gauge, random_gauge, scene_document,
 )
 
 __all__ = [
@@ -168,19 +168,15 @@ def suite_operators(root: RootData, rng: np.random.Generator, trials: int,
     return list(rows.values())
 
 
-def _random_group_element(rng: np.random.Generator) -> GroupElement:
-    x = float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]))
-    y = float(rng.uniform(0.5, 2.0))
-    return GroupElement(x, y)
-
-
-# Smallest |x| of every label a sampled six-tuple or pentagon carries.
+# The ranges of |x| and y of a sampled generator, and the smallest |x| of
+# every label a sampled six-tuple or pentagon carries.
+_LABEL_DRAW = (0.1, 2.0, (0.5, 2.0))
 _LABEL_MARGIN = 0.05
 
 
 def _random_label_six(rng: np.random.Generator) -> LabelSix:
     for _ in range(5000):
-        i, j, l = (_random_group_element(rng) for _ in range(3))
+        i, j, l = (_random_element(rng, *_LABEL_DRAW) for _ in range(3))
         k = group_mul(i, j)
         elems = [i, j, l, k, group_mul(j, l), group_mul(k, l)]
         if min(abs(e.x) for e in elems) >= _LABEL_MARGIN:
@@ -190,7 +186,8 @@ def _random_label_six(rng: np.random.Generator) -> LabelSix:
 
 def _random_pentagon(rng: np.random.Generator) -> dict[str, GroupElement]:
     for _ in range(5000):
-        jd = pentagon_labels(*(_random_group_element(rng) for _ in range(4)))
+        jd = pentagon_labels(*(_random_element(rng, *_LABEL_DRAW)
+                               for _ in range(4)))
         if min(abs(e.x) for e in jd.values()) >= _LABEL_MARGIN:
             return jd
     raise RuntimeError("no admissible pentagon labels found")
@@ -386,16 +383,17 @@ def _read_record(doc, N: int) -> tuple[int, complex]:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     root = RootData(args.N, args.k_root)
+    if args.baseline is not None:  # refused before any output
+        N_base, z_base = _read_record(_read_json(args.baseline), args.N)
+        if N_base != args.N:
+            raise InvariantError(f"baseline record is at N = {N_base}, "
+                                 f"not N = {args.N}")
     scene = _prepare_scene(_read_json(args.file), "rerun with",
                            args.make_admissible, args.find_charge, args.seed)
     value = state_sum(root, scene)
     print(json.dumps(invariant_record(value, root), sort_keys=True))
     if args.baseline is None:
         return 0
-    N_base, z_base = _read_record(_read_json(args.baseline), args.N)
-    if N_base != args.N:
-        raise InvariantError(f"baseline record is at N = {N_base}, "
-                             f"not N = {args.N}")
     if equal_mod_qtilde(value, z_base, root, tol=args.tol):
         _, k = mod_qtilde_residual(value, z_base, root)
         print(f"baseline: equal mod qtilde, k={k}")

@@ -9,50 +9,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupElement, group_inv, group_mul
+from .algebra import group_inv, group_mul
 from .triangulation import (
-    _EDGE_INDEX, Gluing, Scene, TriComplex, find_charge, is_admissible,
-    scene_document,
+    EDGE_CORNERS, Scene, TriComplex, _glue_faces, _random_element, _tet_ends,
+    find_charge, is_admissible, scene_document,
 )
 
 __all__ = ["boundary4simplex_scene", "boundary4simplex_document"]
 
+# Seed of the vertex cochain; it makes the coloring comfortably admissible.
+_SEED = 11
 
-def boundary4simplex_scene(seed: int = 11) -> Scene:
+
+def boundary4simplex_scene() -> Scene:
     """The 3-sphere as the boundary of the 4-simplex, fully dressed.
 
     Tetrahedron p spans the vertices other than p (in increasing order)
     with orientation (-1)^p, so the five tetrahedra form a cycle.  The
-    coloring is a coboundary of a seeded random vertex cochain, which
-    makes it a cocycle by construction; the seed default is chosen so
-    the coloring is comfortably admissible.
+    link is the cycle 0-1-2-3-4-0.  The coloring is a coboundary of a
+    seeded random vertex cochain, which makes it a cocycle by construction.
     """
-    verts = [tuple(v for v in range(5) if v != p) for p in range(5)]
+    tets = [tuple(v for v in range(5) if v != p) for p in range(5)]
+    T = TriComplex([(-1) ** p for p in range(5)], _glue_faces(_tet_ends(tets)))
+    link = frozenset(T.edge_class(p, e) for p, s in enumerate(tets)
+                     for e, (a, b) in enumerate(EDGE_CORNERS)
+                     if (s[b] - s[a]) % 5 in (1, 4))
 
-    def pos(p: int, v: int) -> int:
-        return verts[p].index(v)
-
-    orientations = [(-1) ** p for p in range(5)]
-    gluings = []
-    for p in range(5):
-        for q in range(p + 1, 5):
-            cmap = tuple((pos(p, wv), pos(q, wv))
-                         for wv in range(5) if wv not in (p, q))
-            gluings.append(Gluing((p, pos(p, q)), (q, pos(q, p)), cmap))
-    T = TriComplex(orientations, gluings)
-
-    link = set()
-    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)):
-        p = min(v for v in range(5) if v not in (i, j))
-        link.add(T.edge_class(p, _EDGE_INDEX[(pos(p, i), pos(p, j))]))
-    link = frozenset(link)
-
-    rng = np.random.default_rng(seed)
-    h = []
-    for _ in range(T.n_vertices):
-        x = float(rng.uniform(0.3, 1.6) * rng.choice([-1.0, 1.0]))
-        y = float(rng.uniform(0.6, 1.6))
-        h.append(GroupElement(x, y))
+    rng = np.random.default_rng(_SEED)
+    h = [_random_element(rng, 0.3, 1.6, (0.6, 1.6))
+         for _ in range(T.n_vertices)]
     coloring = {}
     for cls in range(T.n_edges):
         lo, hi = T.edge_ends(cls)
@@ -64,5 +49,5 @@ def boundary4simplex_scene(seed: int = 11) -> Scene:
     return Scene(T, link, coloring, charge)
 
 
-def boundary4simplex_document(seed: int = 11) -> dict:
-    return scene_document(boundary4simplex_scene(seed))
+def boundary4simplex_document() -> dict:
+    return scene_document(boundary4simplex_scene())

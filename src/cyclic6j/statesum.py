@@ -14,7 +14,6 @@ compared and normalized modulo that power.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -162,12 +161,15 @@ def _plan(legs: list[list[int]]) -> tuple[list, int]:
 
 
 def _check_faces(weights: list[tuple[Sixj, list[int]]]) -> None:
-    """Every face class pairs a check leg with a hat leg of equal labels."""
+    """Every face class has one check leg and one hat leg, of equal labels."""
     ends: dict[int, list] = {}
     for S, faces in weights:
         for (kind, g, h), f in zip(S.legs, faces):
             ends.setdefault(f, []).append((kind, (g, h)))
-    for f, ((k1, l1), (k2, l2)) in ends.items():
+    for f, legs in ends.items():
+        if len(legs) != 2:
+            raise TypeMismatch(f"face class {f} has {len(legs)} legs")
+        (k1, l1), (k2, l2) = legs
         if {k1, k2} != {"check", "hat"}:
             raise TypeMismatch(f"face class {f} pairs {k1} with {k2}")
         if not all(group_close(a, b, 1e-6) for a, b in zip(l1, l2)):
@@ -198,10 +200,6 @@ def state_sum(root: RootData, scene: Scene) -> complex:
     T = scene.complex
     validate_charge(T, scene.link, scene.charge)
     faces = [_corners(T, t)[2] for t in range(T.n_tets)]
-    counts = Counter(f for fs in faces for f in fs)
-    for f, n in counts.items():
-        if n != 2:
-            raise TypeMismatch(f"face class {f} has {n} legs")
     steps, peak = _plan([_open_legs(fs) for fs in faces])
     if root.N ** peak > MAX_ENTRIES:
         raise InvariantError(

@@ -194,7 +194,7 @@ class TriComplex:
     the gluings, classes and incidences, which ranks do not touch.
     """
 
-    def __init__(self, orientations, gluings, vertex_ranks=None):
+    def __init__(self, orientations, gluings):
         self.orientations = tuple(int(o) for o in orientations)
         self.gluings = tuple(gluings)
         n = len(self.orientations)
@@ -266,10 +266,7 @@ class TriComplex:
         other[sides[:, 0]] = np.column_stack([tb, fb, perm])
         other[sides[:, 1]] = np.column_stack([ta, fa, np.argsort(perm)])
         self._partner = [(t, f, tuple(p)) for t, f, *p in other.tolist()]
-        if vertex_ranks is None:
-            self.vertex_rank = tuple(range(self.n_vertices))
-        else:
-            self.vertex_rank = self._checked_ranks(vertex_ranks)
+        self.vertex_rank = tuple(range(self.n_vertices))
 
     # -- accessors ---------------------------------------------------
 
@@ -302,16 +299,13 @@ class TriComplex:
         u, w = self._vc[t][a], self._vc[t][b]
         return (u, w) if u < w else (w, u)
 
-    def _checked_ranks(self, ranks) -> tuple[int, ...]:
+    def with_vertex_ranks(self, ranks) -> "TriComplex":
+        """The same complex under new vertex ranks; shares the structure."""
         ranks = tuple(int(r) for r in ranks)
         if sorted(ranks) != list(range(self.n_vertices)):
             raise ParseError("vertex_ranks must be a permutation")
-        return ranks
-
-    def with_vertex_ranks(self, ranks) -> "TriComplex":
-        """The same complex under new vertex ranks; shares the structure."""
         out = copy.copy(self)
-        out.vertex_rank = self._checked_ranks(ranks)
+        out.vertex_rank = ranks
         return out
 
 
@@ -844,6 +838,39 @@ def _transport_charge(T_new, link_new, rows, new_tets: range) -> Charge:
     return out
 
 
+def _tet_ends(tets) -> list:
+    """The faces of tetrahedra given by the tags of their corners, as ends:
+    face f of tetrahedron t is entry ``4 t + f``, ``((t, f), tets[t])``."""
+    return [((t, f), tags) for t, tags in enumerate(tets) for f in range(4)]
+
+
+def _glue_faces(ends, first=()) -> list[Gluing]:
+    """Glue faces by the tags of their corners.
+
+    An end is a side ``(t, f)`` with the distinct tags of t's corners.
+    Each end of ``first`` meets the first end of ``ends`` with its face's
+    tag triple.  Every other triple must belong to exactly two ends, and
+    those two are glued corner to corner by tag, in the order the triple
+    first appears.
+    """
+    def triple(end):
+        (_, f), tags = end
+        return frozenset(tags[c] for c in FACE_CORNERS[f])
+
+    by_triple: dict[frozenset, list] = {}
+    for end in ends:
+        by_triple.setdefault(triple(end), []).append(end)
+    pairs = [(end, by_triple[triple(end)].pop(0)) for end in first]
+    for face, those in by_triple.items():
+        if len(those) not in (0, 2):
+            raise TopologyError(f"face {sorted(face)} has {len(those)} ends")
+        if those:
+            pairs.append(those)
+    return [Gluing(sa, sb, tuple((c, tb.index(ta[c]))
+                                 for c in FACE_CORNERS[sa[1]]))
+            for (sa, ta), (sb, tb) in pairs]
+
+
 def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
                new_colors=None) -> Scene:
     """Replace a star by another star with the same boundary.
@@ -855,12 +882,11 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
     orientation following the permutation.  Kept tetrahedra keep their
     order and the new ones follow.
 
-    The gluings come from the tag triples of faces.  An old gluing with
-    one side removed leaves its other side as an end of the old star's
+    The gluings come from :func:`_glue_faces`.  An old gluing with one
+    side removed leaves its other side as an end of the old star's
     boundary, and each new face is an end.  The kept faces in ``glue``
-    are unglued from each other, and the k-th of them meets the k-th new
-    face with its triple.  Every other triple must belong to exactly two
-    ends, and those two are glued.
+    are unglued from each other and matched first, each with the first
+    new face of its triple.
 
     ``link`` is the edited link in old classes (default: unchanged) and
     ``new_link`` adds new edges as tag pairs; ``new_colors`` maps a tag
@@ -879,13 +905,12 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
         s = tuple(sorted(tags, key=rank))
         tets.append(s)
         orientations.append(o * _perm_sign([tags.index(tag) for tag in s]))
+    faces = _tet_ends([T._vc[t] for t in keep] + tets)
 
     def kept_end(t, f):
-        tag_at = {T.vertex_class(t, c): c for c in FACE_CORNERS[f]}
-        return (keep_index[t], f), tag_at
+        return faces[4 * keep_index[t] + f]
 
-    ends: dict[frozenset, list] = {}
-    gluings = []
+    gluings, ends = [], []
     for g in T.gluings:
         if g.a in glue:
             continue
@@ -894,39 +919,23 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
             gluings.append(Gluing((keep_index[g.a[0]], g.a[1]),
                                   (keep_index[g.b[0]], g.b[1]), g.corner_map))
         elif not (out_a and out_b):
-            side, tag_at = kept_end(*(g.b if out_a else g.a))
-            ends.setdefault(frozenset(tag_at), []).append((side, tag_at))
-    for i, s in enumerate(tets):
-        for f in range(4):
-            tag_at = {s[c]: c for c in FACE_CORNERS[f]}
-            ends.setdefault(frozenset(tag_at), []).append(((base + i, f), tag_at))
-    pairs = []
-    for side in glue:
-        end = kept_end(*side)
-        pairs.append((end, ends[frozenset(end[1])].pop(0)))
-    for triple, those in ends.items():
-        if len(those) not in (0, 2):
-            raise TopologyError(f"face {sorted(triple)} has {len(those)} "
-                                "ends after the move")
-        if those:
-            pairs.append(those)
-    for (sa, ta), (sb, tb) in pairs:
-        gluings.append(Gluing(sa, sb, tuple(sorted((ta[v], tb[v]) for v in ta))))
+            ends.append(kept_end(*(g.b if out_a else g.a)))
+    gluings += _glue_faces(ends + faces[4 * base:],
+                           [kept_end(*side) for side in glue])
     T_new = TriComplex(orientations, gluings)
 
-    vertex_map = {T.vertex_class(t, c): T_new.vertex_class(i, c)
-                  for t, i in keep_index.items() for c in range(4)}
-    for i, s in enumerate(tets):
-        vertex_map.update((tag, T_new.vertex_class(base + i, c))
-                          for c, tag in enumerate(s))
+    # the corners of T_new are the kept tetrahedra's, then the new tags
+    vertex_map = dict(zip(
+        T._vertex_classes[keep].ravel().tolist() + [v for s in tets for v in s],
+        T_new._vertex_classes.ravel().tolist()))
     if len(vertex_map) != T_new.n_vertices:
         raise TopologyError("vertex bookkeeping failed during the move")
     ranks = [0] * T_new.n_vertices
     for r, tag in enumerate(sorted(vertex_map, key=rank)):
         ranks[vertex_map[tag]] = r
     T_new = T_new.with_vertex_ranks(ranks)
-    edge_map = {T.edge_class(t, e): T_new.edge_class(i, e)
-                for t, i in keep_index.items() for e in range(6)}
+    edge_map = dict(zip(T._edge_classes[keep].ravel().tolist(),
+                        T_new._edge_classes[:base].ravel().tolist()))
 
     def new_edge(u, w):
         i, s = next((i, s) for i, s in enumerate(tets) if u in s and w in s)
@@ -1114,13 +1123,16 @@ def point_gauge(T: TriComplex, vertex: int, g: GroupElement) -> GGauge:
     return GGauge(tuple(vals))
 
 
-def _random_element(rng: np.random.Generator, x_min: float) -> GroupElement:
-    x = float(rng.uniform(x_min, 1.5) * rng.choice([-1.0, 1.0]))
-    return GroupElement(x, float(rng.uniform(0.6, 1.6)))
+def _random_element(rng: np.random.Generator, x_min: float, x_max: float,
+                    y: tuple[float, float]) -> GroupElement:
+    """|x| uniform in [x_min, x_max) with a random sign, then y uniform in
+    the range ``y``: the draws in this order."""
+    x = float(rng.uniform(x_min, x_max) * rng.choice([-1.0, 1.0]))
+    return GroupElement(x, float(rng.uniform(*y)))
 
 
 def random_gauge(T: TriComplex, rng: np.random.Generator) -> GGauge:
-    return GGauge(tuple(_random_element(rng, 0.2)
+    return GGauge(tuple(_random_element(rng, 0.2, 1.5, (0.6, 1.6))
                         for _ in range(T.n_vertices)))
 
 
@@ -1144,7 +1156,8 @@ def make_admissible(T: TriComplex, coloring: dict[int, GroupElement],
         if bad is None:
             return current
         current = gauge_transform(T, current, point_gauge(
-            T, T.edge_ends(bad)[0], _random_element(rng, 0.3)))
+            T, T.edge_ends(bad)[0],
+            _random_element(rng, 0.3, 1.5, (0.6, 1.6))))
     raise AdmissibilityFailed(f"still inadmissible after {_GAUGE_BUDGET} gauges")
 
 

@@ -320,9 +320,11 @@ def test_malformed_record_or_trials_is_input_error(command, record, tmp_path,
         code = main(argv)
     except SystemExit as exc:  # the parser refuses the option
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    if command == "baseline":  # refused before the state sum
+        assert out == ""
 
 
 def test_find_charge_roundtrip(tmp_path, capsys):
@@ -363,6 +365,7 @@ def test_canonical_from_triangulation_and_result(tmp_path, capsys):
 
 def test_fixture_file_matches_builder():
     with open(FIXTURE) as fh:
-        on_disk = json.load(fh)
-    assert on_disk == boundary4simplex_document()
-    assert scene_document(boundary4simplex_scene()) == on_disk
+        on_disk = fh.read()
+    assert on_disk == json.dumps(boundary4simplex_document(), sort_keys=True,
+                                 indent=1) + "\n"
+    assert scene_document(boundary4simplex_scene()) == json.loads(on_disk)

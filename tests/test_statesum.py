@@ -132,6 +132,15 @@ def test_non_cocycle_coloring_fails_to_pair(root3, fixture_scene):
         state_sum(root3, sc)
 
 
+@pytest.mark.parametrize("tets,legs", [([0, 1, 2, 3], 1),
+                                       ([0, 1, 2, 3, 4, 0], 3)])
+def test_face_without_two_legs_fails_to_pair(root3, fixture_scene, tets, legs):
+    sc = fixture_scene
+    weights = tetra_weights(root3, sc.complex, sc.coloring, sc.charge, tets)
+    with pytest.raises(TypeMismatch, match=f"has {legs} legs"):
+        statesum._check_faces(weights)
+
+
 def test_equal_mod_qtilde_semantics(root3):
     qt = qtilde(root3)
     z = 0.3 - 0.7j

@@ -17,8 +17,8 @@ from cyclic6j.triangulation import (
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
     TriComplex,
-    _EDGE_INDEX, _charge_rows, _check_cocycle, _perm_sign, _smith_eliminate,
-    _smith_solve,
+    _EDGE_INDEX, _charge_rows, _check_cocycle, _glue_faces, _perm_sign,
+    _smith_eliminate, _smith_solve, _tet_ends,
     bubble_minus, bubble_plus,
     charge_class, color_of, deform_charge, edge_between, find_charge,
     gauge_transform, holonomy, is_admissible, load_complex, load_document,
@@ -35,6 +35,17 @@ def double_tet() -> TriComplex:
         Gluing((0, 2), (1, 2), ((0, 0), (1, 1), (3, 3))),
         Gluing((0, 3), (1, 3), ((0, 0), (1, 1), (2, 2))),
     ])
+
+
+def test_glue_faces_matches_the_hand_written_gluings():
+    assert _glue_faces(_tet_ends([(0, 1, 2, 3)] * 2)) == list(
+        double_tet().gluings)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_glue_faces_refuses_a_triple_without_two_ends(copies):
+    with pytest.raises(TopologyError, match=f"has {copies} ends"):
+        _glue_faces(_tet_ends([(0, 1, 2, 3)] * copies))
 
 
 def edge_degrees(T: TriComplex) -> list[int]:
@@ -274,7 +285,7 @@ def test_with_vertex_ranks_copies_only_the_ranks(grown_s3):
     T2 = T.with_vertex_ranks(perm)
     assert T2.vertex_rank == tuple(perm)
     assert T.vertex_rank == before
-    rebuilt = TriComplex(T.orientations, T.gluings, perm)
+    rebuilt = TriComplex(T.orientations, T.gluings).with_vertex_ranks(perm)
     for t in range(T.n_tets):
         for c in range(4):
             assert T2.vertex_class(t, c) == rebuilt.vertex_class(t, c)
