@@ -10,16 +10,30 @@ plain index pairing of the dual bases and multiplying by 1/N per link
 edge yields a scalar.  The scalar is invariant under the local moves up
 to an integer power of the root-of-unity grading scalar, so values are
 compared and normalized modulo that power.
+
+The contraction is Z_N-graded.  A weight vanishes unless its leg
+indices satisfy one flux constraint mod N, with coefficient +1 on a
+check leg, -1 on a hat leg and 0 on the (j, l) leg, so it is stored on
+that support: N^3 of its N^4 entries, after a guard that what it drops
+is rounding.  Every tensor of the network keeps disjoint constraint
+groups of +-1 coefficients.  Contracting two tensors joins the groups
+that a shared face links and drops a group that meets a face the other
+side leaves free; each step gathers both operands into flux sectors,
+without growing either, and multiplies the sectors in one batched
+matmul.  The pairwise order is greedy on stored entries, and the plan
+is refused before any weight is built when one of its steps would hold
+more than ``MAX_ENTRIES`` stored entries.
 """
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import GroupElement, RootData, group_close
-from .operators import HalfInt, qtilde, q_scalar, assemble_q
+from .operators import HalfInt, NotScalarError, qtilde, q_scalar, assemble_q
 from .sixj import LabelSix, Sixj, sixj_stack
 from .triangulation import (
     _EDGE_INDEX, _perm_sign, Charge, Scene, TriComplex, color_of,
@@ -114,10 +128,74 @@ def tetra_weight(root: RootData, T: TriComplex,
     return tetra_weights(root, T, coloring, charge, [t])[0]
 
 
-# Largest tensor, in complex entries (256 MiB), that a contraction may
-# create; a network whose plan needs more is refused before any weight is
-# built.
+# Largest number of complex entries (256 MiB) that one contraction step may
+# hold at once: every live stored tensor, the step's two gathered operands
+# and its result.  A network whose plan needs more is refused before any
+# weight is built.
 MAX_ENTRIES = 2 ** 24
+
+# Coefficient of each leg of a positive (True) and a negative (False)
+# weight in its flux constraint: +1 on a check leg, -1 on a hat leg and 0
+# on the (j, l) leg.  A weight vanishes off sum(c * index) = 0 mod N.
+_FLUX = {True: (1, 1, 0, -1), False: (1, 0, -1, -1)}
+
+# Largest entry off that support, relative to the weight's largest entry,
+# that storing the weight on its support may drop.  Rounding leaves at
+# most ~3e-14 on the fixture at N = 15.
+_SUPPORT_TOL = 1e-10
+
+
+class _Node(NamedTuple):
+    """Layout of a graded tensor.
+
+    ``legs`` are the face classes of its open legs, and ``faces`` the same
+    as a set.  Each of ``groups`` maps the faces of one flux constraint to
+    their coefficients, +1 or -1: the tensor vanishes unless
+    ``sum(c * index) = 0 mod N`` over the group.  Groups are disjoint, and
+    ``owner`` maps each grouped face to its group.  The last face of each
+    group, in ``pivots``, follows from the others and is stored in no
+    axis.  The tensor is stored dense over ``axes``, each a leg (its face)
+    or a linear form of leg indices (a map face -> coefficient) read mod
+    N: ``N ** len(axes)`` entries.
+    """
+    legs: tuple
+    faces: frozenset
+    groups: tuple
+    owner: dict
+    pivots: frozenset
+    axes: tuple
+
+
+def _node(legs, groups, axes=None) -> _Node:
+    """A layout, by default stored over every leg but the pivots."""
+    owner, pivots = {}, set()
+    for i, group in enumerate(groups):
+        for f in group:
+            owner[f] = i
+        pivots.add(f)
+    if axes is None:
+        axes = [f for f in legs if f not in pivots]
+    return _Node(tuple(legs), frozenset(legs), tuple(groups), owner,
+                 frozenset(pivots), tuple(axes))
+
+
+class _Step(NamedTuple):
+    """Contraction of tensors ``a`` and ``b``.
+
+    The joint coordinates are the flux sectors ``h``, the free legs ``r``
+    of ``a`` and ``c`` of ``b`` outside the shared faces, and the shared
+    faces ``k`` summed freely, ``dims`` = (dh, dr, dk, dc) of them.  Row i
+    of ``fa`` holds the coefficients of stored axis i of ``a`` as a linear
+    form of the coordinates, and ``fb`` those of ``b``; the coordinates
+    are numbered h, r, k, c, and ``a`` reads none of c nor ``b`` any of r.
+    The result is stored over (h, r, c).  Integer arrays, not dicts, keep
+    a plan from holding thousands of small objects until its contraction.
+    """
+    a: int
+    b: int
+    dims: tuple
+    fa: np.ndarray
+    fb: np.ndarray
 
 
 def _open_legs(faces: list[int]) -> list[int]:
@@ -125,39 +203,285 @@ def _open_legs(faces: list[int]) -> list[int]:
     return [f for f in faces if faces.count(f) == 1]
 
 
-def _plan(legs: list[list[int]]) -> tuple[list, int]:
-    """Pairwise contraction order over tensors with the given open legs.
+def _solve(c: int, others, forms: dict, charge: dict) -> dict:
+    """The form ``c * (charge - sum(v * forms[f]))`` over the ``(f, v)``
+    pairs of ``others``: the face of coefficient c in a constraint
+    ``sum(v * index) = charge``, solved from the other faces."""
+    out = {j: c * v for j, v in charge.items()}
+    for f, v in others:
+        for j, w in forms[f].items():
+            out[j] = out.get(j, 0) - c * v * w
+    return {j: v for j, v in out.items() if v}
+
+
+def _leaf(faces: list[int], right: bool) -> _Node:
+    """Layout of a weight with the given leg faces and sign, after its
+    self-glued faces are traced.
+
+    A traced face with a nonzero net coefficient is summed over all its
+    values, which frees the constraint; otherwise the constraint stays on
+    the open legs.
+    """
+    legs = _open_legs(faces)
+    net: dict = {}
+    for f, c in zip(faces, _FLUX[right]):
+        net[f] = net.get(f, 0) + c
+    group = {f: net[f] for f in legs if net[f]}
+    if not group or any(net[f] for f in net if f not in legs):
+        return _node(legs, [])
+    return _node(legs, [group])
+
+
+def _coefs(forms: list[dict], n: int) -> np.ndarray:
+    """The forms, maps coordinate -> coefficient over n coordinates, as the
+    rows of an integer matrix."""
+    out = [0] * (len(forms) * n)
+    for i, form in enumerate(forms):
+        for j, c in form.items():
+            out[i * n + j] = c
+    return np.array(out, dtype=np.int64).reshape(len(forms), n)
+
+
+def _leg_forms(node: _Node) -> dict:
+    """Each leg of a tensor stored over legs, as a linear form of its
+    stored axes."""
+    forms = {f: {i: 1} for i, f in enumerate(node.axes)}
+    for group in node.groups:
+        *others, (pivot, c) = group.items()
+        forms[pivot] = _solve(c, others, forms, {})
+    return forms
+
+
+def _merge(A: _Node, B: _Node) -> tuple:
+    """Layout of A contracted with B over their shared faces, and the
+    coordinates of the contraction (the fields of :class:`_Step` after
+    ``a`` and ``b``): ``(node, dims, fa, fb)``.
+
+    The groups that constrain a shared face form a forest: a shared face
+    links its group on A's side to its group on B's side, and a face
+    constrained on one side only links its group to the ground, -1.
+    Both ends of a shared face carry opposite coefficients, so the groups
+    of one tree sum to one constraint.  A grounded tree leaves none: the
+    outside charge of each of its groups is a free sector.  A closed tree
+    keeps one on its groups' outside legs, and its last outside charge
+    balances the others.  Each group's last outside leg follows from its
+    charge and its other outside legs; each tree face follows from its
+    child group, leaves first; the other shared faces are summed freely.
+    """
+    S = A.faces & B.faces
+    groups = A.groups + B.groups
+    nA = len(A.groups)
+    shared, adj = [], {}
+    for x in A.legs:
+        if x in S:
+            shared.append(x)
+            ga, gb = A.owner.get(x, -1), B.owner.get(x, -1 - nA) + nA
+            if ga != gb:
+                adj.setdefault(ga, []).append((x, gb))
+                adj.setdefault(gb, []).append((x, ga))
+    # breadth-first trees of (group, face to its parent), the ground's first
+    trees, seen = [], set()
+    for root in sorted(adj):
+        if root not in seen:
+            seen.add(root)
+            tree = [(root, None)]
+            for g, _ in tree:       # the list grows while it is walked
+                for x, h in adj[g]:
+                    if h not in seen:
+                        seen.add(h)
+                        tree.append((h, x))
+            trees.append(tree)
+    outside, sectors, merged, charge, spanned = {}, [], [], {}, set()
+    for tree in trees:
+        mixed = []
+        for g, x in tree:
+            spanned.add(x)
+            if g >= 0:
+                out = outside[g] = [f for f in groups[g] if f not in S]
+                if out:
+                    mixed.append(g)
+        if tree[0][0] >= 0 and mixed:
+            last = mixed.pop()
+            charge[last] = {j: -1 for j in range(len(sectors),
+                                                 len(sectors) + len(mixed))}
+            merged.append({f: groups[g][f] for g in mixed + [last]
+                           for f in outside[g]})
+        for g in mixed:
+            charge[g] = {len(sectors): 1}
+            sectors.append(g)
+    pivots = {*A.pivots, *B.pivots}
+    for g, out in outside.items():
+        pivots.discard([*groups[g]][-1])
+        if out:
+            pivots.add(out[-1])
+    out_a = [f for f in A.legs if f not in S]
+    out_b = [f for f in B.legs if f not in S]
+    free_a = [f for f in out_a if f not in pivots]
+    free_b = [f for f in out_b if f not in pivots]
+    free_s = [f for f in shared if f not in spanned]
+    forms = {f: {j: 1} for j, f in enumerate(free_a + free_s + free_b,
+                                               len(sectors))}
+    for g, out in outside.items():
+        # a group's last face is stored in no axis and needs no form
+        if out and out[-1] not in A.pivots and out[-1] not in B.pivots:
+            group = groups[g]
+            forms[out[-1]] = _solve(group[out[-1]],
+                                    [(f, group[f]) for f in out[:-1]],
+                                    forms, charge.get(g, {}))
+    for tree in trees:
+        for g, x in reversed(tree[1:]):
+            group = groups[g]
+            forms[x] = _solve(group[x], [(f, v) for f, v in group.items()
+                                         if f in S and f != x], forms,
+                              {j: -v for j, v in charge.get(g, {}).items()})
+    node = _node(out_a + out_b,
+                 [g for i, g in enumerate(groups) if i not in outside]
+                 + merged,
+                 [{f: groups[g][f] for f in outside[g]} for g in sectors]
+                 + free_a + free_b)
+    dims = (len(sectors), len(free_a), len(free_s), len(free_b))
+    # an axis is a leg or a form sum(c * leg)
+    coefs = _coefs([forms[ax] if type(ax) is not dict
+                    else _solve(-1, ax.items(), forms, {})
+                    for ax in A.axes + B.axes], sum(dims))
+    return node, dims, coefs[:len(A.axes)], coefs[len(A.axes):]
+
+
+def _stored_axes(A: _Node, B: _Node) -> int:
+    """Stored axes of A contracted with B: its legs less its groups.
+
+    The groups that constrain a shared face join through the faces both
+    sides constrain.  A component with a face constrained on one side only
+    (joined to the ground, -1) leaves no group, and any other component
+    leaves one if it has a face outside the shared ones.
+    """
+    nA = len(A.groups)
+    S = A.faces & B.faces
+    up: dict = {}
+    hits: dict = {}
+    for x in S:
+        ga, gb = A.owner.get(x, -1), B.owner.get(x, -1 - nA) + nA
+        for g in (ga, gb):
+            if g >= 0:
+                hits[g] = hits.get(g, 0) + 1
+        while ga in up:
+            ga = up[ga]
+        while gb in up:
+            gb = up[gb]
+        if ga != gb:
+            up[max(ga, gb)] = min(ga, gb)
+    closed = set()
+    for g, k in hits.items():
+        if len(A.groups[g] if g < nA else B.groups[g - nA]) > k:
+            while g in up:
+                g = up[g]
+            closed.add(g)
+    closed.discard(-1)
+    return (len(A.legs) + len(B.legs) - 2 * len(S) - nA - len(B.groups)
+            + len(hits) - len(closed))
+
+
+def _plan(leaves: list[_Node], N: int) -> list[_Step]:
+    """Pairwise contraction order over tensors with the given layouts.
 
     Every face class must be an open leg of exactly two tensors.  Each
-    step merges the pair whose result has the fewest legs, over all the
-    faces the two share.  Returns the steps as ``(a, b, (axes of a, axes
-    of b))``, with ids counting the inputs and then each step's result,
-    and the most legs any tensor of the plan carries.
+    step merges the pair sharing a face whose result adds the fewest
+    stored entries to the live ones (most removed first), then the one of
+    fewest legs, lowest ids first; scalars of disjoint components merge
+    last.  Candidate pairs sit in a heap, and only the pairs of each new
+    tensor are added to it.  Ids count the inputs and then each step's
+    result.  The layouts of merged tensors are dropped as the plan goes.
     """
-    live = dict(enumerate(legs))
-    holders: dict[int, set[int]] = {}
-    for i, ls in live.items():
-        for f in ls:
-            holders.setdefault(f, set()).add(i)
-    steps, peak = [], max(map(len, legs))
+    nodes = list(leaves)
+    holders: dict = {}
+    for i, n in enumerate(nodes):
+        for f in n.legs:
+            holders.setdefault(f, []).append(i)
+
+    size = [N ** len(n.axes) for n in nodes]
+
+    def key(a: int, b: int) -> tuple:
+        A, B = nodes[a], nodes[b]
+        return (N ** _stored_axes(A, B) - size[a] - size[b],
+                len(A.faces ^ B.faces), a, b)
+
+    heap = [key(a, b)
+            for a, b in {tuple(sorted(ids)) for ids in holders.values()}]
+    heapq.heapify(heap)
+    live, steps = set(range(len(nodes))), []
     while len(live) > 1:
-        # pairs sharing a face; scalars of disjoint components merge last
-        pairs = {tuple(sorted(ids)) for ids in holders.values()} \
-            or {tuple(sorted(live)[:2])}
-        a, b = min(pairs, key=lambda p: (len(set(live[p[0]])
-                                             ^ set(live[p[1]])), p))
-        la, lb = live.pop(a), live.pop(b)
-        shared = [f for f in la if f in lb]
-        steps.append((a, b, ([la.index(f) for f in shared],
-                             [lb.index(f) for f in shared])))
-        new = len(legs) + len(steps) - 1
-        live[new] = [f for f in la + lb if f not in shared]
-        for f in shared:
-            del holders[f]
-        for f in live[new]:
-            holders[f] = holders[f] - {a, b} | {new}
-        peak = max(peak, len(live[new]))
-    return steps, peak
+        while heap and (heap[0][2] not in live or heap[0][3] not in live):
+            heapq.heappop(heap)
+        a, b = heapq.heappop(heap)[2:] if heap else sorted(live)[:2]
+        node, *step = _merge(nodes[a], nodes[b])
+        steps.append(_Step(a, b, *step))
+        new = len(nodes)
+        live.discard(a)
+        live.discard(b)
+        nodes[a] = nodes[b] = None
+        nodes.append(node)
+        size.append(N ** len(node.axes))
+        partners = set()
+        for f in node.legs:
+            ids = holders[f]
+            ids[ids.index(a if a in ids else b)] = new
+            partners.update(ids)
+        partners.discard(new)
+        for x in partners:
+            heapq.heappush(heap, key(x, new))
+        live.add(new)
+    return steps
+
+
+def _stored_peak(leaves: list[_Node], steps: list[_Step], N: int) -> int:
+    """Most complex entries held during one step of the plan: every live
+    stored tensor, the step's two gathered operands and its result."""
+    sizes = [N ** len(n.axes) for n in leaves]
+    live = peak = sum(sizes)
+    for s in steps:
+        dh, dr, dk, dc = s.dims
+        out = N ** (dh + dr + dc)
+        peak = max(peak, live + N ** (dh + dr + dk) + N ** (dh + dk + dc)
+                   + out)
+        live += out - sizes[s.a] - sizes[s.b]
+        sizes.append(out)
+    return peak
+
+
+def _gather(x: np.ndarray, coefs: np.ndarray, grid: list,
+            N: int) -> np.ndarray:
+    """The flat tensor ``x``, axes of size N, read at every point of a
+    grid, its axis i at ``coefs[i] @ coordinates`` mod N: ``grid[j]`` is
+    ``arange(N)`` along the grid axis of coordinate j, and coordinates
+    past the grid have no coefficient."""
+    index = []
+    for row in coefs.tolist():
+        u = None
+        for g, c in zip(grid, row):
+            if c:
+                t = g if c == 1 else c * g
+                u = t if u is None else u + t
+        index.append(0 if u is None else u)
+    return x[np.ravel_multi_index(index, (N,) * len(index), mode="wrap")]
+
+
+def _tail(N: int, n: int) -> list[np.ndarray]:
+    """``arange(N)`` along each of the last ``n`` axes, the last first."""
+    return [np.arange(N).reshape((N,) + (1,) * m) for m in range(n)]
+
+
+def _contract(x: np.ndarray, y: np.ndarray, step: _Step, N: int,
+              tail: list[np.ndarray]) -> np.ndarray:
+    """One step: both operands gathered into their flux sectors, then one
+    batched matmul over the sectors.  ``tail`` is :func:`_tail` of at
+    least as many axes as any operand."""
+    dh, dr, dk, dc = step.dims
+    # coordinate j of (h, r, k) on axis j; of (h, k, c) skipping r
+    to_b = tail[:dh + dk + dc][::-1]
+    a = _gather(x, step.fa, tail[:dh + dr + dk][::-1], N)
+    b = _gather(y, step.fb, to_b[:dh] + [None] * dr + to_b[dh:], N)
+    return np.matmul(a.reshape(N ** dh, N ** dr, N ** dk),
+                     b.reshape(N ** dh, N ** dk, N ** dc)).reshape(-1)
 
 
 def _check_faces(weights: list[tuple[Sixj, list[int]]]) -> None:
@@ -182,13 +506,48 @@ def _trace_self_glued(array: np.ndarray, faces: list[int]) -> np.ndarray:
     return np.einsum(array, ids, [i for i in ids if ids.count(i) == 1])
 
 
+def _stored_weights(N: int, weights: list[tuple[Sixj, list[int]]],
+                    rights: list[bool], leaves: list[_Node]) -> list:
+    """Each weight on its support, its self-glued faces traced first.
+
+    Raises :class:`NotScalarError` naming the first weight whose entries
+    off the support exceed ``_SUPPORT_TOL`` of its own largest entry.
+    """
+    stack = np.array([S.entries.reshape(-1) for S, _ in weights])
+    # an open weight is stored over legs 0, 1 and 2; its pivot, leg 3, is
+    # -c3 * (c0 i0 + c1 i1 + c2 i2) mod N
+    flux = np.array([_FLUX[r] for r in rights])
+    i = np.indices((N,) * 3).reshape(3, -1)
+    cols = N * np.arange(N ** 3) + -flux[:, 3:] * (flux[:, :3] @ i) % N
+    rows = np.arange(len(stack))[:, None]
+    mag = np.abs(stack)
+    top = mag.max(axis=1)
+    mag[rows, cols] = 0
+    off = mag.max(axis=1)
+    bad = np.flatnonzero(off > _SUPPORT_TOL * top)
+    if bad.size:
+        t = bad[0]
+        raise NotScalarError(
+            f"entry {off[t] / top[t]:.1e} of its largest off the support of "
+            f"tensor {t} exceeds {_SUPPORT_TOL:.0e}")
+    arrays = list(stack[rows, cols])
+    for t, ((S, faces), leaf) in enumerate(zip(weights, leaves)):
+        if len(leaf.legs) < 4:
+            forms = _leg_forms(leaf)
+            traced = _trace_self_glued(S.entries, faces).reshape(-1)
+            coefs = _coefs([forms[f] for f in leaf.legs], len(leaf.axes))
+            arrays[t] = _gather(traced, coefs, _tail(N, len(leaf.axes))[::-1],
+                                N).reshape(-1)
+    return arrays
+
+
 def state_sum(root: RootData, scene: Scene) -> complex:
     """Contract all tetra weights over the interior faces.
 
     Requires a coloring and a valid charge on the scene; raises
     :class:`TypeMismatch` if some face fails to pair a check leg with a
-    hat leg of equal labels, and :class:`InvariantError` if the
-    contraction plan needs a tensor of more than ``MAX_ENTRIES`` entries.
+    hat leg of equal labels, and :class:`InvariantError` if a step of the
+    contraction plan would hold more than ``MAX_ENTRIES`` stored entries.
     The coloring fixes the one state of the sum, since each regular edge
     color admits a single cyclic module.
     """
@@ -199,20 +558,27 @@ def state_sum(root: RootData, scene: Scene) -> complex:
         raise InvariantError("the scene carries no charge")
     T = scene.complex
     validate_charge(T, scene.link, scene.charge)
-    faces = [_corners(T, t)[2] for t in range(T.n_tets)]
-    steps, peak = _plan([_open_legs(fs) for fs in faces])
-    if root.N ** peak > MAX_ENTRIES:
+    corners = [_corners(T, t) for t in range(T.n_tets)]
+    rights = [right for _, right, _ in corners]
+    leaves = [_leaf(fs, right) for _, right, fs in corners]
+    steps = _plan(leaves, root.N)
+    peak = _stored_peak(leaves, steps, root.N)
+    if peak > MAX_ENTRIES:
         raise InvariantError(
-            f"contraction needs a tensor of {root.N}^{peak} entries, over "
-            f"the budget of {MAX_ENTRIES}")
+            f"contraction needs {peak} stored entries at its largest step, "
+            f"over the budget of {MAX_ENTRIES}")
     weights = tetra_weights(root, T, scene.coloring, scene.charge,
                             range(T.n_tets))
     _check_faces(weights)
-    arrays = [_trace_self_glued(S.entries, fs) for S, fs in weights]
-    for a, b, axes in steps:
-        arrays.append(np.tensordot(arrays[a], arrays[b], axes=axes))
-        arrays[a] = arrays[b] = None
-    return complex(arrays[-1]) * (1.0 / root.N) ** len(scene.link)
+    arrays = _stored_weights(root.N, weights, rights, leaves)
+    tail = _tail(root.N, max([len(n.axes) for n in leaves]
+                             + [dh + dr + dc for dh, dr, _, dc in
+                                (step.dims for step in steps)]))
+    for step in steps:
+        arrays.append(_contract(arrays[step.a], arrays[step.b], step, root.N,
+                                tail))
+        arrays[step.a] = arrays[step.b] = None
+    return complex(arrays[-1][0]) * (1.0 / root.N) ** len(scene.link)
 
 
 def qtilde_order(root: RootData) -> int:

@@ -143,7 +143,8 @@ def _no_weights(*args, **kwargs):
 
 
 def test_invariant_over_budget_is_input_error(monkeypatch, capsys):
-    monkeypatch.setattr(statesum, "MAX_ENTRIES", 13 ** 5)
+    # the fixture's plan holds at most 751374 stored entries at N = 13
+    monkeypatch.setattr(statesum, "MAX_ENTRIES", 751374 - 1)
     for builder in ("tetra_weight", "tetra_weights", "sixj_stack"):
         monkeypatch.setattr(statesum, builder, _no_weights)
     code, out, err = run(["invariant", FIXTURE, "--N", "13"], capsys)

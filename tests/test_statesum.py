@@ -7,13 +7,106 @@ from hypothesis import strategies as st
 
 from cyclic6j import statesum
 from cyclic6j.algebra import RootData
-from cyclic6j.operators import qtilde
+from cyclic6j.operators import NotScalarError, qtilde
 from cyclic6j.statesum import (
     InvariantError, TypeMismatch, ZeroValue, canonical_rep, equal_mod_qtilde,
     invariant_record, mod_qtilde_residual, qtilde_order, state_sum,
     tetra_weight, tetra_weights,
 )
+from cyclic6j.sixj import Sixj
 from cyclic6j.triangulation import Scene, deform_charge
+
+from conftest import _grow
+
+
+def _rank_plan(legs: list[list[int]]) -> tuple[list, int]:
+    """The rank-keyed planner the graded one replaced, kept as an oracle.
+
+    Each step merges the pair whose result has the fewest legs, over all
+    the faces the two share.  Returns the steps as ``(a, b, (axes of a,
+    axes of b))`` and the most legs any tensor of the plan carries.
+    """
+    live = dict(enumerate(legs))
+    holders: dict[int, set[int]] = {}
+    for i, ls in live.items():
+        for f in ls:
+            holders.setdefault(f, set()).add(i)
+    steps, peak = [], max(map(len, legs))
+    while len(live) > 1:
+        pairs = {tuple(sorted(ids)) for ids in holders.values()} \
+            or {tuple(sorted(live)[:2])}
+        a, b = min(pairs, key=lambda p: (len(set(live[p[0]])
+                                             ^ set(live[p[1]])), p))
+        la, lb = live.pop(a), live.pop(b)
+        shared = [f for f in la if f in lb]
+        steps.append((a, b, ([la.index(f) for f in shared],
+                             [lb.index(f) for f in shared])))
+        new = len(legs) + len(steps) - 1
+        live[new] = [f for f in la + lb if f not in shared]
+        for f in shared:
+            del holders[f]
+        for f in live[new]:
+            holders[f] = holders[f] - {a, b} | {new}
+        peak = max(peak, len(live[new]))
+    return steps, peak
+
+
+def _dense_contract(arrays: list, legs: list[list[int]]) -> complex:
+    steps, _ = _rank_plan(legs)
+    arrays = list(arrays)
+    for a, b, axes in steps:
+        arrays.append(np.tensordot(arrays[a], arrays[b], axes=axes))
+        arrays[a] = arrays[b] = None
+    return complex(arrays[-1])
+
+
+def _dense_state_sum(root: RootData, scene: Scene,
+                     sliced: bool = False) -> complex:
+    """The dense contraction the graded one replaced, kept as an oracle:
+    every weight dense, contracted by ``np.tensordot`` in the rank-keyed
+    order.  ``sliced`` fixes the first face of tetrahedron 0 to each of
+    its N values in turn and sums the N contractions; on the fixture,
+    where every intermediate holds that face, this lowers the peak rank
+    by one."""
+    T = scene.complex
+    weights = tetra_weights(root, T, scene.coloring, scene.charge,
+                            range(T.n_tets))
+    arrays = [statesum._trace_self_glued(S.entries, fs) for S, fs in weights]
+    legs = [statesum._open_legs(fs) for _, fs in weights]
+    scale = (1.0 / root.N) ** len(scene.link)
+    if not sliced:
+        return _dense_contract(arrays, legs) * scale
+    f = legs[0][0]
+    cut = [[g for g in ls if g != f] for ls in legs]
+    return sum(_dense_contract(
+        [np.take(a, x, axis=ls.index(f)) if f in ls else a
+         for a, ls in zip(arrays, legs)], cut)
+        for x in range(root.N)) * scale
+
+
+def _leaves(scene: Scene) -> list:
+    T = scene.complex
+    return [statesum._leaf(fs, right) for _, right, fs in
+            (statesum._corners(T, t) for t in range(T.n_tets))]
+
+
+def _replay(leaves: list, pairs) -> list:
+    """The graded steps of a given pairwise order."""
+    nodes, steps = list(leaves), []
+    for a, b in pairs:
+        node, *step = statesum._merge(nodes[a], nodes[b])
+        steps.append(statesum._Step(a, b, *step))
+        nodes.append(node)
+    return steps
+
+
+def _layouts(leaves: list, steps: list) -> list:
+    """The layout of every tensor of a plan: the leaves, then each step's
+    result."""
+    nodes = list(leaves)
+    for s in steps:
+        nodes.append(statesum._merge(nodes[s.a], nodes[s.b])[0])
+    return nodes
 
 
 def test_qtilde_order(root3, root5):
@@ -61,12 +154,31 @@ def _no_weights(*args, **kwargs):
 
 def test_over_budget_plan_is_refused_before_any_weight(root3, fixture_scene,
                                                        monkeypatch):
-    # the fixture's plan peaks at rank 6: 729 entries at N = 3
-    monkeypatch.setattr(statesum, "MAX_ENTRIES", 3 ** 6 - 1)
+    # the fixture's plan holds at most 594 stored entries at N = 3
+    monkeypatch.setattr(statesum, "MAX_ENTRIES", 594 - 1)
     for builder in ("tetra_weight", "tetra_weights", "sixj_stack"):
         monkeypatch.setattr(statesum, builder, _no_weights)
-    with pytest.raises(InvariantError, match="budget"):
+    with pytest.raises(InvariantError, match="594 stored entries.*budget"):
         state_sum(root3, fixture_scene)
+
+
+def test_budget_is_the_largest_step_of_stored_entries(root3, fixture_scene,
+                                                     monkeypatch):
+    leaves = _leaves(fixture_scene)
+    steps = statesum._plan(leaves, 3)
+    results = _layouts(leaves, steps)[len(leaves):]
+    # every live stored tensor, the step's gathered operands and its result
+    sizes = [3 ** len(n.axes) for n in leaves]
+    held = []
+    for s, node in zip(steps, results):
+        dh, dr, dk, dc = s.dims
+        held.append(sum(sizes) + 3 ** (dh + dr + dk) + 3 ** (dh + dk + dc)
+                    + 3 ** len(node.axes))
+        sizes[s.a] = sizes[s.b] = 0
+        sizes.append(3 ** len(node.axes))
+    assert statesum._stored_peak(leaves, steps, 3) == max(held) == 594
+    monkeypatch.setattr(statesum, "MAX_ENTRIES", 594)
+    assert abs(state_sum(root3, fixture_scene)) * 9 == pytest.approx(1.0)
 
 
 def test_stacked_weights_match_one_at_a_time(root3, grown_s3):
@@ -87,10 +199,144 @@ def test_self_glued_faces_are_traced_and_components_merged(rng):
                        np.trace(x, axis1=0, axis2=2))
     assert statesum._open_legs([5, 7, 5, 9]) == [7, 9]
     # two components: each closes to a scalar, and the scalars merge last
-    steps, peak = statesum._plan([[1, 2], [2, 1], [3], [3]])
-    assert steps == [(0, 1, ([0, 1], [1, 0])), (2, 3, ([0], [0])),
-                     (4, 5, ([], []))]
-    assert peak == 2
+    leaves = [statesum._leaf(fs, True) for fs in
+              ([1, 2, 5, 5], [2, 1, 6, 6], [3, 4, 7, 7], [3, 4, 8, 8])]
+    steps = statesum._plan(leaves, 3)
+    assert [(s.a, s.b) for s in steps] == [(0, 1), (2, 3), (4, 5)]
+    assert [len(n.legs) for n in _layouts(leaves, steps)[4:]] == [0, 0, 0]
+
+
+def test_leaf_keeps_its_flux_constraint_unless_a_trace_frees_it():
+    # positive legs carry +1, +1, 0, -1: the last face is not stored
+    open_leaf = statesum._leaf([1, 2, 3, 4], True)
+    assert open_leaf.groups == ({1: 1, 2: 1, 4: -1},)
+    assert open_leaf.axes == (1, 2, 3)
+    # a traced face of net coefficient 0 leaves the rest constrained
+    assert statesum._leaf([5, 2, 3, 5], True).groups == ({2: 1},)
+    # one of net coefficient -1 (a hat leg and the (j, l) leg) sums the
+    # constraint away
+    free = statesum._leaf([1, 2, 5, 5], True)
+    assert free.groups == () and free.axes == (1, 2)
+    assert statesum._leaf([1, 5, 5, 4], False).groups == ()
+
+
+def test_support_guard_refuses_an_off_support_entry(root3, fixture_scene,
+                                                    monkeypatch):
+    build = statesum.tetra_weights
+
+    def bumped(*args, **kwargs):
+        weights = build(*args, **kwargs)
+        entries = weights[2][0].entries
+        # i0 + i1 - i3 and i0 - i2 - i3 are both -1 here: off the support
+        entries[0, 0, 0, 1] += 1e-6 * np.abs(entries).max()
+        return weights
+    monkeypatch.setattr(statesum, "tetra_weights", bumped)
+    with pytest.raises(NotScalarError, match="of tensor 2 "):
+        state_sum(root3, fixture_scene)
+
+
+@pytest.mark.parametrize("N", range(3, 16, 2))
+def test_graded_contraction_equals_dense_on_the_fixture(N, fixture_scene):
+    root = RootData(N)
+    dense = _dense_state_sum(root, fixture_scene, sliced=N >= 13)
+    assert abs(state_sum(root, fixture_scene) - dense) <= 1e-12 * abs(dense)
+
+
+# 120 tetrahedra at N = 7 are left out: the dense oracle peaks at rank 8
+# there and needs ~600 MB
+@pytest.mark.parametrize("n_tets,N", [(30, 3), (30, 5), (30, 7), (60, 3),
+                                      (60, 5), (60, 7), (120, 3), (120, 5)])
+def test_graded_contraction_equals_dense_on_grown_s3(n_tets, N, grown_s3):
+    root, grown = RootData(N), grown_s3(n_tets)
+    dense = _dense_state_sum(root, grown)
+    assert abs(state_sum(root, grown) - dense) <= 1e-12 * abs(dense)
+
+
+def _random_network(rng, n_tets: int, N: int) -> tuple[list, list, list]:
+    """Weights on their flux support, random off nothing else, with each
+    face pairing a check slot (legs 0, 1) with a hat slot (legs 2, 3) at
+    random, so that faces glued within one tensor occur."""
+    checks = [(t, p) for t in range(n_tets) for p in (0, 1)]
+    hats = [(t, p) for t in range(n_tets) for p in (2, 3)]
+    faces = [[0] * 4 for _ in range(n_tets)]
+    for f, k in enumerate(rng.permutation(len(hats))):
+        (t, p), (u, q) = checks[f], hats[k]
+        faces[t][p] = faces[u][q] = f
+    rights = [bool(r) for r in rng.integers(2, size=n_tets)]
+    i = np.indices((N,) * 4)
+    weights = []
+    for right in rights:
+        c = statesum._FLUX[right]
+        on = sum(cp * ip for cp, ip in zip(c, i)) % N == 0
+        entries = rng.normal(size=on.shape) + 1j * rng.normal(size=on.shape)
+        weights.append(Sixj(np.where(on, entries, 0), []))
+    return weights, faces, rights
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graded_contraction_equals_dense_on_random_networks(seed):
+    # random networks reach what S^3 walks do not: faces glued within a
+    # tensor, grounded trees and tensors of several groups
+    rng = np.random.default_rng(seed)
+    N = (3, 5)[seed % 2]
+    weights, faces, rights = _random_network(rng, 2 + seed % 6, N)
+    leaves = [statesum._leaf(fs, r) for fs, r in zip(faces, rights)]
+    arrays = statesum._stored_weights(
+        N, list(zip(weights, faces)), rights, leaves)
+    steps = statesum._plan(leaves, N)
+    tail = statesum._tail(N, 4 * len(leaves))
+    for s in steps:
+        arrays.append(statesum._contract(arrays[s.a], arrays[s.b], s, N,
+                                         tail))
+    dense = _dense_contract(
+        [statesum._trace_self_glued(w.entries, fs)
+         for w, fs in zip(weights, faces)],
+        [statesum._open_legs(fs) for fs in faces])
+    assert abs(arrays[-1][0] - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_merge_layouts_are_consistent(fixture_scene, grown_s3):
+    for scene in (fixture_scene, grown_s3(30), grown_s3(60)):
+        leaves = _leaves(scene)
+        steps = statesum._plan(leaves, 5)
+        nodes = _layouts(leaves, steps)
+        for s, node in zip(steps, nodes[len(leaves):]):
+            A, B = nodes[s.a], nodes[s.b]
+            dh, dr, dk, dc = s.dims
+            # the stored-axes count the planner keys on is the merge's
+            assert statesum._stored_axes(A, B) == len(node.axes) \
+                == dh + dr + dc
+            # gathers never grow an operand
+            assert dh + dr + dk <= len(A.axes) and dh + dk + dc <= len(B.axes)
+            n = dh + dr + dk + dc
+            assert s.fa.shape == (len(A.axes), n)
+            assert s.fb.shape == (len(B.axes), n)
+            # coordinates are numbered h, r, k, c: a reads no c, b no r
+            assert not s.fa[:, dh + dr + dk:].any()
+            assert not s.fb[:, dh:dh + dr].any()
+
+
+def test_heap_plan_against_the_rank_order(fixture_scene):
+    # The heap plan keys on stored entries, the rank order on legs.  On
+    # most seeded walks it gives a lower stored peak than the rank order,
+    # and a far lower one on the whole; a greedy order cannot promise it
+    # on every document (the 120-tetrahedron walk of seed 7 peaks higher).
+    ratios = []
+    for n_tets in (20, 40, 80, 120):
+        for seed in range(1, 11):
+            leaves = _leaves(_grow(fixture_scene, n_tets, seed))
+            old = [(a, b) for a, b, _ in
+                   _rank_plan([list(n.legs) for n in leaves])[0]]
+            for N in (3, 7):
+                steps = statesum._plan(leaves, N)
+                if [(s.a, s.b) for s in steps] == old:
+                    ratios.append(1.0)
+                    continue
+                ratios.append(statesum._stored_peak(leaves, steps, N)
+                              / statesum._stored_peak(
+                                  leaves, _replay(leaves, old), N))
+    assert sum(r <= 1 for r in ratios) >= 0.9 * len(ratios)
+    assert np.exp(np.mean(np.log(ratios))) < 0.5
 
 
 def test_contraction_order_independence(root3, fixture_scene):
