@@ -26,8 +26,8 @@ print("labels:", lab)
 
 # a positive charged symbol; charges are half-integers
 sym = sixj_pos(root, lab, a=HalfInt(1), c=HalfInt(0))
-print(f"symbol tensor shape {sym.entries.shape}, "
-      f"norm {np.linalg.norm(sym.entries):.4f}")
+print(f"symbol tensor shape {sym.shape}, "
+      f"norm {np.linalg.norm(sym):.4f}")
 
 # inversion: the negative symbol at opposite charges is a two-sided inverse
 r1, r2 = check_charged_inversion(root, lab, HalfInt(1), HalfInt(0))

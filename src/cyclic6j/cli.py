@@ -234,8 +234,8 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
 
         if trial == 0:
             # contraction at non-opposite charges must miss the identity
-            pos = sixj_pos(root, lab, HalfInt(1), HalfInt(0)).entries
-            neg = sixj_neg(root, lab, HalfInt(-1), HalfInt(1)).entries
+            pos = sixj_pos(root, lab, HalfInt(1), HalfInt(0))
+            neg = sixj_neg(root, lab, HalfInt(-1), HalfInt(1))
             rows.rec("control_inversion_mismatch",
                      _inversion_defect(pos, neg), control_floor, kind="min")
     return list(rows.values())
@@ -468,26 +468,30 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_type(ok, need: str):
-    """An argparse type: an int for which ``ok`` holds, else "must be ``need``"."""
-    def parse(text: str) -> int:
-        value = int(text)
+def _checked(ok, need: str, kind=int):
+    """An argparse type: a ``kind`` for which ``ok`` holds, else "must be ``need``"."""
+    def parse(text: str):
+        value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
         return value
-    parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
+    parse.__name__ = kind.__name__  # "abc" reads "invalid int value: 'abc'"
     return parse
 
 
+# a tolerance: nan, inf and values <= 0 would fail or pass every check
+_TOL = _checked(lambda x: 0 < x < float("inf"), "finite and > 0", float)
+
 # the root order, seed and tolerances; each subcommand adds the ones it reads
 _SHARED = {
-    "--N": dict(type=_int_type(lambda n: n >= 3 and n % 2, "odd and >= 3"),
+    "--N": dict(type=_checked(lambda n: n >= 3 and n % 2, "odd and >= 3"),
                 default=3, help="root order, odd and >= 3 (default 3)"),
     "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-    "--tol": dict(type=float, default=1e-8,
-                  help="residual tolerance (default 1e-8)"),
-    "--tol-strict": dict(type=float, default=1e-10,
-                         help="strict residual tolerance (default 1e-10)"),
+    "--tol": dict(type=_TOL, default=1e-8,
+                  help="residual tolerance, finite and > 0 (default 1e-8)"),
+    "--tol-strict": dict(type=_TOL, default=1e-10,
+                         help="strict residual tolerance, finite and > 0 "
+                              "(default 1e-10)"),
 }
 
 
@@ -505,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a residual verification suite")
     p.add_argument("--level", required=True, choices=SUITE_LEVELS)
-    p.add_argument("--trials", type=_int_type(lambda n: n >= 1, "at least 1"),
+    p.add_argument("--trials", type=_checked(lambda n: n >= 1, "at least 1"),
                    help="random draws per identity, at least 1 "
                         "(level-dependent default)")
     _add_shared(p, "--N", "--seed", "--tol", "--tol-strict")

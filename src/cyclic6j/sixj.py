@@ -53,7 +53,7 @@ from .operators import (
 )
 
 __all__ = [
-    "BadLabels", "ChargeConstraint", "LabelSix", "Sixj",
+    "BadLabels", "ChargeConstraint", "LabelSix",
     "multiplicity_dim", "t_form", "tbar_form",
     "tform_tensor", "tbar_tensor", "sixj_stack", "sixj_pos", "sixj_neg",
     "permute_legs", "apply_to_leg",
@@ -68,6 +68,13 @@ class BadLabels(AlgebraError):
 
 class ChargeConstraint(AlgebraError):
     """Half-integer charges violating the linear constraints of an identity."""
+
+
+# The labels (i, j, k, l, m, n), by index, of the (g, h) pair of each leg
+# of a positive (True) and a negative (False) tensor; legs 0 and 1 are
+# check legs, 2 and 3 hat legs.
+_LEGS = {True: ((2, 3), (0, 1), (1, 3), (0, 5)),
+         False: ((0, 5), (1, 3), (0, 1), (2, 3))}
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,8 @@ class LabelSix:
     n: GroupElement
 
     def __post_init__(self) -> None:
-        for name in ("i", "j", "k", "l", "m", "n"):
-            if not in_I(getattr(self, name)):
+        for name, g in zip("ijklmn", self.six):
+            if not in_I(g):
                 raise BadLabels(f"label {name} lies outside the regular part")
         checks = [
             ("k = ij", group_mul(self.i, self.j), self.k),
@@ -105,21 +112,9 @@ class LabelSix:
         k = group_mul(i, j)
         return cls(i, j, k, l, group_mul(k, l), group_mul(j, l))
 
-    def pos_legs(self) -> list[tuple[str, GroupElement, GroupElement]]:
-        return [("check", self.k, self.l), ("check", self.i, self.j),
-                ("hat", self.j, self.l), ("hat", self.i, self.n)]
-
-    def neg_legs(self) -> list[tuple[str, GroupElement, GroupElement]]:
-        return [("check", self.i, self.n), ("check", self.j, self.l),
-                ("hat", self.i, self.j), ("hat", self.k, self.l)]
-
-
-@dataclass(frozen=True)
-class Sixj:
-    """A charged 6j tensor: entries plus the leg metadata needed to use them."""
-
-    entries: np.ndarray
-    legs: list[tuple[str, GroupElement, GroupElement]]
+    @property
+    def six(self) -> tuple[GroupElement, ...]:
+        return (self.i, self.j, self.k, self.l, self.m, self.n)
 
 
 def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
@@ -130,11 +125,38 @@ def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
     return 0
 
 
-def _leg_pairs(labs: Sequence[LabelSix], right: np.ndarray) -> np.ndarray:
-    """``(x, y)`` of the label pair of every leg: ``[tensor, leg, g or h, x or y]``."""
-    return np.array([[((g.x, g.y), (h.x, h.y)) for _, g, h in
-                      (lab.pos_legs() if r else lab.neg_legs())]
-                     for lab, r in zip(labs, right)], dtype=float)
+def _label_stack(i: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The labels ``[tensor, i..n, x or y]`` of stacked generators ``[tensor,
+    x or y]``, with the float operations and the checks of
+    :meth:`LabelSix.from_generators`; of its products only ``m = kl = in``
+    can fail, as ``group_close`` at 1e-12."""
+    def mul(g, h):
+        return np.stack([g[:, 0] + g[:, 1] * h[:, 0], g[:, 1] * h[:, 1]], 1)
+    k = mul(i, j)
+    six = np.stack([i, j, k, l, mul(k, l), mul(j, l)], axis=1)
+    if not (six[..., 1] > 0).all():
+        raise BadOperands("a label leaves the group")
+    outside = np.flatnonzero(six[..., 0] == 0)
+    if outside.size:
+        raise BadLabels(f"label {'ijklmn'[outside[0] % 6]} lies outside the "
+                        "regular part")
+    got = mul(i, six[:, 5])
+    if not (abs(got - six[:, 4]) <= 1e-12 * np.maximum(1, abs(got))).all():
+        raise BadLabels("product constraint m = in fails")
+    return six
+
+
+def _leg_pairs(labels: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(x, y)`` of the label pair of every leg, ``[tensor, leg, g or h, x
+    or y]``, from the labels ``[tensor, i..n, x or y]``."""
+    legs = np.where(right[:, None, None], _LEGS[True], _LEGS[False])
+    return labels[np.arange(len(labels))[:, None, None], legs]
+
+
+def _one(lab: LabelSix, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The leg pairs and the sign of one tensor, as a stack of one."""
+    right = np.array([right])
+    return _leg_pairs(np.array([[(g.x, g.y) for g in lab.six]]), right), right
 
 
 def _gathers(N: int) -> tuple[list, list]:
@@ -241,22 +263,19 @@ def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
             * tensors[(per_tensor(np.arange(T)), *at)])
 
 
-def sixj_stack(root: RootData, labs: Sequence[LabelSix],
-               right: Sequence[bool], a: Sequence[HalfInt],
-               c: Sequence[HalfInt]) -> np.ndarray:
+def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
+               a: Sequence[int], c: Sequence[int]) -> np.ndarray:
     """Charged 6j tensors of a stack of label six-tuples, in one pass.
 
-    Tensor ``t`` is the positive symbol of ``labs[t]`` at charges
-    ``(a[t], c[t])`` when ``right[t]`` holds and the negative one
-    otherwise; the result is indexed ``[t, leg 1, .., leg 4]``.  All
-    intertwiners of the stack are built together, the composites are
-    contracted a slice of tensors at a time, and each tensor's scalar
-    defect is checked on its own scale.
+    Tensor ``t``, of leg pairs ``pairs[t]`` (see :func:`_leg_pairs`), is
+    the positive symbol at doubled charges ``(a[t], c[t])`` when
+    ``right[t]`` holds and the negative one otherwise; the result is
+    indexed ``[t, leg 1, .., leg 4]``.  All intertwiners of the stack are
+    built together, the composites are contracted a slice of tensors at a
+    time, and each tensor's scalar defect is checked on its own scale.
     """
     right = np.array(right, dtype=bool)
-    pairs = _leg_pairs(labs, right)
-    return _twist(root, pairs, right, np.array([x.doubled for x in a]),
-                  np.array([x.doubled for x in c]),
+    return _twist(root, pairs, right, np.array(a), np.array(c),
                   _composites(root, pairs, right))
 
 
@@ -269,8 +288,7 @@ def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     ``V_m`` index ``s`` and ``V_i``, ``V_j`` indices ``a``, ``c``, the
     supports fix ``V_k = a + c``, ``V_l = s - a - c`` and ``V_n = s - a``.
     """
-    right = np.array([True])
-    return _composites(root, _leg_pairs([lab], right), right)[0]
+    return _composites(root, *_one(lab, True))[0]
 
 
 def tbar_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
@@ -279,18 +297,18 @@ def tbar_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     Composite ``S^-1_{i,n} (id x S^-1_{j,l}) (S_{i,j} x id) S_{k,l}``,
     read along the supports as in :func:`tform_tensor`.
     """
-    right = np.array([False])
-    return _composites(root, _leg_pairs([lab], right), right)[0]
+    return _composites(root, *_one(lab, False))[0]
 
 
-def _form(root: RootData, legs: list, mirror: bool, alpha: int, beta: int,
-          gamma: int, delta: int) -> complex:
+def _form(root: RootData, lab: LabelSix, mirror: bool, alpha: int,
+          beta: int, gamma: int, delta: int) -> complex:
     """One form scalar as a chain of matrix products, independent of
     :func:`sixj_stack`: ``u (v x id) (id x x) y``, mirrored ``u (id x v)
     (x x id) y``, with ``u = e*_alpha S_1^-1``, ``v = e*_beta S_2^-1``,
     ``x = S_3 e_gamma``, ``y = S_4 e_delta`` on the legs' intertwiners."""
     eyeN, e = np.eye(root.N), np.eye(root.N, dtype=complex)
-    S = [intertwiner_S(root, g, h) for _, g, h in legs]
+    S = [intertwiner_S(root, lab.six[g], lab.six[h])
+         for g, h in _LEGS[not mirror]]
     y = S[3] @ np.kron(eyeN, e[:, [delta]])
     x = S[2] @ np.kron(eyeN, e[:, [gamma]])
     v = np.kron(eyeN, e[[beta], :]) @ np.linalg.inv(S[1])
@@ -301,13 +319,13 @@ def _form(root: RootData, legs: list, mirror: bool, alpha: int, beta: int,
 def t_form(root: RootData, lab: LabelSix, alpha: int, beta: int,
            gamma: int, delta: int) -> complex:
     """Single positive-form scalar via the explicit morphism pipeline."""
-    return _form(root, lab.pos_legs(), False, alpha, beta, gamma, delta)
+    return _form(root, lab, False, alpha, beta, gamma, delta)
 
 
 def tbar_form(root: RootData, lab: LabelSix, alpha: int, beta: int,
               gamma: int, delta: int) -> complex:
     """Single negative-form scalar via the explicit morphism pipeline."""
-    return _form(root, lab.neg_legs(), True, alpha, beta, gamma, delta)
+    return _form(root, lab, True, alpha, beta, gamma, delta)
 
 
 def apply_to_leg(tensor: np.ndarray, mat: np.ndarray, leg: int) -> np.ndarray:
@@ -338,25 +356,25 @@ def permute_legs(tensor: np.ndarray, cycles: tuple[tuple[int, ...], ...]) -> np.
     return np.transpose(tensor, axes=inv)
 
 
-def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt) -> Sixj:
+def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt,
+             c: HalfInt) -> np.ndarray:
     """Charged positive 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     The charge twist acts on the arguments of the form: ``q^{4ac} R^c`` on
     slot 1, ``R^{-a}`` on slot 2, ``L^{-a} R^{-c}`` on slot 3 (slot 4
     untouched).
     """
-    return Sixj(sixj_stack(root, [lab], [True], [a], [c])[0],
-                lab.pos_legs())
+    return sixj_stack(root, *_one(lab, True), [a.doubled], [c.doubled])[0]
 
 
-def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt, c: HalfInt) -> Sixj:
+def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt,
+             c: HalfInt) -> np.ndarray:
     """Charged negative 6j symbol: the one-tensor case of :func:`sixj_stack`.
 
     Twist on the form's arguments: ``q^{-4ac}`` on slot 1, ``L^{-a} R^{-c}``
     on slot 2, ``R^{-a}`` on slot 3 and ``R^{c}`` on slot 4.
     """
-    return Sixj(sixj_stack(root, [lab], [False], [a], [c])[0],
-                lab.neg_legs())
+    return sixj_stack(root, *_one(lab, False), [a.doubled], [c.doubled])[0]
 
 
 def pentagon_labels(j1: GroupElement, j2: GroupElement, j3: GroupElement,
@@ -396,15 +414,15 @@ def check_charged_pentagon(root: RootData, labels: dict[str, GroupElement],
         raise ChargeConstraint("pentagon charges violate the five linear relations")
     jd = labels
     S1 = sixj_pos(root, LabelSix.from_generators(jd["j1"], jd["j2"], jd["j3"]),
-                  a[0], c[0]).entries
+                  a[0], c[0])
     S2 = sixj_pos(root, LabelSix.from_generators(jd["j1"], jd["j"], jd["j4"]),
-                  a[2], c[2]).entries
+                  a[2], c[2])
     S3 = sixj_pos(root, LabelSix.from_generators(jd["j2"], jd["j3"], jd["j4"]),
-                  a[4], c[4]).entries
+                  a[4], c[4])
     SA = sixj_pos(root, LabelSix.from_generators(jd["j1"], jd["j2"], jd["j8"]),
-                  a[1], c[1]).entries
+                  a[1], c[1])
     SB = sixj_pos(root, LabelSix.from_generators(jd["j5"], jd["j3"], jd["j4"]),
-                  a[3], c[3]).entries
+                  a[3], c[3])
     lhs = np.einsum("abqr,crpd,pqef->abcdef", S1, S2, S3, optimize=True)
     pre = np.einsum("sabc,defs->abcdef", SA, SB, optimize=True)
     rhs = permute_legs(pre, ((1, 2, 6, 5), (3, 4)))
@@ -421,8 +439,8 @@ def check_charged_inversion(root: RootData, lab: LabelSix, a: HalfInt,
     opposite charges and must produce the doubled Kronecker pattern
     ``delta[alpha, delta'] delta[beta, gamma]``.
     """
-    pos = sixj_pos(root, lab, a, c).entries
-    neg = sixj_neg(root, lab, -a, -c).entries
+    pos = sixj_pos(root, lab, a, c)
+    neg = sixj_neg(root, lab, -a, -c)
     return _inversion_defect(pos, neg), _inversion_defect(neg, pos)
 
 
@@ -460,7 +478,7 @@ def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,
          B(root, m, lst).hat_mat, 3, -a.doubled, ((1, 2, 3, 4),))]
     out = []
     for mirror, x, y, check, leg, hat, leg2, power, cycles in relations:
-        t = apply_to_leg(sixj_neg(root, mirror, x, y).entries, check, leg)
+        t = apply_to_leg(sixj_neg(root, mirror, x, y), check, leg)
         t = apply_to_leg(t, hat, leg2)
         out.append(permute_legs(qt ** power * t if charged else t, cycles))
     return out
@@ -477,7 +495,7 @@ def check_symmetry_relations(root: RootData, lab: LabelSix, a: HalfInt,
     """
     if a.doubled + b.doubled + c.doubled != 1:
         raise ChargeConstraint("symmetry relations need a + b + c = 1/2")
-    pos = sixj_pos(root, lab, a, c).entries
+    pos = sixj_pos(root, lab, a, c)
     rhs = _sym_targets(root, lab, a, b, c, charged=True)
     norm = np.linalg.norm
     return tuple(float(norm(pos - t) / (norm(pos) + norm(t))) for t in rhs)

@@ -11,6 +11,10 @@ edge yields a scalar.  The scalar is invariant under the local moves up
 to an integer power of the root-of-unity grading scalar, so values are
 compared and normalized modulo that power.
 
+No tetrahedron is glued to itself: that would identify two of its corners
+and make the edge between them a loop, which ``TriComplex`` refuses.  So
+every weight has four legs on four distinct faces.
+
 The contraction is Z_N-graded.  A weight vanishes unless its leg
 indices satisfy one flux constraint mod N, with coefficient +1 on a
 check leg, -1 on a hat leg and 0 on the (j, l) leg, so it is stored on
@@ -32,11 +36,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import GroupElement, RootData, group_close
-from .operators import HalfInt, NotScalarError, qtilde, q_scalar, assemble_q
-from .sixj import LabelSix, Sixj, sixj_stack
+from .algebra import GroupElement, RootData
+from .operators import NotScalarError, qtilde, q_scalar, assemble_q
+from .sixj import _label_stack, _leg_pairs, sixj_stack
 from .triangulation import (
-    _EDGE_INDEX, _perm_sign, Charge, Scene, TriComplex, color_of,
+    _EDGE_SLOT, _SIGN, Charge, Scene, TriComplex, _edge_colors,
     validate_charge,
 )
 
@@ -83,49 +87,56 @@ def _assert_q_scalar(root: RootData) -> None:
     _q_checked.add(key)
 
 
-def _corners(T: TriComplex, t: int) -> tuple[list[int], bool, list[int]]:
-    """Corners sorted by the global vertex order, the sign of the tensor,
-    and the face class of each of its legs."""
-    vs = sorted(range(4), key=lambda c: T.vertex_rank[T.vertex_class(t, c)])
-    right = T.orientations[t] * _perm_sign(vs) > 0
-    opposite = ((vs[1], vs[3], vs[0], vs[2]) if right
-                else (vs[2], vs[0], vs[3], vs[1]))
-    return vs, right, [T.face_class(t, f) for f in opposite]
+def _corners(T: TriComplex, tets: np.ndarray) -> tuple:
+    """Per tetrahedron of ``tets``: its corners sorted by the global vertex
+    order, whether its tensor is the positive one, and the face class of
+    each of its legs."""
+    vs = np.argsort(np.array(T.vertex_rank)[T._vertex_classes[tets]], axis=1)
+    right = np.array(T.orientations)[tets] * _SIGN[tuple(vs.T)] > 0
+    opposite = np.where(right[:, None], vs[:, [1, 3, 0, 2]],
+                        vs[:, [2, 0, 3, 1]])
+    return vs, right, np.take_along_axis(T._face_classes[tets], opposite, 1)
+
+
+def _weights(root: RootData, T: TriComplex,
+             coloring: dict[int, GroupElement], charge: Charge,
+             tets: np.ndarray, vs: np.ndarray, right: np.ndarray) -> tuple:
+    """The 6j tensors of the tetrahedra ``tets``, of sorted corners ``vs``
+    and signs ``right``, and the label pairs of their legs."""
+    leg = _edge_colors(T, coloring)
+    i, j, l = (np.stack(leg(vs[:, p], vs[:, p + 1], tets), axis=1)
+               for p in range(3))
+    pairs = _leg_pairs(_label_stack(i, j, l), right)
+    doubled = np.array(charge.doubled)[tets]
+    a, c = (doubled[np.arange(len(tets)), _EDGE_SLOT[vs[:, p], vs[:, p + 1]]]
+            for p in (0, 1))
+    return sixj_stack(root, pairs, right, a, c), pairs
 
 
 def tetra_weights(root: RootData, T: TriComplex,
                   coloring: dict[int, GroupElement], charge: Charge,
-                  tets: Sequence[int]) -> list[tuple[Sixj, list[int]]]:
+                  tets: Sequence[int]) -> tuple:
     """The 6j tensors of the given tetrahedra, built in one stacked pass,
-    each with the face class of each of its legs.
+    with the ``(x, y)`` of each leg's label pair and each leg's face class:
+    ``[tensor, leg 1, .., leg 4]``, ``[tensor, leg, g or h, x or y]`` and
+    ``[tensor, leg]``.
 
     Corners are sorted by the global vertex order into (v1, v2, v3, v4);
     the labels are the colors of v1v2, v2v3, v3v4 and their products, the
     charges sit on v1v2 and v2v3.  Leg p of the positive (negative)
     tensor lies on the face opposite v2, v4, v1, v3 (v3, v1, v4, v2).
     """
-    labs, rights, a, c, faces = [], [], [], [], []
-    for t in tets:
-        vs, right, fs = _corners(T, t)
-        labs.append(LabelSix.from_generators(
-            color_of(T, coloring, t, vs[0], vs[1]),
-            color_of(T, coloring, t, vs[1], vs[2]),
-            color_of(T, coloring, t, vs[2], vs[3])))
-        rights.append(right)
-        a.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[0], vs[1])]]))
-        c.append(HalfInt(charge.doubled[t][_EDGE_INDEX[(vs[1], vs[2])]]))
-        faces.append(fs)
-    entries = sixj_stack(root, labs, rights, a, c)
-    return [(Sixj(e, lab.pos_legs() if r else lab.neg_legs()), fs)
-            for e, lab, r, fs in zip(entries, labs, rights, faces)]
+    tets = np.asarray(tets)
+    vs, right, faces = _corners(T, tets)
+    return (*_weights(root, T, coloring, charge, tets, vs, right), faces)
 
 
 def tetra_weight(root: RootData, T: TriComplex,
                  coloring: dict[int, GroupElement], charge: Charge,
-                 t: int) -> tuple[Sixj, list[int]]:
-    """The 6j tensor of one tetrahedron and the face class of each leg:
+                 t: int) -> tuple:
+    """The 6j tensor of one tetrahedron, its leg pairs and its leg faces:
     the one-tetrahedron case of :func:`tetra_weights`."""
-    return tetra_weights(root, T, coloring, charge, [t])[0]
+    return tuple(x[0] for x in tetra_weights(root, T, coloring, charge, [t]))
 
 
 # Largest number of complex entries (256 MiB) that one contraction step may
@@ -166,15 +177,13 @@ class _Node(NamedTuple):
     axes: tuple
 
 
-def _node(legs, groups, axes=None) -> _Node:
-    """A layout, by default stored over every leg but the pivots."""
+def _node(legs, groups, axes) -> _Node:
+    """A layout; the last face of each group is its pivot."""
     owner, pivots = {}, set()
     for i, group in enumerate(groups):
         for f in group:
             owner[f] = i
         pivots.add(f)
-    if axes is None:
-        axes = [f for f in legs if f not in pivots]
     return _Node(tuple(legs), frozenset(legs), tuple(groups), owner,
                  frozenset(pivots), tuple(axes))
 
@@ -198,11 +207,6 @@ class _Step(NamedTuple):
     fb: np.ndarray
 
 
-def _open_legs(faces: list[int]) -> list[int]:
-    """Legs left after tracing the faces a tetrahedron glues to itself."""
-    return [f for f in faces if faces.count(f) == 1]
-
-
 def _solve(c: int, others, forms: dict, charge: dict) -> dict:
     """The form ``c * (charge - sum(v * forms[f]))`` over the ``(f, v)``
     pairs of ``others``: the face of coefficient c in a constraint
@@ -215,21 +219,10 @@ def _solve(c: int, others, forms: dict, charge: dict) -> dict:
 
 
 def _leaf(faces: list[int], right: bool) -> _Node:
-    """Layout of a weight with the given leg faces and sign, after its
-    self-glued faces are traced.
-
-    A traced face with a nonzero net coefficient is summed over all its
-    values, which frees the constraint; otherwise the constraint stays on
-    the open legs.
-    """
-    legs = _open_legs(faces)
-    net: dict = {}
-    for f, c in zip(faces, _FLUX[right]):
-        net[f] = net.get(f, 0) + c
-    group = {f: net[f] for f in legs if net[f]}
-    if not group or any(net[f] for f in net if f not in legs):
-        return _node(legs, [])
-    return _node(legs, [group])
+    """Layout of a weight with the given leg faces and sign: one group, the
+    legs of nonzero flux coefficient, stored over legs 0, 1 and 2."""
+    return _node(faces, [{f: c for f, c in zip(faces, _FLUX[right]) if c}],
+                 faces[:3])
 
 
 def _coefs(forms: list[dict], n: int) -> np.ndarray:
@@ -240,16 +233,6 @@ def _coefs(forms: list[dict], n: int) -> np.ndarray:
         for j, c in form.items():
             out[i * n + j] = c
     return np.array(out, dtype=np.int64).reshape(len(forms), n)
-
-
-def _leg_forms(node: _Node) -> dict:
-    """Each leg of a tensor stored over legs, as a linear form of its
-    stored axes."""
-    forms = {f: {i: 1} for i, f in enumerate(node.axes)}
-    for group in node.groups:
-        *others, (pivot, c) = group.items()
-        forms[pivot] = _solve(c, others, forms, {})
-    return forms
 
 
 def _merge(A: _Node, B: _Node) -> tuple:
@@ -484,39 +467,37 @@ def _contract(x: np.ndarray, y: np.ndarray, step: _Step, N: int,
                      b.reshape(N ** dh, N ** dk, N ** dc)).reshape(-1)
 
 
-def _check_faces(weights: list[tuple[Sixj, list[int]]]) -> None:
-    """Every face class has one check leg and one hat leg, of equal labels."""
-    ends: dict[int, list] = {}
-    for S, faces in weights:
-        for (kind, g, h), f in zip(S.legs, faces):
-            ends.setdefault(f, []).append((kind, (g, h)))
-    for f, legs in ends.items():
-        if len(legs) != 2:
-            raise TypeMismatch(f"face class {f} has {len(legs)} legs")
-        (k1, l1), (k2, l2) = legs
-        if {k1, k2} != {"check", "hat"}:
-            raise TypeMismatch(f"face class {f} pairs {k1} with {k2}")
-        if not all(group_close(a, b, 1e-6) for a, b in zip(l1, l2)):
-            raise TypeMismatch(f"face class {f} pairs unequal labels")
+def _check_faces(pairs: np.ndarray, faces: np.ndarray) -> None:
+    """Every face class has two legs, a check leg (leg 0 or 1) and a hat leg
+    (leg 2 or 3), of labels equal to ``group_close`` tolerance 1e-6.
+    ``pairs`` and ``faces`` are as :func:`tetra_weights` returns them; the
+    lowest failing face class is reported."""
+    flat = faces.ravel()
+    ids, counts = np.unique(flat, return_counts=True)
+    if (counts != 2).any():
+        x = np.argmax(counts != 2)
+        raise TypeMismatch(f"face class {ids[x]} has {counts[x]} legs")
+    one, two = np.argsort(flat, kind="stable").reshape(-1, 2).T
+    p, q = pairs.reshape(-1, 4)[one], pairs.reshape(-1, 4)[two]
+    same = one % 4 // 2 == two % 4 // 2
+    unequal = ~(np.abs(p - q) <= 1e-6 * np.maximum(1.0, np.abs(p))).all(1)
+    bad = np.flatnonzero(same | unequal)
+    if bad.size:
+        x = bad[0]
+        kinds = [("check", "hat")[y % 4 // 2] for y in (one[x], two[x])]
+        raise TypeMismatch(f"face class {ids[x]} pairs " + (
+            "{} with {}".format(*kinds) if same[x] else "unequal labels"))
 
 
-def _trace_self_glued(array: np.ndarray, faces: list[int]) -> np.ndarray:
-    """Contract the two legs of every face a tetrahedron glues to itself."""
-    ids = [faces.index(f) for f in faces]
-    return np.einsum(array, ids, [i for i in ids if ids.count(i) == 1])
-
-
-def _stored_weights(N: int, weights: list[tuple[Sixj, list[int]]],
-                    rights: list[bool], leaves: list[_Node]) -> list:
-    """Each weight on its support, its self-glued faces traced first.
+def _stored_weights(N: int, weights: np.ndarray, right: np.ndarray) -> list:
+    """Each weight on its support, stored over legs 0, 1 and 2.
 
     Raises :class:`NotScalarError` naming the first weight whose entries
     off the support exceed ``_SUPPORT_TOL`` of its own largest entry.
     """
-    stack = np.array([S.entries.reshape(-1) for S, _ in weights])
-    # an open weight is stored over legs 0, 1 and 2; its pivot, leg 3, is
-    # -c3 * (c0 i0 + c1 i1 + c2 i2) mod N
-    flux = np.array([_FLUX[r] for r in rights])
+    stack = weights.reshape(len(weights), -1)
+    # the pivot, leg 3, is -c3 * (c0 i0 + c1 i1 + c2 i2) mod N
+    flux = np.where(right[:, None], _FLUX[True], _FLUX[False])
     i = np.indices((N,) * 3).reshape(3, -1)
     cols = N * np.arange(N ** 3) + -flux[:, 3:] * (flux[:, :3] @ i) % N
     rows = np.arange(len(stack))[:, None]
@@ -530,15 +511,7 @@ def _stored_weights(N: int, weights: list[tuple[Sixj, list[int]]],
         raise NotScalarError(
             f"entry {off[t] / top[t]:.1e} of its largest off the support of "
             f"tensor {t} exceeds {_SUPPORT_TOL:.0e}")
-    arrays = list(stack[rows, cols])
-    for t, ((S, faces), leaf) in enumerate(zip(weights, leaves)):
-        if len(leaf.legs) < 4:
-            forms = _leg_forms(leaf)
-            traced = _trace_self_glued(S.entries, faces).reshape(-1)
-            coefs = _coefs([forms[f] for f in leaf.legs], len(leaf.axes))
-            arrays[t] = _gather(traced, coefs, _tail(N, len(leaf.axes))[::-1],
-                                N).reshape(-1)
-    return arrays
+    return list(stack[rows, cols])
 
 
 def state_sum(root: RootData, scene: Scene) -> complex:
@@ -558,19 +531,19 @@ def state_sum(root: RootData, scene: Scene) -> complex:
         raise InvariantError("the scene carries no charge")
     T = scene.complex
     validate_charge(T, scene.link, scene.charge)
-    corners = [_corners(T, t) for t in range(T.n_tets)]
-    rights = [right for _, right, _ in corners]
-    leaves = [_leaf(fs, right) for _, right, fs in corners]
+    tets = np.arange(T.n_tets)
+    vs, right, faces = _corners(T, tets)
+    leaves = [_leaf(fs, r) for fs, r in zip(faces.tolist(), right.tolist())]
     steps = _plan(leaves, root.N)
     peak = _stored_peak(leaves, steps, root.N)
     if peak > MAX_ENTRIES:
         raise InvariantError(
             f"contraction needs {peak} stored entries at its largest step, "
             f"over the budget of {MAX_ENTRIES}")
-    weights = tetra_weights(root, T, scene.coloring, scene.charge,
-                            range(T.n_tets))
-    _check_faces(weights)
-    arrays = _stored_weights(root.N, weights, rights, leaves)
+    weights, pairs = _weights(root, T, scene.coloring, scene.charge, tets,
+                              vs, right)
+    _check_faces(pairs, faces)
+    arrays = _stored_weights(root.N, weights, right)
     tail = _tail(root.N, max([len(n.axes) for n in leaves]
                              + [dh + dr + dc for dh, dr, _, dc in
                                 (step.dims for step in steps)]))

@@ -259,7 +259,8 @@ class TriComplex:
                                   f"{vc[4 * t + EDGE_CORNERS[e][0]]}")
         self._vc = self._vertex_classes.tolist()
         self._ec = self._edge_classes.tolist()
-        self._fc = fc.reshape(n, 4).tolist()
+        self._face_classes = fc.reshape(n, 4)
+        self._fc = self._face_classes.tolist()
         self._vertex_inc = _incidences(vc, self.n_vertices, 4)
         self._edge_inc = _incidences(ec, self.n_edges, 6)
         other = np.empty((4 * n, 6), dtype=np.int64)
@@ -457,24 +458,27 @@ def scene_document(scene: Scene) -> dict:
     return doc
 
 
-def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement]) -> None:
-    """g_ab g_bc = g_ac on every face, to ``group_close`` tolerance.
-
-    All faces at once, with the float operations of ``color_of`` and
-    ``group_mul``: each class's color and its inverse as ``group_inv``
-    computes it, then the product.  The first failing face is reported.
-    """
+def _edge_colors(T: TriComplex, coloring: dict[int, GroupElement]):
+    """``leg(u, w, rows)``: x and y of the color of the edge from corner
+    ``u`` to corner ``w`` of the tetrahedra ``rows`` (all by default), with
+    the float operations of ``color_of``."""
     x, y = np.array([(coloring[cls].x, coloring[cls].y)
                      for cls in range(T.n_edges)]).T
     cx, cy = np.array([x, -x / y]), np.array([y, 1.0 / y])
     vc, ec = T._vertex_classes, T._edge_classes
 
-    def leg(u, w):
-        # color of the edge u -> w of every face: forward when vc[u] < vc[w]
-        inverse = (vc[:, u] > vc[:, w]).astype(int)
-        cls = ec[:, _EDGE_SLOT[u, w]]
+    def leg(u, w, rows=slice(None)):
+        inverse = (vc[rows, u] > vc[rows, w]).astype(int)
+        cls = ec[rows, _EDGE_SLOT[u, w]]
         return cx[inverse, cls], cy[inverse, cls]
+    return leg
 
+
+def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement]) -> None:
+    """g_ab g_bc = g_ac on every face at once, to ``group_close`` tolerance
+    and with the float operations of ``group_mul``; the first failing face
+    is reported."""
+    leg = _edge_colors(T, coloring)
     a, b, c = _FACE_CORNER_ARRAY.T      # per face, corners a < b < c
     (x1, y1), (x2, y2), (x3, y3) = leg(a, b), leg(b, c), leg(a, c)
     x, y = x1 + y1 * x2, y1 * y2
@@ -969,8 +973,6 @@ def pachner_plus(scene: Scene, tet: int, face: int) -> Scene:
     _check_range(tet, T.n_tets, "tet")
     _check_range(face, 4, "face")
     tb, fb, cmap = T.partner(tet, face)
-    if tb == tet:
-        raise MoveNotApplicable("the face is glued to its own tetrahedron")
     wA = FACE_CORNERS[face]
     uA, uB = T.vertex_class(tet, face), T.vertex_class(tb, fb)
     if uA == uB:

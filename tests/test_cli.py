@@ -328,6 +328,26 @@ def test_malformed_record_or_trials_is_input_error(command, record, tmp_path,
         assert out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("option", ["verify --tol", "verify --tol-strict",
+                                    "invariant --baseline --tol"])
+def test_tolerance_must_be_finite_and_positive(option, value, tmp_path,
+                                               capsys):
+    # nan, 0 and -1 failed true identities, and inf passed every row
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"N": 3, "value": [1 / 9, 0.0]}))
+    argv = {"verify --tol": ["verify", "--level", "algebra", "--tol"],
+            "verify --tol-strict": ["verify", "--level", "algebra",
+                                    "--tol-strict"],
+            "invariant --baseline --tol": ["invariant", FIXTURE, "--baseline",
+                                           str(record), "--tol"]}[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"must be finite and > 0, got {float(value)}" in err
+
+
 def test_find_charge_roundtrip(tmp_path, capsys):
     doc = boundary4simplex_document()
     del doc["charge"]

@@ -23,6 +23,13 @@ J0 = GroupElement(-1.1, 0.8)
 L0 = GroupElement(0.5, 1.7)
 
 
+def _pairs(labs: list, right: list) -> np.ndarray:
+    """The stacked leg pairs of the given six-tuples and signs."""
+    return sixj._leg_pairs(
+        np.array([[(g.x, g.y) for g in lab.six] for lab in labs]),
+        np.array(right))
+
+
 def test_labels_close_under_products():
     lab = LabelSix.from_generators(I0, J0, L0)
     k = group_mul(I0, J0)
@@ -99,14 +106,37 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
     a = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
     c = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
     a[0], c[0] = HalfInt(0), HalfInt(0)
-    got = sixj_stack(root, labs, right, a, c)
+    got = sixj_stack(root, _pairs(labs, right), right,
+                     [x.doubled for x in a], [x.doubled for x in c])
     assert got.shape == (5, N, N, N, N)
     for t in range(5):
         want = (_oracle_pos if right[t] else _oracle_neg)(root, labs[t],
                                                           a[t], c[t])
         assert np.max(np.abs(got[t] - want)) <= 1e-12 * np.max(np.abs(want))
     one = (sixj_pos if right[1] else sixj_neg)(root, labs[1], a[1], c[1])
-    assert np.allclose(one.entries, got[1], rtol=1e-13, atol=0)
+    assert np.allclose(one, got[1], rtol=1e-13, atol=0)
+
+
+def test_label_stack_matches_label_six(rng):
+    labs = [_random_label_six(rng) for _ in range(6)]
+    i, j, l = (np.array([(getattr(lab, x).x, getattr(lab, x).y)
+                         for lab in labs]) for x in "ijl")
+    assert np.array_equal(
+        sixj._label_stack(i, j, l),
+        np.array([[(g.x, g.y) for g in lab.six] for lab in labs]))
+
+
+@pytest.mark.parametrize("i,j,l,what", [
+    ((0.7, 1.3), (0.0, 0.8), (0.5, 1.7), "label j lies outside"),
+    ((1.0, 1.0), (-1.0, 0.8), (0.5, 1.7), "label k lies outside"),
+    # (ij)l and i(jl) round apart: the 1 of i is lost in ij, not in i(jl)
+    ((1.0, 1.0), (1e16, 1.0), (-1e16 + 4, 1.0), "m = in"),
+])
+def test_label_stack_refuses_what_label_six_refuses(i, j, l, what):
+    with pytest.raises(BadLabels, match=what):
+        LabelSix.from_generators(*(GroupElement(*g) for g in (i, j, l)))
+    with pytest.raises(BadLabels, match=what):
+        sixj._label_stack(*(np.array([g]) for g in (i, j, l)))
 
 
 def test_defect_guard_scale_is_per_tensor(root3, monkeypatch):
@@ -115,7 +145,8 @@ def test_defect_guard_scale_is_per_tensor(root3, monkeypatch):
     # one entry of an intertwiner off by 1e-5, a defect far above 1e-9 on
     # its own scale ~1 but below 1e-9 times tensor 0's scale
     lab = LabelSix.from_generators(I0, J0, L0)
-    zero = [HalfInt(0)] * 2
+    zero = [0, 0]
+    pairs = _pairs([lab, lab], [True, True])
     graded = sixj.graded_S
 
     def skewed(root, g, h, scale=True, corrupt=True):
@@ -127,11 +158,11 @@ def test_defect_guard_scale_is_per_tensor(root3, monkeypatch):
         return G
     monkeypatch.setattr(sixj, "graded_S",
                         lambda *args: skewed(*args, corrupt=False))
-    big = sixj_stack(root3, [lab, lab], [True, True], zero, zero)
+    big = sixj_stack(root3, pairs, [True, True], zero, zero)
     assert np.max(np.abs(big[0])) > 1e5
     monkeypatch.setattr(sixj, "graded_S", skewed)
     with pytest.raises(NotScalarError, match="of tensor 1 "):
-        sixj_stack(root3, [lab, lab], [True, True], zero, zero)
+        sixj_stack(root3, pairs, [True, True], zero, zero)
 
 
 def test_twist_checks_exactly_the_operator_pairs(root3):
@@ -139,7 +170,7 @@ def test_twist_checks_exactly_the_operator_pairs(root3):
     # charge; the (i, n) leg carries no twist operator and is not checked
     lab = LabelSix.from_generators(I0, J0, L0)
     right = np.array([True, False])
-    pairs = sixj._leg_pairs([lab, lab], right)
+    pairs = _pairs([lab, lab], right)
     zero = np.zeros(2, dtype=int)
     tensors = np.ones((2,) + (3,) * 4, dtype=complex)
 
@@ -189,9 +220,9 @@ def test_permute_legs_round_trip(rng):
 def test_zero_charge_symbols_reduce_to_bare_tensors(root3, rng):
     lab = _random_label_six(rng)
     zero = HalfInt(0)
-    assert np.allclose(sixj_pos(root3, lab, zero, zero).entries,
+    assert np.allclose(sixj_pos(root3, lab, zero, zero),
                        tform_tensor(root3, lab))
-    assert np.allclose(sixj_neg(root3, lab, zero, zero).entries,
+    assert np.allclose(sixj_neg(root3, lab, zero, zero),
                        tbar_tensor(root3, lab))
 
 
@@ -204,8 +235,8 @@ def test_charged_inversions(root3, rng):
 
 def test_inversion_fails_at_mismatched_charges(root3, rng):
     lab = _random_label_six(rng)
-    pos = sixj_pos(root3, lab, HalfInt(1), HalfInt(0)).entries
-    neg = sixj_neg(root3, lab, HalfInt(-1), HalfInt(1)).entries
+    pos = sixj_pos(root3, lab, HalfInt(1), HalfInt(0))
+    neg = sixj_neg(root3, lab, HalfInt(-1), HalfInt(1))
     target = np.einsum("ad,bg->abgd", np.eye(3), np.eye(3))
     got = np.einsum("abnm,mngd->abgd", pos, neg, optimize=True)
     assert np.linalg.norm(got - target) > 1e-3
@@ -269,7 +300,7 @@ def test_charged_symmetry_residuals_detect_a_wrong_charge_split(N, rng):
     root = RootData(N)
     lab = _random_label_six(rng)
     a, b, c = HalfInt(1), HalfInt(-2), HalfInt(2)
-    pos = sixj_pos(root, lab, a, c).entries
+    pos = sixj_pos(root, lab, a, c)
     norm = np.linalg.norm
     for t in sixj._sym_targets(root, lab, a + HalfInt(1), b - HalfInt(1), c,
                                charged=True):

@@ -1,3 +1,4 @@
+import json
 import string
 
 import numpy as np
@@ -13,8 +14,7 @@ from cyclic6j.statesum import (
     invariant_record, mod_qtilde_residual, qtilde_order, state_sum,
     tetra_weight, tetra_weights,
 )
-from cyclic6j.sixj import Sixj
-from cyclic6j.triangulation import Scene, deform_charge
+from cyclic6j.triangulation import Scene, deform_charge, load_document
 
 from conftest import _grow
 
@@ -69,10 +69,9 @@ def _dense_state_sum(root: RootData, scene: Scene,
     where every intermediate holds that face, this lowers the peak rank
     by one."""
     T = scene.complex
-    weights = tetra_weights(root, T, scene.coloring, scene.charge,
-                            range(T.n_tets))
-    arrays = [statesum._trace_self_glued(S.entries, fs) for S, fs in weights]
-    legs = [statesum._open_legs(fs) for _, fs in weights]
+    arrays, _, faces = tetra_weights(root, T, scene.coloring, scene.charge,
+                                     range(T.n_tets))
+    legs = faces.tolist()
     scale = (1.0 / root.N) ** len(scene.link)
     if not sliced:
         return _dense_contract(arrays, legs) * scale
@@ -85,9 +84,10 @@ def _dense_state_sum(root: RootData, scene: Scene,
 
 
 def _leaves(scene: Scene) -> list:
-    T = scene.complex
-    return [statesum._leaf(fs, right) for _, right, fs in
-            (statesum._corners(T, t) for t in range(T.n_tets))]
+    _, right, faces = statesum._corners(scene.complex,
+                                        np.arange(scene.complex.n_tets))
+    return [statesum._leaf(fs, r) for fs, r in zip(faces.tolist(),
+                                                   right.tolist())]
 
 
 def _replay(leaves: list, pairs) -> list:
@@ -186,51 +186,77 @@ def test_stacked_weights_match_one_at_a_time(root3, grown_s3):
     T = grown.complex
     stacked = tetra_weights(root3, T, grown.coloring, grown.charge,
                             range(T.n_tets))
-    for t, (S, faces) in enumerate(stacked):
-        one, one_faces = tetra_weight(root3, T, grown.coloring, grown.charge,
-                                      t)
-        assert faces == one_faces and S.legs == one.legs
-        assert np.allclose(S.entries, one.entries, rtol=1e-13, atol=0)
+    for t, (S, pairs, faces) in enumerate(zip(*stacked)):
+        one, one_pairs, one_faces = tetra_weight(root3, T, grown.coloring,
+                                                 grown.charge, t)
+        assert np.array_equal(faces, one_faces)
+        assert np.array_equal(pairs, one_pairs)
+        assert np.allclose(S, one, rtol=1e-13, atol=0)
 
 
-def test_self_glued_faces_are_traced_and_components_merged(rng):
-    x = rng.normal(size=(3, 3, 3, 3))
-    assert np.allclose(statesum._trace_self_glued(x, [5, 7, 5, 9]),
-                       np.trace(x, axis1=0, axis2=2))
-    assert statesum._open_legs([5, 7, 5, 9]) == [7, 9]
-    # two components: each closes to a scalar, and the scalars merge last
-    leaves = [statesum._leaf(fs, True) for fs in
-              ([1, 2, 5, 5], [2, 1, 6, 6], [3, 4, 7, 7], [3, 4, 8, 8])]
-    steps = statesum._plan(leaves, 3)
-    assert [(s.a, s.b) for s in steps] == [(0, 1), (2, 3), (4, 5)]
-    assert [len(n.legs) for n in _layouts(leaves, steps)[4:]] == [0, 0, 0]
+def _twice(doc: dict) -> dict:
+    """Two disjoint copies of a document, the second's tetrahedra offset."""
+    n = len(doc["tetrahedra"])
+
+    def cell(entry, key):
+        return {**entry, key: [entry[key][0] + n, *entry[key][1:]]}
+    return {
+        "tetrahedra": doc["tetrahedra"] * 2,
+        "gluings": doc["gluings"] + [cell(cell(g, "a"), "b")
+                                     for g in doc["gluings"]],
+        "link": doc["link"] + [[t + n, e] for t, e in doc["link"]],
+        "coloring": doc["coloring"] + [cell(c, "edge")
+                                       for c in doc["coloring"]],
+        "charge": doc["charge"] + [{**c, "tet": c["tet"] + n}
+                                   for c in doc["charge"]],
+    }
 
 
-def test_leaf_keeps_its_flux_constraint_unless_a_trace_frees_it():
-    # positive legs carry +1, +1, 0, -1: the last face is not stored
-    open_leaf = statesum._leaf([1, 2, 3, 4], True)
-    assert open_leaf.groups == ({1: 1, 2: 1, 4: -1},)
-    assert open_leaf.axes == (1, 2, 3)
-    # a traced face of net coefficient 0 leaves the rest constrained
-    assert statesum._leaf([5, 2, 3, 5], True).groups == ({2: 1},)
-    # one of net coefficient -1 (a hat leg and the (j, l) leg) sums the
-    # constraint away
-    free = statesum._leaf([1, 2, 5, 5], True)
-    assert free.groups == () and free.axes == (1, 2)
-    assert statesum._leaf([1, 5, 5, 4], False).groups == ()
+TWICE = "fixtures/boundary4simplex_twice.json"
+
+
+def test_two_component_file_is_the_fixture_twice():
+    with open("fixtures/boundary4simplex.json") as fh:
+        doc = json.load(fh)
+    with open(TWICE) as fh:
+        assert fh.read() == json.dumps(_twice(doc), sort_keys=True,
+                                       indent=1) + "\n"
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_two_components_give_the_product_of_their_values(N, fixture_scene):
+    root = RootData(N)
+    with open(TWICE) as fh:
+        twice = load_document(json.load(fh))
+    K = state_sum(root, fixture_scene)
+    assert abs(state_sum(root, twice) - K * K) <= 1e-12 * abs(K * K)
+    # each component closes to a scalar, and the two scalars merge last
+    steps = statesum._plan(_leaves(twice), N)
+    assert steps[-1].dims == (0, 0, 0, 0)
+    assert sum(s.dims == (0, 0, 0, 0) for s in steps) == 1
+
+
+def test_leaf_is_one_flux_group_stored_over_legs_0_to_2():
+    # positive legs carry +1, +1, 0, -1 and negative ones +1, 0, -1, -1:
+    # the last face follows from the others and is not stored
+    pos, neg = statesum._leaf([1, 2, 3, 4], True), statesum._leaf(
+        [1, 2, 3, 4], False)
+    assert pos.groups == ({1: 1, 2: 1, 4: -1},)
+    assert neg.groups == ({1: 1, 3: -1, 4: -1},)
+    assert pos.axes == neg.axes == (1, 2, 3)
+    assert pos.pivots == neg.pivots == {4}
 
 
 def test_support_guard_refuses_an_off_support_entry(root3, fixture_scene,
                                                     monkeypatch):
-    build = statesum.tetra_weights
+    build = statesum.sixj_stack
 
     def bumped(*args, **kwargs):
         weights = build(*args, **kwargs)
-        entries = weights[2][0].entries
         # i0 + i1 - i3 and i0 - i2 - i3 are both -1 here: off the support
-        entries[0, 0, 0, 1] += 1e-6 * np.abs(entries).max()
+        weights[2, 0, 0, 0, 1] += 1e-6 * np.abs(weights[2]).max()
         return weights
-    monkeypatch.setattr(statesum, "tetra_weights", bumped)
+    monkeypatch.setattr(statesum, "sixj_stack", bumped)
     with pytest.raises(NotScalarError, match="of tensor 2 "):
         state_sum(root3, fixture_scene)
 
@@ -252,47 +278,72 @@ def test_graded_contraction_equals_dense_on_grown_s3(n_tets, N, grown_s3):
     assert abs(state_sum(root, grown) - dense) <= 1e-12 * abs(dense)
 
 
-def _random_network(rng, n_tets: int, N: int) -> tuple[list, list, list]:
+def _random_network(rng, n_tets: int, N: int) -> tuple:
     """Weights on their flux support, random off nothing else, with each
-    face pairing a check slot (legs 0, 1) with a hat slot (legs 2, 3) at
-    random, so that faces glued within one tensor occur."""
+    face pairing a check slot (legs 0, 1) with a hat slot (legs 2, 3) of
+    another tensor at random."""
     checks = [(t, p) for t in range(n_tets) for p in (0, 1)]
     hats = [(t, p) for t in range(n_tets) for p in (2, 3)]
+    while True:
+        pick = rng.permutation(len(hats))
+        if all(checks[f][0] != hats[k][0] for f, k in enumerate(pick)):
+            break
     faces = [[0] * 4 for _ in range(n_tets)]
-    for f, k in enumerate(rng.permutation(len(hats))):
+    for f, k in enumerate(pick):
         (t, p), (u, q) = checks[f], hats[k]
         faces[t][p] = faces[u][q] = f
-    rights = [bool(r) for r in rng.integers(2, size=n_tets)]
+    rights = rng.integers(2, size=n_tets).astype(bool)
     i = np.indices((N,) * 4)
     weights = []
     for right in rights:
         c = statesum._FLUX[right]
         on = sum(cp * ip for cp, ip in zip(c, i)) % N == 0
         entries = rng.normal(size=on.shape) + 1j * rng.normal(size=on.shape)
-        weights.append(Sixj(np.where(on, entries, 0), []))
-    return weights, faces, rights
+        weights.append(np.where(on, entries, 0))
+    return np.array(weights), faces, rights
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_graded_contraction_equals_dense_on_random_networks(seed):
-    # random networks reach what S^3 walks do not: faces glued within a
-    # tensor, grounded trees and tensors of several groups
+# seeds 17, 23 and 34 are the first whose random networks' plans hold
+# tensors of several groups
+_SEEDS = range(36)
+
+
+def _random_case(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     N = (3, 5)[seed % 2]
-    weights, faces, rights = _random_network(rng, 2 + seed % 6, N)
+    return N, *_random_network(rng, 2 + seed % 6, N)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_graded_contraction_equals_dense_on_random_networks(seed):
+    N, weights, faces, rights = _random_case(seed)
     leaves = [statesum._leaf(fs, r) for fs, r in zip(faces, rights)]
-    arrays = statesum._stored_weights(
-        N, list(zip(weights, faces)), rights, leaves)
+    arrays = statesum._stored_weights(N, weights, rights)
     steps = statesum._plan(leaves, N)
     tail = statesum._tail(N, 4 * len(leaves))
     for s in steps:
         arrays.append(statesum._contract(arrays[s.a], arrays[s.b], s, N,
                                          tail))
-    dense = _dense_contract(
-        [statesum._trace_self_glued(w.entries, fs)
-         for w, fs in zip(weights, faces)],
-        [statesum._open_legs(fs) for fs in faces])
+    dense = _dense_contract(list(weights), faces)
     assert abs(arrays[-1][0] - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_random_networks_reach_grounded_trees_and_several_groups():
+    # the random networks reach both merge paths that S^3 walks also take:
+    # a shared face constrained on one side only (a tree joined to the
+    # ground), and tensors of several groups
+    grounded = several = 0
+    for seed in _SEEDS:
+        N, _, faces, rights = _random_case(seed)
+        leaves = [statesum._leaf(fs, r) for fs, r in zip(faces, rights)]
+        steps = statesum._plan(leaves, N)
+        nodes = _layouts(leaves, steps)
+        for s in steps:
+            A, B = nodes[s.a], nodes[s.b]
+            grounded += any((x in A.owner) != (x in B.owner)
+                            for x in A.faces & B.faces)
+        several += sum(len(n.groups) > 1 for n in nodes)
+    assert grounded and several
 
 
 def test_merge_layouts_are_consistent(fixture_scene, grown_s3):
@@ -346,12 +397,12 @@ def test_contraction_order_independence(root3, fixture_scene):
     letters = {}
     subs, tensors = [], []
     for t in range(T.n_tets):
-        S, face_cls = tetra_weight(root3, T, fixture_scene.coloring,
-                                   fixture_scene.charge, t)
-        tensors.append(S.entries)
+        S, _, face_cls = tetra_weight(root3, T, fixture_scene.coloring,
+                                      fixture_scene.charge, t)
+        tensors.append(S)
         subs.append("".join(
             letters.setdefault(cls, string.ascii_letters[len(letters)])
-            for cls in face_cls))
+            for cls in face_cls.tolist()))
     alt = np.einsum(",".join(subs) + "->", *tensors, optimize=True)
     alt *= (1.0 / root3.N) ** len(fixture_scene.link)
     assert alt == pytest.approx(state_sum(root3, fixture_scene), abs=1e-9)
@@ -382,9 +433,22 @@ def test_non_cocycle_coloring_fails_to_pair(root3, fixture_scene):
                                        ([0, 1, 2, 3, 4, 0], 3)])
 def test_face_without_two_legs_fails_to_pair(root3, fixture_scene, tets, legs):
     sc = fixture_scene
-    weights = tetra_weights(root3, sc.complex, sc.coloring, sc.charge, tets)
+    _, pairs, faces = tetra_weights(root3, sc.complex, sc.coloring,
+                                    sc.charge, tets)
     with pytest.raises(TypeMismatch, match=f"has {legs} legs"):
-        statesum._check_faces(weights)
+        statesum._check_faces(pairs, faces)
+
+
+def test_face_of_two_check_legs_fails_to_pair(root3, fixture_scene):
+    sc = fixture_scene
+    _, pairs, faces = tetra_weights(root3, sc.complex, sc.coloring,
+                                    sc.charge, range(5))
+    statesum._check_faces(pairs, faces)
+    # move a check leg's face to a hat leg of its tensor and back
+    faces[0, [0, 2]] = faces[0, [2, 0]]
+    with pytest.raises(TypeMismatch,
+                       match="pairs (check with check|hat with hat)"):
+        statesum._check_faces(pairs, faces)
 
 
 def test_equal_mod_qtilde_semantics(root3):

@@ -450,6 +450,30 @@ def test_loop_edges_detected():
         load_complex(doc)
 
 
+@pytest.mark.parametrize("f1,f2", itertools.combinations(range(4), 2))
+def test_a_tetrahedron_glued_to_itself_is_refused(f1, f2, fixture_scene):
+    # Gluing f1 to f2 sends corner f2, which lies on f1, to a corner of f2,
+    # never f2 itself: two corners of one tetrahedron meet, and the edge
+    # between them is a loop.  Reglue the fixture so: f1 of tetrahedron 0
+    # to its f2, with every corner map, their two partner faces to each
+    # other, with every corner map, and tetrahedron 0 of either orientation.
+    T = fixture_scene.complex
+    (u1, g1, _), (u2, g2, _) = T.partner(0, f1), T.partner(0, f2)
+    sides = {(0, f1), (0, f2)}
+    kept = [g for g in T.gluings if not sides & {g.a, g.b}]
+    # with the two gluings it dropped, the rest rebuilds the fixture
+    TriComplex(T.orientations, kept + [g for g in T.gluings
+                                       if sides & {g.a, g.b}])
+    for own, other, o in itertools.product(
+            itertools.permutations(FACE_CORNERS[f2]),
+            itertools.permutations(FACE_CORNERS[g2]), (1, -1)):
+        gluings = kept + [
+            Gluing((0, f1), (0, f2), tuple(zip(FACE_CORNERS[f1], own))),
+            Gluing((u1, g1), (u2, g2), tuple(zip(FACE_CORNERS[g1], other)))]
+        with pytest.raises((NotOrientable, NotQuasiRegular)):
+            TriComplex((o,) + T.orientations[1:], gluings)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         load_complex({"gluings": []})
