@@ -21,8 +21,9 @@ operators ``L``, ``R`` and the grading scalar ``q``.
 six-tuples, mixed signs and charges, in one pass: the intertwiners of
 every leg from one closed-form graded ``S``
 (:func:`~cyclic6j.algebra.graded_S`), the inverse blocks of every check
-leg from one ``np.linalg.inv``, the composites one einsum per slice of
-at most ``_SLICE_ENTRIES`` entries, and the twist in closed form as one
+leg from one ``np.linalg.inv``, the composites as two batched matrix
+products of ``N**6`` multiplications per tensor, a slice of at most
+``_SLICE_ENTRIES`` entries at a time, and the twist in closed form as one
 index gather and one phase multiply.  The composite guard stays per
 tensor: each tensor's worst diagonal deviation is compared with
 ``_COMPOSITE_TOL`` times its own ``max(1, max|tensor|)``, never with a
@@ -162,19 +163,18 @@ def _one(lab: LabelSix, right: bool) -> tuple[np.ndarray, np.ndarray]:
 def _gathers(N: int) -> tuple[list, list]:
     """Where the four factors of a positive and of a negative composite are
     read: index pairs into each factor's support ``[first, second, leg]``
-    over the ``V_m`` index ``s`` and the inner indices ``a``, ``c``."""
-    s, a, c = np.indices((N, N, N))
-    pos = [(s, a + c), (a + c, a), (c, s - a - c), (a, s - a)]
-    neg = [(s, a), (s - a, c), (a, c), (a + c, s - a - c)]
+    over the ``V_m`` index ``s``, the outer index ``u`` and the inner index
+    ``v`` of :func:`tform_tensor` and :func:`tbar_tensor`.  Factor 0 reads
+    no ``v``: its pairs broadcast to ``[s, u, 1]``."""
+    s, u, v = np.ogrid[:N, :N, :N]
+    pos = [(s, u), (u, v), (u - v, s - u), (v, s - v)]
+    neg = [(s, u), (s - u, v), (u, v), (u + v, s - u - v)]
     return ([(i % N, j % N) for i, j in pos], [(i % N, j % N) for i, j in neg])
 
 
-# Entries per composite slice: each intermediate, such as [t, s, a, c, z,
-# y], holds at most this many, or one tensor's N**5 when that is more.
+# Entries per composite slice: each intermediate, such as [t, s, u, v, x,
+# w], holds at most this many, or one tensor's N**5 when that is more.
 _SLICE_ENTRIES = 2 ** 15
-
-_COMPOSITE = "tsacz,tsacy,tsacx,tsacw->tzyxws"
-_COMPOSITE_PATH = ["einsum_path", (0, 1), (0, 1), (0, 1)]
 
 
 def _composites(root: RootData, pairs: np.ndarray,
@@ -186,11 +186,15 @@ def _composites(root: RootData, pairs: np.ndarray,
     the supports of the factors: ``S^-1`` on the two check legs and ``S``
     on the two hat legs.  The check legs' ``S`` is block diagonal over the
     product index ``c``, with blocks ``B_c[x, d] = G[x, c - x, d]``; all
-    blocks of the stack are inverted in one call.  Off the diagonal the
-    composite vanishes by the support, so it is proportional to the
-    identity exactly when its N diagonal entries agree.  Each tensor's
-    worst deviation from their mean is checked against ``_COMPOSITE_TOL``
-    times its own scale, ``max(1, max|tensor|)``.
+    blocks of the stack are inverted in one call.  With the ``V_m`` index
+    ``s`` and the outer and inner indices ``u``, ``v`` of :func:`_gathers`,
+    factors 1-3 are summed over ``v`` and then factor 0 over ``u``: two
+    batched matrix products of ``N**6`` multiplications per tensor.  Off
+    the diagonal the composite vanishes by the support, so it is
+    proportional to the identity exactly when its N diagonal entries
+    agree.  Each tensor's worst deviation from their mean is checked
+    against ``_COMPOSITE_TOL`` times its own scale, ``max(1,
+    max|tensor|)``.
     """
     N, T = root.N, len(right)
     G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
@@ -204,11 +208,16 @@ def _composites(root: RootData, pairs: np.ndarray,
     step = max(1, _SLICE_ENTRIES // N ** 5)
     for lo in range(0, T, step):
         t = np.arange(lo, min(lo + step, T))
-        diag = np.einsum(_COMPOSITE, *(F[t[:, None, None, None], i[t], j[t]]
-                                      for F, (i, j) in zip(factors, index)),
-                         optimize=_COMPOSITE_PATH)
-        tensor = diag.mean(axis=-1)
-        worst = np.abs(diag - tensor[..., None]).max(axis=(1, 2, 3, 4, 5))
+        f0, f1, f2, f3 = (F[t[:, None, None, None], i[t], j[t]]
+                          for F, (i, j) in zip(factors, index))
+        n = len(t)
+        # [t, s, u, v, x, w] -> [t, s, u, y, (x, w)] -> [t, s, z, y, x, w]
+        inner = f1.swapaxes(-1, -2) @ (f2[..., None] * f3[..., None, :]
+                                       ).reshape(n, N, N, N, N * N)
+        diag = (f0[:, :, :, 0].swapaxes(-1, -2)
+                @ inner.reshape(n, N, N, N ** 3)).reshape((n,) + (N,) * 5)
+        tensor = diag.mean(axis=1)
+        worst = np.abs(diag - tensor[:, None]).max(axis=(1, 2, 3, 4, 5))
         scale = np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3, 4)))
         bad = np.flatnonzero(worst > _COMPOSITE_TOL * scale)
         if bad.size:
@@ -285,8 +294,10 @@ def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     The composite ``S^-1_{k,l} (S^-1_{i,j} x id) (id x S_{j,l}) S_{i,n}``
     is an endomorphism of the simple module ``V_m`` at every fixed
     multiplicity index and must be proportional to the identity.  With
-    ``V_m`` index ``s`` and ``V_i``, ``V_j`` indices ``a``, ``c``, the
-    supports fix ``V_k = a + c``, ``V_l = s - a - c`` and ``V_n = s - a``.
+    ``V_m`` index ``s``, ``V_k`` index ``u`` and ``V_i`` index ``v``, the
+    supports fix ``V_j = u - v``, ``V_l = s - u`` and ``V_n = s - v``.
+    Summing ``v`` first, then ``u``, costs ``N**6`` multiplications for
+    the ``N**5`` diagonal entries, each of which is checked.
     """
     return _composites(root, *_one(lab, True))[0]
 
@@ -295,7 +306,8 @@ def tbar_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
     """Uncharged negative 6j tensor, indexed ``[hat(i,n), hat(j,l), check(i,j), check(k,l)]``.
 
     Composite ``S^-1_{i,n} (id x S^-1_{j,l}) (S_{i,j} x id) S_{k,l}``,
-    read along the supports as in :func:`tform_tensor`.
+    read along the supports as in :func:`tform_tensor`, with ``V_i``
+    index ``u`` and ``V_j`` index ``v``.
     """
     return _composites(root, *_one(lab, False))[0]
 

@@ -342,16 +342,25 @@ _MALFORMED = (KeyError, TypeError, ValueError, IndexError)
 _COLOR_TOL = 1e-10
 
 
+def _integer(value) -> int:
+    """A document integer: an int, or a float of integral value.  Bools,
+    fractions, strings and anything else raise ``ValueError``, which the
+    readers below turn into a :class:`ParseError` naming the entry."""
+    if type(value) is int or isinstance(value, np.integer) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def load_complex(doc: dict) -> TriComplex:
     """Build and validate the bare complex of a triangulation document."""
     if not isinstance(doc, dict) or "tetrahedra" not in doc:
         raise ParseError("document must be an object with a 'tetrahedra' list")
     try:
-        orientations = [int(t["orientation"]) for t in doc["tetrahedra"]]
+        orientations = [_integer(t["orientation"]) for t in doc["tetrahedra"]]
         gluings = [
-            Gluing((int(g["a"][0]), int(g["a"][1])),
-                   (int(g["b"][0]), int(g["b"][1])),
-                   tuple((int(i), int(j)) for i, j in g["corner_map"]))
+            Gluing(_pair(g["a"]), _pair(g["b"]),
+                   tuple(_pair(p) for p in g["corner_map"]))
             for g in doc.get("gluings", [])
         ]
     except _MALFORMED as exc:
@@ -368,7 +377,7 @@ def _entries(doc: dict, key: str, convert):
         raise ParseError(f"malformed {key} entry: {exc}") from exc
 
 
-def _pair(cell, kind=int) -> tuple:
+def _pair(cell, kind=_integer) -> tuple:
     a, b = cell
     return kind(a), kind(b)
 
@@ -388,7 +397,7 @@ def load_document(doc: dict) -> Scene:
     if "coloring" in doc:
         coloring = {}
         for t, e, start, x, y in _entries(doc, "coloring", lambda entry: (
-                *_pair(entry["edge"]), int(entry["from_corner"]),
+                *_pair(entry["edge"]), _integer(entry["from_corner"]),
                 *_pair(entry["g"], float))):
             _edge_cell(T, "coloring", t, e)
             a, b = EDGE_CORNERS[e]
@@ -415,7 +424,7 @@ def load_document(doc: dict) -> Scene:
     if "charge" in doc:
         vals = [[None] * 6 for _ in range(T.n_tets)]
         for t, e, d in _entries(doc, "charge", lambda entry: tuple(
-                int(entry[k]) for k in ("tet", "edge_index", "doubled"))):
+                _integer(entry[k]) for k in ("tet", "edge_index", "doubled"))):
             _edge_cell(T, "charge", t, e)
             for slot in (e, OPPOSITE_EDGE[e]):
                 if vals[t][slot] is not None and vals[t][slot] != d:

@@ -269,10 +269,40 @@ def _set_charge_scalar(doc):
     doc["charge"] = 5
 
 
+def _retyped(*path, fraction=True):
+    """An edit that rewrites the integer at ``doc[p0][p1]...`` as a value
+    that ``int()`` reads as the same integer: the integer moved away from
+    zero by a half, or the bool of a 0 or 1."""
+    *outer, key = path
+
+    def edit(doc):
+        for p in outer:
+            doc = doc[p]
+        v = doc[key]
+        assert type(v) is int and (fraction or v in (0, 1))
+        doc[key] = v + (0.5 if v >= 0 else -0.5) if fraction else bool(v)
+    edit.__name__ = "_".join(map(str, path)) + ("_frac" if fraction
+                                                 else "_bool")
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _set_gluing_side, _set_orientation, _set_link, _set_charge_value,
     _set_coloring_edge, _drop_charge_tet, _set_coloring_scalar,
     _set_charge_scalar,
+    # fractions and bools that int() reads as the fixture's own integers
+    _retyped("tetrahedra", 1, "orientation"),
+    _retyped("tetrahedra", 0, "orientation", fraction=False),
+    _retyped("gluings", 0, "a", 1),
+    _retyped("gluings", 2, "b", 0),
+    _retyped("gluings", 0, "corner_map", 0, 1),
+    _retyped("link", 0, 1),
+    _retyped("coloring", 0, "edge", 1),
+    _retyped("coloring", 0, "from_corner"),
+    _retyped("charge", 1, "tet"),
+    _retyped("charge", 1, "edge_index"),
+    _retyped("charge", 0, "doubled"),
+    _retyped("charge", 0, "doubled", fraction=False),
 ])
 def test_malformed_document_is_input_error(edit, tmp_path, capsys):
     doc = boundary4simplex_document()

@@ -95,7 +95,8 @@ def _oracle_neg(root, lab, a, c):
 
 
 @pytest.mark.parametrize("N, slice_entries", [(3, 2 * 3 ** 5), (3, 2 ** 15),
-                                              (5, 2 ** 15), (7, 2 ** 15)])
+                                              (5, 2 ** 15), (7, 2 ** 15),
+                                              (9, 2 ** 15)])
 def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
                                             monkeypatch):
     # 2 * 3**5 entries cut the N = 3 stack into slices of two tensors
@@ -115,6 +116,67 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
         assert np.max(np.abs(got[t] - want)) <= 1e-12 * np.max(np.abs(want))
     one = (sixj_pos if right[1] else sixj_neg)(root, labs[1], a[1], c[1])
     assert np.allclose(one, got[1], rtol=1e-13, atol=0)
+
+
+def _composites_n7(root, pairs, right):
+    # the composites as one einsum over the V_m index s and the V_i, V_j
+    # indices a, c: N**7 products per tensor
+    N = root.N
+    G = sixj.graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
+    c, x = np.ogrid[:N, :N]
+    H = np.linalg.inv(G[:, :2, x, (c - x) % N]).swapaxes(-1, -2)
+    s, a, c = np.indices((N, N, N))
+    pos = [(s, a + c), (a + c, a), (c, s - a - c), (a, s - a)]
+    neg = [(s, a), (s - a, c), (a, c), (a + c, s - a - c)]
+    out = []
+    for t, r in enumerate(right):
+        diag = np.einsum("sacz,sacy,sacx,sacw->zyxws", *(
+            F[t, i % N, j % N] for F, (i, j) in
+            zip((H[:, 0], H[:, 1], G[:, 2], G[:, 3]), pos if r else neg)),
+            optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
+        out.append(diag.mean(axis=-1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
+def test_composites_match_the_n7_einsum(N, rng, monkeypatch):
+    # slices of two tensors cut the stack of five after tensors 1 and 3
+    monkeypatch.setattr(sixj, "_SLICE_ENTRIES", 2 * N ** 5)
+    root = RootData(N)
+    labs = [_random_label_six(rng) for _ in range(5)]
+    right = np.array([True, False, False, True, False])
+    pairs = _pairs(labs, right)
+    got = sixj._composites(root, pairs, right)
+    want = _composites_n7(root, pairs, right)
+    for t in range(5):
+        assert np.max(np.abs(got[t] - want[t])) <= 1e-12 * np.max(
+            np.abs(want[t]))
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_composite_guard_reads_every_diagonal_entry(N, monkeypatch):
+    # G[t, 3, x, y] is read only at the V_m index s = x + y, in a positive
+    # and in a negative composite alike; a guard that sampled s = 0 alone
+    # would miss every corruption below
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = [True, False, True, False]
+    pairs = _pairs([lab] * 4, right)
+    zero = [0] * 4
+    graded = sixj.graded_S
+    sixj_stack(RootData(N), pairs, right, zero, zero)  # passes uncorrupted
+    for t in (1, 2):
+        for x in range(N):
+            for y in range(N):
+                if (x + y) % N == 0:
+                    continue
+
+                def corrupt(root, g, h, t=t, x=x, y=y):
+                    G = graded(root, g, h).copy()
+                    G[t, 3, x, y, :] *= 1 + 1e-5
+                    return G
+                monkeypatch.setattr(sixj, "graded_S", corrupt)
+                with pytest.raises(NotScalarError, match=f"of tensor {t} "):
+                    sixj_stack(RootData(N), pairs, right, zero, zero)
 
 
 def test_label_stack_matches_label_six(rng):

@@ -514,6 +514,25 @@ def test_document_round_trip_is_byte_stable(fixture_scene):
     assert json.dumps(doc2, sort_keys=True) == text1
 
 
+def test_document_integers_may_be_integral_floats_or_numpy(fixture_scene):
+    # every integer of the document, rewritten as a float and as an int64,
+    # loads to the same scene; fractions and bools are refused (test_cli)
+    def retype(x, kind):
+        if type(x) is int:
+            return kind(x)
+        if isinstance(x, list):
+            return [retype(v, kind) for v in x]
+        if isinstance(x, dict):
+            return {k: v if k == "g" else retype(v, kind)
+                    for k, v in x.items()}
+        return x
+    doc = scene_document(fixture_scene)
+    text = json.dumps(doc, sort_keys=True)
+    for kind in (float, np.int64):
+        back = scene_document(load_document(retype(doc, kind)))
+        assert json.dumps(back, sort_keys=True) == text
+
+
 def test_document_fills_opposite_charge_slots():
     scene = load_document(boundary4simplex_document())
     for row in scene.charge.doubled:
