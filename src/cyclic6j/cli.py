@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ from .statesum import (
     state_sum,
 )
 from .triangulation import (
-    FACE_CORNERS, Scene, TopologyError, _EDGE_INDEX, _random_element,
+    FACE_CORNERS, Scene, TopologyError, _EDGE_INDEX, _random_element, _real,
     bubble_minus, bubble_plus, deform_charge, find_charge, gauge_transform,
     is_admissible, load_document, make_admissible, pachner_minus,
     pachner_plus, point_gauge, random_gauge, scene_document,
@@ -374,7 +375,7 @@ def _read_record(doc, N: int) -> tuple[int, complex]:
     """The root order (default ``N``) and the ``[re, im]`` value of a result record."""
     try:
         re, im = doc["value"]
-        value, N = complex(re, im), doc.get("N", N)
+        value, N = complex(_real(re), _real(im)), doc.get("N", N)
         if type(N) is not int:  # 3.7, 3.0, "3" and true alike
             raise TypeError(f"N = {N!r} is not an integer")
     except (KeyError, TypeError, ValueError) as exc:
@@ -451,8 +452,10 @@ def cmd_gauge(args: argparse.Namespace) -> int:
         raise TopologyError("point gauge needs --x and --y")
     else:
         gauge = point_gauge(T, args.vertex, GroupElement(args.x, args.y))
-    recolored = gauge_transform(T, scene.coloring, gauge)
-    _emit_document(dataclasses.replace(scene, coloring=recolored), args.out)
+    gauged = dataclasses.replace(
+        scene, coloring=gauge_transform(T, scene.coloring, gauge))
+    load_document(scene_document(gauged))  # output must revalidate
+    _emit_document(gauged, args.out)
     return 0
 
 
@@ -481,6 +484,7 @@ def _checked(ok, need: str, kind=int):
 
 # a tolerance: nan, inf and values <= 0 would fail or pass every check
 _TOL = _checked(lambda x: 0 < x < float("inf"), "finite and > 0", float)
+_FINITE = _checked(math.isfinite, "finite", float)
 
 # the root order, seed and tolerances; each subcommand adds the ones it reads
 _SHARED = {
@@ -547,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--vertex", type=int,
                    help="vertex class for a point gauge (else a random gauge)")
-    p.add_argument("--x", type=float, help="point gauge element, x part")
-    p.add_argument("--y", type=float, help="point gauge element, y part")
+    p.add_argument("--x", type=_FINITE, help="point gauge element, x part")
+    p.add_argument("--y", type=_FINITE, help="point gauge element, y part")
     p.add_argument("--out")
     _add_shared(p, "--seed")
     p.set_defaults(func=cmd_gauge)

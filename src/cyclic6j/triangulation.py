@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,6 +354,15 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _real(value) -> float:
+    """A document or record real: a finite int or float.  Bools, strings,
+    NaN, infinities and anything else raise ``ValueError``, as ``_integer``."""
+    if (type(value) is int or isinstance(value, (float, np.integer))) and \
+            abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{value!r} is not a finite real number")
+
+
 def load_complex(doc: dict) -> TriComplex:
     """Build and validate the bare complex of a triangulation document."""
     if not isinstance(doc, dict) or "tetrahedra" not in doc:
@@ -398,7 +409,7 @@ def load_document(doc: dict) -> Scene:
         coloring = {}
         for t, e, start, x, y in _entries(doc, "coloring", lambda entry: (
                 *_pair(entry["edge"]), _integer(entry["from_corner"]),
-                *_pair(entry["g"], float))):
+                *_pair(entry["g"], _real))):
             _edge_cell(T, "coloring", t, e)
             a, b = EDGE_CORNERS[e]
             if start not in (a, b):
@@ -538,111 +549,78 @@ def _edge_target(link: frozenset[int], cls: int) -> int:
     return 0 if cls in link else 2
 
 
-# with |x|, |y| and |q*y| below this bound, x - q*y cannot wrap int64
-_INT64_SAFE = 2**62
-
-
-def _max_abs(*arrays) -> int:
-    return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size),
-               default=0)
-
-
 def _smith_solve(rows: list[list[int]], rhs: list[int],
                  nvars: int) -> tuple[list[int], list[list[int]]] | None:
     """Solve an integer linear system; return (particular, kernel basis).
 
-    Diagonalizes by elementary row and column operations over the
-    integers (Kannan & Bachem, SIAM J. Comput. 1979), tracking column
-    operations to map back to the original variables.  Returns None when
-    no integral solution exists.  The result is a function of the system
-    alone: runs on int64 arrays, and reruns the same elimination on Python
-    ints when an entry could leave int64.
+    Diagonalizes by elementary row and column operations over the integers
+    (Kannan & Bachem, SIAM J. Comput. 1979); V records the column operations
+    to map back to the original variables.  None when no integral solution
+    exists.  Step k swaps the first entry of least nonzero |.| at or beyond
+    (k, k), in row-major order, into (k, k), then clears column k below and
+    row k right of it entry by entry, swapping in any remainder as the pivot
+    (Euclid) until both are clean.  One exact path on Python ints, with the
+    rows of A and the columns of V stored as ``{index: value}`` dicts, so an
+    operation touches only nonzeros.  The entries are not bounded: they stay
+    small on the sparse charge systems, but can grow without bound on dense
+    ones; a dense 7x7 system with entries in [-9, 9] may not finish.
     """
-    try:
-        return _smith_eliminate(rows, rhs, nvars, np.int64)
-    except OverflowError:
-        return _smith_eliminate(rows, rhs, nvars, object)
+    A = [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
+    b, V, m = [int(v) for v in rhs], [{j: 1} for j in range(nvars)], len(A)
 
+    def subtract(target: dict, source: dict, q: int) -> None:
+        for idx, v in source.items():
+            w = target.pop(idx, 0) - q * v
+            if w:
+                target[idx] = w
 
-def _smith_eliminate(rows, rhs, nvars, dtype):
-    """The elimination of ``_smith_solve`` on arrays of ``dtype``.
+    def swap_columns(j, k):     # the rows before k are zero in both
+        for row in A[k:]:
+            if k in row or j in row:
+                a, c = row.pop(k, 0), row.pop(j, 0)
+                row.update((idx, v) for idx, v in ((k, c), (j, a)) if v)
+        V[j], V[k] = V[k], V[j]
 
-    One array holds the system and the column record, ``[[A, b], [V, 0]]``,
-    so a row operation on A carries b along and a column operation carries
-    V.  Step k swaps the first entry of least nonzero |.| at or beyond
-    (k, k), in row-major order, into (k, k).  Sweeps then clear column k
-    below the pivot and row k right of it; an entry the pivot does not
-    divide leaves its remainder, which is swapped in as the pivot (Euclid).
-    A run of entries the pivot divides is cleared in one array operation:
-    the pivot cannot change within the run, so this is the entry-by-entry
-    elimination exactly.  On int64 the entries are bounded before every
-    operation, and OverflowError is raised before any could wrap.
-    """
-    m = len(rows)
-    W = np.zeros((m + nvars, nvars + 1), dtype=dtype)
-    W[:m, :nvars] = np.array(rows, dtype=dtype).reshape(m, nvars)
-    W[:m, nvars] = rhs
-    W[m + np.arange(nvars), np.arange(nvars)] = 1
-    exact = dtype is object
-    bound = _max_abs(W)    # at least every |entry| of W
-
-    def guard(q):
-        nonlocal bound
-        if exact:
-            return
-        step = 1 + int(np.abs(q).max())
-        if bound * step >= _INT64_SAFE:
-            bound = _max_abs(W)
-            if bound * step >= _INT64_SAFE:
-                raise OverflowError("integer elimination leaves int64")
-        bound *= step
-
-    def sweep(P, k) -> bool:
-        # clear P[k+1:, k] by operations on the rows of P
-        dirty = False
-        i = k + 1
-        while i < len(P):
-            col, pivot = P[i:, k], P[k, k]
-            left = (col % pivot).nonzero()[0]    # rows leaving a remainder
-            end = i + int(left[0]) + 1 if left.size else len(P)
-            q = col[:end - i] // pivot
-            hit = q.nonzero()[0]
-            if hit.size:
-                q = q[hit]
-                guard(q)
-                P[i + hit] -= np.outer(q, P[k])
-            if not left.size:
-                break
-            P[[k, end - 1]] = P[[end - 1, k]]
-            dirty = True
-            i = end
-        return dirty
-
-    if not exact and bound >= _INT64_SAFE:
-        raise OverflowError("integer system exceeds int64")
     rank = 0
-    by_rows, by_columns = W[:m], W[:, :nvars].T
     for k in range(min(m, nvars)):
-        mag = np.abs(W[k:m, k:nvars])
-        nonzero = mag[mag != 0]
-        if not nonzero.size:
+        best = (math.inf,)
+        for i in range(k, m):   # the rows from k hold columns from k only
+            best = min([best, *((abs(v), i, j) for j, v in A[i].items())])
+            if best[0] == 1:
+                break
+        if best[0] == math.inf:
             break
-        i, j = divmod(int(np.argmax(mag == nonzero.min())), nvars - k)
-        if i:
-            W[[k, k + i]] = W[[k + i, k]]
-        if j:
-            W[:, [k, k + j]] = W[:, [k + j, k]]
-        while sweep(by_rows, k) | sweep(by_columns, k):
-            pass
+        _, i, j = best
+        A[i], A[k], b[i], b[k] = A[k], A[i], b[k], b[i]
+        if j != k:
+            swap_columns(j, k)
+        dirty = True
+        while dirty:
+            dirty = False
+            # no operation changes a row or column after the one it clears
+            for i in [i for i in range(k + 1, m) if k in A[i]]:
+                q = A[i][k] // A[k][k]
+                subtract(A[i], A[k], q)
+                b[i] -= q * b[k]
+                if k in A[i]:
+                    A[i], A[k], b[i], b[k] = A[k], A[i], b[k], b[i]
+                    dirty = True
+            for j in sorted(j for j in A[k] if j > k):
+                q = A[k][j] // A[k][k]
+                for row in [row for row in A[k:] if k in row]:
+                    subtract(row, {j: row[k]}, q)
+                subtract(V[j], V[k], q)
+                if j in A[k]:
+                    swap_columns(j, k)
+                    dirty = True
         rank += 1
-    pivots, b, V = W[:rank, :rank].diagonal(), W[:m, nvars], W[m:, :nvars]
-    if (b[:rank] % pivots).any() or b[rank:].any():
+    if any(b[k] % A[k][k] for k in range(rank)) or any(b[rank:]):
         return None
-    y = np.zeros(nvars, dtype=dtype)
-    y[:rank] = b[:rank] // pivots
-    if not exact and _max_abs(V) * _max_abs(y) * nvars >= 2**63:
-        raise OverflowError("integer solution leaves int64")
-    return (V @ y).tolist(), V[:, rank:].T.tolist()
+    x = {}
+    for k in range(rank):
+        subtract(x, V[k], -(b[k] // A[k][k]))
+    return [x.get(r, 0) for r in range(nvars)], [
+        [col.get(r, 0) for r in range(nvars)] for col in V[rank:]]
 
 
 def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],

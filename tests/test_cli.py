@@ -269,6 +269,16 @@ def _set_charge_scalar(doc):
     doc["charge"] = 5
 
 
+def _set_coloring_strings(doc):
+    # every coordinate as the string of its float, which float() would read
+    for entry in doc["coloring"]:
+        entry["g"] = [repr(v) for v in entry["g"]]
+
+
+def _set_coloring_bool(doc):
+    doc["coloring"][0]["g"][1] = True
+
+
 def _retyped(*path, fraction=True):
     """An edit that rewrites the integer at ``doc[p0][p1]...`` as a value
     that ``int()`` reads as the same integer: the integer moved away from
@@ -289,7 +299,7 @@ def _retyped(*path, fraction=True):
 @pytest.mark.parametrize("edit", [
     _set_gluing_side, _set_orientation, _set_link, _set_charge_value,
     _set_coloring_edge, _drop_charge_tet, _set_coloring_scalar,
-    _set_charge_scalar,
+    _set_charge_scalar, _set_coloring_strings, _set_coloring_bool,
     # fractions and bools that int() reads as the fixture's own integers
     _retyped("tetrahedra", 1, "orientation"),
     _retyped("tetrahedra", 0, "orientation", fraction=False),
@@ -338,6 +348,10 @@ def test_gauge_vertex_out_of_range_is_input_error(vertex, message, tmp_path,
     ("canonical", {"N": 3.7, "value": [0.1, 0]}),
     ("canonical", {"N": True, "value": [0.1, 0]}),
     ("baseline", {"N": 5, "value": [0.04, 0]}),
+    # complex() read these as 1 + 0j and nan + 0j
+    ("canonical", {"N": 3, "value": [True, False]}),
+    ("canonical", {"N": 3, "value": [float("nan"), 0.0]}),
+    ("baseline", {"N": 3, "value": [float("nan"), 0.0]}),
 ])
 def test_malformed_record_or_trials_is_input_error(command, record, tmp_path,
                                                    capsys):
@@ -376,6 +390,23 @@ def test_tolerance_must_be_finite_and_positive(option, value, tmp_path,
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert f"must be finite and > 0, got {float(value)}" in err
+
+
+@pytest.mark.parametrize("x,y,message", [
+    ("nan", "1", "must be finite, got nan"),       # refused by the parser
+    ("1e308", "1e308", "not a finite real number"),  # colors overflow
+])
+def test_gauge_writes_only_documents_that_load(x, y, message, tmp_path,
+                                               capsys):
+    out = tmp_path / "out.json"
+    try:
+        code = main(["gauge", FIXTURE, "--vertex", "0", "--x", x, "--y", y,
+                     "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code == 2 and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_find_charge_roundtrip(tmp_path, capsys):

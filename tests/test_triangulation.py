@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclic6j import triangulation
 from cyclic6j.algebra import AlgebraError, GroupElement, group_inv, group_mul
 from cyclic6j.fixtures import boundary4simplex_document, boundary4simplex_scene
 from cyclic6j.statesum import mod_qtilde_residual, state_sum
@@ -18,7 +19,7 @@ from cyclic6j.triangulation import (
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
     TriComplex,
     _EDGE_INDEX, _charge_rows, _check_cocycle, _glue_faces, _perm_sign,
-    _smith_eliminate, _smith_solve, _tet_ends,
+    _smith_solve, _tet_ends,
     bubble_minus, bubble_plus,
     charge_class, color_of, deform_charge, edge_between, find_charge,
     gauge_transform, holonomy, is_admissible, load_complex, load_document,
@@ -220,8 +221,6 @@ def test_smith_solver_is_exact_past_int64():
         ([[2**32 + 1, 2**32 - 1, 7], [2**32, 2**32 + 3, 11]], [2**33, 1], 3),
     ]
     for rows, rhs, nvars in cases:
-        with pytest.raises(OverflowError):
-            _smith_eliminate(rows, rhs, nvars, np.int64)
         got = _smith_solve(rows, rhs, nvars)
         assert got == _oracle_smith_solve(rows, rhs, nvars)
         x, kernel = got
@@ -533,6 +532,17 @@ def test_document_integers_may_be_integral_floats_or_numpy(fixture_scene):
         assert json.dumps(back, sort_keys=True) == text
 
 
+@pytest.mark.parametrize("value", ["-0.5", True, float("nan"), float("inf"),
+                                   10**400],
+                         ids=["string", "bool", "nan", "inf", "huge-int"])
+def test_document_reals_are_finite_numbers(value):
+    # float() read the first two as -0.5 and 1.0
+    doc = boundary4simplex_document()
+    doc["coloring"][0]["g"][0] = value
+    with pytest.raises(ParseError, match="not a finite real number"):
+        load_document(doc)
+
+
 def test_document_fills_opposite_charge_slots():
     scene = load_document(boundary4simplex_document())
     for row in scene.charge.doubled:
@@ -734,6 +744,24 @@ def test_move_walk_digest_is_pinned():
                 refusals[kind, type(out).__name__] += 1
     digest.update(repr(sorted(refusals.items())).encode())
     assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_smith_solver_matches_the_oracle_on_every_walk_system(monkeypatch):
+    calls, solve = [], triangulation._smith_solve
+
+    def record(rows, rhs, nvars):
+        out = solve(rows, rhs, nvars)
+        calls.append((rows, rhs, nvars, out))
+        return out
+    monkeypatch.setattr(triangulation, "_smith_solve", record)
+    for seed in (0, 1):
+        for _ in _excursion(seed, top=30, bottom=8):
+            pass
+    for rows, rhs, nvars, out in calls:
+        assert out == _oracle_smith_solve(rows, rhs, nvars), (rows, rhs)
+    # bubble- solves for no variables, and kernels of dimension 0 to 2 occur
+    assert any(nvars == 0 for _, _, nvars, _ in calls)
+    assert {0, 1, 2} <= {len(out[1]) for *_, out in calls if out}
 
 
 def test_negative_moves_keep_the_invariant_beyond_the_fixture(root3,
