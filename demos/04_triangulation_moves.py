@@ -27,7 +27,7 @@ validate_link(T, scene.link)
 charge = find_charge(T, scene.link)
 validate_charge(T, scene.link, charge)
 print("charge per tetrahedron (doubled):")
-for t, row in enumerate(charge.doubled):
+for t, row in enumerate(charge):
     print(f"  tet {t}: {row}")
 
 # a charge deformation along an edge preserves validity

@@ -18,6 +18,7 @@ Everything is plain numpy; matrices are complex128 throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,10 @@ class BadOperands(AlgebraError):
 class RootData:
     """Root-of-unity context: order ``N`` and primitive root ``w = exp(2 pi i k / N)``.
 
-    ``N`` must be odd and at least 3, ``k`` coprime to ``N``.  The sign
-    ``eps`` entering the root-branch convention and the phi factors is
-    fixed at -1; that is the only consistent choice for odd ``N`` and is
-    therefore not a parameter.
+    ``N`` must be odd and at least 3, ``k`` in 1..N-1 and coprime to ``N``.
+    The sign ``eps`` entering the root-branch convention and the phi
+    factors is fixed at -1; that is the only consistent choice for odd
+    ``N`` and is therefore not a parameter.
     """
 
     N: int
@@ -70,8 +71,9 @@ class RootData:
     def __post_init__(self) -> None:
         if self.N < 3 or self.N % 2 == 0:
             raise BadOperands(f"N must be odd and >= 3, got {self.N}")
-        if np.gcd(self.k, self.N) != 1:
-            raise BadOperands(f"k must be coprime to N, got k={self.k}, N={self.N}")
+        if not 0 < self.k < self.N or math.gcd(self.k, self.N) != 1:
+            raise BadOperands(f"k must lie in 1..N-1 and be coprime to N, "
+                              f"got k={self.k}, N={self.N}")
 
     @property
     def eps(self) -> int:

@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .fixtures import boundary4simplex_scene
 from .operators import (
-    HalfInt, _scalar_split, assemble_q, identity_block, op_A, op_A_oracle,
+    _scalar_split, assemble_q, identity_block, op_A, op_A_oracle,
     op_B, op_B_oracle, op_C, op_L, op_R, op_sqrtL, op_word, q_scalar,
 )
 from .sixj import (
@@ -203,17 +203,15 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
     for trial in range(trials):
         jd = _random_pentagon(rng)
         a0, a2, a4, c0, c4 = (int(v) for v in rng.integers(-2, 3, size=5))
-        a = tuple(HalfInt(v) for v in
-                  (a0, a0 + a2, a2, a2 + a4, a4))
-        c = tuple(HalfInt(v) for v in
-                  (c0, c0 + a4, c0 + a4 + a0 + c4, a0 + c4, c4))
+        a = (a0, a0 + a2, a2, a2 + a4, a4)
+        c = (c0, c0 + a4, c0 + a4 + a0 + c4, a0 + c4, c4)
         rows.rec("pentagon_charged",
                  check_charged_pentagon(root, jd, a, c), tol)
         if trial == 0:
-            zero = tuple(HalfInt(0) for _ in range(5))
+            zero = (0,) * 5
             rows.rec("pentagon_zero_charge",
                      check_charged_pentagon(root, jd, zero, zero), tol)
-            bad_c = c[:2] + (HalfInt(c[2].doubled + 1),) + c[3:]
+            bad_c = c[:2] + (c[2] + 1,) + c[3:]
             rows.rec("control_pentagon_bad_charge",
                      check_charged_pentagon(root, jd, a, bad_c,
                                             skip_constraint_check=True),
@@ -221,13 +219,12 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
 
         lab = _random_label_six(rng)
         da, dc = (int(v) for v in rng.integers(-3, 4, size=2))
-        r1, r2 = check_charged_inversion(root, lab, HalfInt(da), HalfInt(dc))
+        r1, r2 = check_charged_inversion(root, lab, da, dc)
         rows.rec("inversion_first", r1, tol)
         rows.rec("inversion_second", r2, tol)
 
         db = int(rng.integers(-3, 4))
-        charged = check_symmetry_relations(
-            root, lab, HalfInt(da), HalfInt(db), HalfInt(1 - da - db))
+        charged = check_symmetry_relations(root, lab, da, db, 1 - da - db)
         uncharged = check_uncharged_symmetries(root, lab)
         for which, residuals in (("charged", charged), ("uncharged", uncharged)):
             for pair, r in zip(("01", "12", "23"), residuals):
@@ -235,8 +232,8 @@ def suite_sixj(root: RootData, rng: np.random.Generator, trials: int,
 
         if trial == 0:
             # contraction at non-opposite charges must miss the identity
-            pos = sixj_pos(root, lab, HalfInt(1), HalfInt(0))
-            neg = sixj_neg(root, lab, HalfInt(-1), HalfInt(1))
+            pos = sixj_pos(root, lab, 1, 0)
+            neg = sixj_neg(root, lab, -1, 1)
             rows.rec("control_inversion_mismatch",
                      _inversion_defect(pos, neg), control_floor, kind="min")
     return list(rows.values())
@@ -452,8 +449,13 @@ def cmd_gauge(args: argparse.Namespace) -> int:
         raise TopologyError("point gauge needs --x and --y")
     else:
         gauge = point_gauge(T, args.vertex, GroupElement(args.x, args.y))
-    gauged = dataclasses.replace(
-        scene, coloring=gauge_transform(T, scene.coloring, gauge))
+    coloring = gauge_transform(T, scene.coloring, gauge)
+    for cls, g in sorted(coloring.items()):
+        # the read-back reads each color in both orientations
+        if not all(map(math.isfinite, (g.x, g.y, g.x / g.y, 1.0 / g.y))):
+            raise TopologyError(f"--x/--y send edge class {cls} out of range: "
+                                "x, y, -x/y or 1/y is not a finite real number")
+    gauged = dataclasses.replace(scene, coloring=coloring)
     load_document(scene_document(gauged))  # output must revalidate
     _emit_document(gauged, args.out)
     return 0

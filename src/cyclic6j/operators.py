@@ -33,7 +33,7 @@ from .algebra import (
 )
 
 __all__ = [
-    "HalfInt", "LabelMismatch", "NegativeBase", "NotScalarError",
+    "LabelMismatch", "NegativeBase", "NotScalarError",
     "BlockOperator", "compose", "identity_block",
     "op_A", "op_Astar", "op_B", "op_Bstar",
     "op_A_oracle", "op_B_oracle",
@@ -53,29 +53,6 @@ class NegativeBase(AlgebraError):
 
 class NotScalarError(AlgebraError):
     """A composite expected to be proportional to the identity is not."""
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """A half-integer stored as its doubled value, keeping arithmetic exact."""
-
-    doubled: int
-
-    @property
-    def value(self) -> float:
-        return self.doubled / 2
-
-    def __add__(self, other: HalfInt) -> HalfInt:
-        return HalfInt(self.doubled + other.doubled)
-
-    def __sub__(self, other: HalfInt) -> HalfInt:
-        return HalfInt(self.doubled - other.doubled)
-
-    def __neg__(self) -> HalfInt:
-        return HalfInt(-self.doubled)
-
-    def __bool__(self) -> bool:
-        return self.doubled != 0
 
 
 # Largest label drift, relative to max(1, |coordinate|), that operator
@@ -350,14 +327,14 @@ def _int_power(op: BlockOperator, k: int) -> BlockOperator:
     return BlockOperator(op.source, op.source, check, hat, False)
 
 
-def pow_R(root: RootData, g: GroupElement, h: GroupElement, c: HalfInt) -> BlockOperator:
-    """``R**c`` for a half-integer c, routed through the square root: ``(sqrtR)^{2c}``."""
-    return _int_power(op_sqrtR(root, g, h), c.doubled)
+def pow_R(root: RootData, g: GroupElement, h: GroupElement, c: int) -> BlockOperator:
+    """``R**(c/2)`` for a doubled charge c, through the square root: ``(sqrtR)^c``."""
+    return _int_power(op_sqrtR(root, g, h), c)
 
 
-def pow_L(root: RootData, g: GroupElement, h: GroupElement, a: HalfInt) -> BlockOperator:
-    """``L**a`` for a half-integer a: ``(sqrtL)^{2a}``."""
-    return _int_power(op_sqrtL(root, g, h), a.doubled)
+def pow_L(root: RootData, g: GroupElement, h: GroupElement, a: int) -> BlockOperator:
+    """``L**(a/2)`` for a doubled charge a: ``(sqrtL)^a``."""
+    return _int_power(op_sqrtL(root, g, h), a)
 
 
 def op_sfA(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:

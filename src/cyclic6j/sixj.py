@@ -15,7 +15,9 @@ Both forms are evaluated by composing intertwiners into an endomorphism
 of a simple module and extracting the proportionality scalar.
 
 Charged symbols twist the tensors by half-integer powers of the block
-operators ``L``, ``R`` and the grading scalar ``q``.
+operators ``L``, ``R`` and the grading scalar ``q``.  Every charge
+argument is a doubled int: ``sixj_pos(root, lab, 1, 0)`` is the positive
+symbol at ``a = 1/2``, ``c = 0``.
 
 :func:`sixj_stack` builds the charged tensors of a whole stack of
 six-tuples, mixed signs and charges, in one pass: the intertwiners of
@@ -49,7 +51,7 @@ from .algebra import (
     group_close, group_inv, group_mul, in_I, intertwiner_S, real_roots,
 )
 from .operators import (
-    HalfInt, NotScalarError, _COMPOSITE_TOL, _half_powers, _kron,
+    NotScalarError, _COMPOSITE_TOL, _half_powers, _kron,
     _scalar_part, op_A, op_Astar, op_B, op_Bstar, op_sfA, op_sfB, qtilde,
 )
 
@@ -368,25 +370,23 @@ def permute_legs(tensor: np.ndarray, cycles: tuple[tuple[int, ...], ...]) -> np.
     return np.transpose(tensor, axes=inv)
 
 
-def sixj_pos(root: RootData, lab: LabelSix, a: HalfInt,
-             c: HalfInt) -> np.ndarray:
-    """Charged positive 6j symbol: the one-tensor case of :func:`sixj_stack`.
+def sixj_pos(root: RootData, lab: LabelSix, a: int, c: int) -> np.ndarray:
+    """Charged positive 6j symbol at doubled charges, via :func:`sixj_stack`.
 
     The charge twist acts on the arguments of the form: ``q^{4ac} R^c`` on
     slot 1, ``R^{-a}`` on slot 2, ``L^{-a} R^{-c}`` on slot 3 (slot 4
     untouched).
     """
-    return sixj_stack(root, *_one(lab, True), [a.doubled], [c.doubled])[0]
+    return sixj_stack(root, *_one(lab, True), [a], [c])[0]
 
 
-def sixj_neg(root: RootData, lab: LabelSix, a: HalfInt,
-             c: HalfInt) -> np.ndarray:
-    """Charged negative 6j symbol: the one-tensor case of :func:`sixj_stack`.
+def sixj_neg(root: RootData, lab: LabelSix, a: int, c: int) -> np.ndarray:
+    """Charged negative 6j symbol at doubled charges, via :func:`sixj_stack`.
 
     Twist on the form's arguments: ``q^{-4ac}`` on slot 1, ``L^{-a} R^{-c}``
     on slot 2, ``R^{-a}`` on slot 3 and ``R^{c}`` on slot 4.
     """
-    return sixj_stack(root, *_one(lab, False), [a.doubled], [c.doubled])[0]
+    return sixj_stack(root, *_one(lab, False), [a], [c])[0]
 
 
 def pentagon_labels(j1: GroupElement, j2: GroupElement, j3: GroupElement,
@@ -402,22 +402,22 @@ def pentagon_labels(j1: GroupElement, j2: GroupElement, j3: GroupElement,
             "j5": j5, "j6": j6, "j7": j7, "j8": j8, "j": j}
 
 
-def _pentagon_charges_ok(a: tuple[HalfInt, ...], c: tuple[HalfInt, ...]) -> bool:
-    a0, a1, a2, a3, a4 = (x.doubled for x in a)
-    c0, c1, c2, c3, c4 = (x.doubled for x in c)
+def _pentagon_charges_ok(a: tuple[int, ...], c: tuple[int, ...]) -> bool:
+    a0, a1, a2, a3, a4 = a
+    c0, c1, c2, c3, c4 = c
     return (a1 == a0 + a2 and a3 == a2 + a4 and c1 == c0 + a4
             and c3 == a0 + c4 and c2 == c1 + c3)
 
 
 def check_charged_pentagon(root: RootData, labels: dict[str, GroupElement],
-                           a: tuple[HalfInt, ...], c: tuple[HalfInt, ...],
+                           a: tuple[int, ...], c: tuple[int, ...],
                            skip_constraint_check: bool = False) -> float:
     """Relative Frobenius residual of the charged pentagon identity.
 
     ``labels`` is the output of :func:`pentagon_labels` (or a dict with the
-    same keys); ``a`` and ``c`` are the five charge pairs ``(a_0..a_4)``
-    and ``(c_0..c_4)``.  The sum over the middle label collapses to the
-    single admissible value ``j = j2 j3``.  The residual
+    same keys); ``a`` and ``c`` are the five doubled charge pairs
+    ``(a_0..a_4)`` and ``(c_0..c_4)``.  The sum over the middle label
+    collapses to the single admissible value ``j = j2 j3``.  The residual
     ``|lhs - rhs|`` is divided by ``|S1||S2||S3| + |SA||SB|``, the scale
     of rounding in the two products: charges scale single factors by
     orders of magnitude, and with them the absolute error.
@@ -443,9 +443,9 @@ def check_charged_pentagon(root: RootData, labels: dict[str, GroupElement],
     return float(norm(lhs - rhs) / scale)
 
 
-def check_charged_inversion(root: RootData, lab: LabelSix, a: HalfInt,
-                            c: HalfInt) -> tuple[float, float]:
-    """Residuals of the two inversion identities at charges ``(a, c)``.
+def check_charged_inversion(root: RootData, lab: LabelSix, a: int,
+                            c: int) -> tuple[float, float]:
+    """Residuals of the two inversion identities at doubled charges ``(a, c)``.
 
     Both identities contract a positive against a negative symbol at the
     opposite charges and must produce the doubled Kronecker pattern
@@ -463,8 +463,8 @@ def _inversion_defect(first: np.ndarray, second: np.ndarray) -> float:
     return float(np.linalg.norm(got - np.einsum("ad,bg->abgd", eye, eye)))
 
 
-def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,
-                 c: HalfInt, charged: bool) -> list[np.ndarray]:
+def _sym_targets(root: RootData, lab: LabelSix, a: int, b: int, c: int,
+                 charged: bool) -> list[np.ndarray]:
     """Right-hand sides of the three symmetry relations (charged or not).
 
     Each is a mirror symbol with a check-part and a hat-part operator on
@@ -479,15 +479,14 @@ def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,
         A, As, B, Bs = op_sfA, op_sfA, op_sfB, op_sfB
     else:
         A, As, B, Bs = op_A, op_Astar, op_B, op_Bstar
-        a = b = c = HalfInt(0)
     qt = qtilde(root)
     relations = [  # q^{2a}, q^{-2c} and q^{2a}
         (LabelSix(ist, k, j, l, n, m), a, b, A(root, ist, m).check_mat, 0,
-         As(root, ist, k).hat_mat, 2, -a.doubled, ((4, 3, 2, 1),)),
+         As(root, ist, k).hat_mat, 2, -a, ((4, 3, 2, 1),)),
         (LabelSix(k, jst, i, n, m, l), b, c, As(root, jst, n).check_mat, 1,
-         Bs(root, k, jst).hat_mat, 2, c.doubled, ((2, 3),)),
+         Bs(root, k, jst).hat_mat, 2, c, ((2, 3),)),
         (LabelSix(i, n, m, lst, k, j), a, b, Bs(root, n, lst).check_mat, 1,
-         B(root, m, lst).hat_mat, 3, -a.doubled, ((1, 2, 3, 4),))]
+         B(root, m, lst).hat_mat, 3, -a, ((1, 2, 3, 4),))]
     out = []
     for mirror, x, y, check, leg, hat, leg2, power, cycles in relations:
         t = apply_to_leg(sixj_neg(root, mirror, x, y), check, leg)
@@ -496,16 +495,16 @@ def _sym_targets(root: RootData, lab: LabelSix, a: HalfInt, b: HalfInt,
     return out
 
 
-def check_symmetry_relations(root: RootData, lab: LabelSix, a: HalfInt,
-                             b: HalfInt, c: HalfInt) -> tuple[float, float, float]:
+def check_symmetry_relations(root: RootData, lab: LabelSix, a: int, b: int,
+                             c: int) -> tuple[float, float, float]:
     """Relative residuals of the three charged symmetry relations.
 
     Each residual ``|pos - t|`` is divided by ``|pos| + |t|``, the scale
     of the two sides: charges scale the symbols, and the rounding of the
-    contractions with them, by orders of magnitude.  Requires ``a + b + c
-    = 1/2`` exactly; raises :class:`ChargeConstraint` otherwise.
+    contractions with them, by orders of magnitude.  Requires doubled
+    charges with ``a + b + c = 1``; raises :class:`ChargeConstraint` else.
     """
-    if a.doubled + b.doubled + c.doubled != 1:
+    if a + b + c != 1:
         raise ChargeConstraint("symmetry relations need a + b + c = 1/2")
     pos = sixj_pos(root, lab, a, c)
     rhs = _sym_targets(root, lab, a, b, c, charged=True)
@@ -518,5 +517,5 @@ def check_uncharged_symmetries(root: RootData,
     """Absolute residuals of the three uncharged symmetry relations (plain
     A/A*/B/B*)."""
     pos = tform_tensor(root, lab)
-    rhs = _sym_targets(root, lab, HalfInt(0), HalfInt(0), HalfInt(0), charged=False)
+    rhs = _sym_targets(root, lab, 0, 0, 0, charged=False)
     return tuple(float(np.linalg.norm(pos - t)) for t in rhs)

@@ -40,7 +40,7 @@ from .algebra import GroupElement, RootData
 from .operators import NotScalarError, qtilde, q_scalar, assemble_q
 from .sixj import _label_stack, _leg_pairs, sixj_stack
 from .triangulation import (
-    _EDGE_SLOT, _SIGN, Charge, Scene, TriComplex, _edge_colors,
+    _EDGE_SLOT, _SIGN, DoubledCharge, Scene, TriComplex, _edge_colors,
     validate_charge,
 )
 
@@ -99,7 +99,7 @@ def _corners(T: TriComplex, tets: np.ndarray) -> tuple:
 
 
 def _weights(root: RootData, T: TriComplex,
-             coloring: dict[int, GroupElement], charge: Charge,
+             coloring: dict[int, GroupElement], charge: DoubledCharge,
              tets: np.ndarray, vs: np.ndarray, right: np.ndarray) -> tuple:
     """The 6j tensors of the tetrahedra ``tets``, of sorted corners ``vs``
     and signs ``right``, and the label pairs of their legs."""
@@ -107,14 +107,14 @@ def _weights(root: RootData, T: TriComplex,
     i, j, l = (np.stack(leg(vs[:, p], vs[:, p + 1], tets), axis=1)
                for p in range(3))
     pairs = _leg_pairs(_label_stack(i, j, l), right)
-    doubled = np.array(charge.doubled)[tets]
+    doubled = np.array(charge)[tets]
     a, c = (doubled[np.arange(len(tets)), _EDGE_SLOT[vs[:, p], vs[:, p + 1]]]
             for p in (0, 1))
     return sixj_stack(root, pairs, right, a, c), pairs
 
 
 def tetra_weights(root: RootData, T: TriComplex,
-                  coloring: dict[int, GroupElement], charge: Charge,
+                  coloring: dict[int, GroupElement], charge: DoubledCharge,
                   tets: Sequence[int]) -> tuple:
     """The 6j tensors of the given tetrahedra, built in one stacked pass,
     with the ``(x, y)`` of each leg's label pair and each leg's face class:
@@ -132,7 +132,7 @@ def tetra_weights(root: RootData, T: TriComplex,
 
 
 def tetra_weight(root: RootData, T: TriComplex,
-                 coloring: dict[int, GroupElement], charge: Charge,
+                 coloring: dict[int, GroupElement], charge: DoubledCharge,
                  t: int) -> tuple:
     """The 6j tensor of one tetrahedron, its leg pairs and its leg faces:
     the one-tetrahedron case of :func:`tetra_weights`."""
@@ -524,7 +524,6 @@ def state_sum(root: RootData, scene: Scene) -> complex:
     The coloring fixes the one state of the sum, since each regular edge
     color admits a single cyclic module.
     """
-    _assert_q_scalar(root)
     if scene.coloring is None:
         raise InvariantError("the scene carries no coloring")
     if scene.charge is None:
@@ -540,6 +539,7 @@ def state_sum(root: RootData, scene: Scene) -> complex:
         raise InvariantError(
             f"contraction needs {peak} stored entries at its largest step, "
             f"over the budget of {MAX_ENTRIES}")
+    _assert_q_scalar(root)  # builds N x N matrices: only once the plan fits
     weights, pairs = _weights(root, T, scene.coloring, scene.charge, tets,
                               vs, right)
     _check_faces(pairs, faces)

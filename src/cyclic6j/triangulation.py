@@ -43,7 +43,7 @@ __all__ = [
     "NotOrientable", "NotHamiltonian", "NoCharge", "BadCharge", "BadLoop",
     "BadColoring", "MoveNotApplicable", "AdmissibilityFailed",
     "EDGE_CORNERS", "OPPOSITE_EDGE", "FACE_CORNERS",
-    "Gluing", "TriComplex", "Charge", "GGauge", "Scene",
+    "Gluing", "TriComplex", "DoubledCharge", "Gauge", "Scene",
     "load_complex", "load_document", "scene_document",
     "validate_link", "find_charge", "validate_charge", "deform_charge",
     "charge_class",
@@ -315,18 +315,10 @@ class TriComplex:
 # -- documents -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Charge:
-    """Half-integer edge charges per tetrahedron, stored doubled."""
-
-    doubled: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class GGauge:
-    """A group element per vertex class."""
-
-    values: tuple[GroupElement, ...]
+# Half-integer edge charges, doubled: a 6-tuple per tetrahedron, indexed
+# [tetrahedron][edge]; and a gauge: a group element per vertex class.
+DoubledCharge = tuple[tuple[int, ...], ...]
+Gauge = tuple[GroupElement, ...]
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,7 @@ class Scene:
     complex: TriComplex
     link: frozenset[int]
     coloring: dict[int, GroupElement] | None = None
-    charge: Charge | None = None
+    charge: DoubledCharge | None = None
 
 
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError)
@@ -444,7 +436,7 @@ def load_document(doc: dict) -> Scene:
         for t, row in enumerate(vals):
             if any(v is None for v in row):
                 raise ParseError(f"charge misses edges of tetrahedron {t}")
-        charge = Charge(tuple(tuple(row) for row in vals))
+        charge = tuple(tuple(row) for row in vals)
     return Scene(T, link, coloring, charge)
 
 
@@ -473,7 +465,7 @@ def scene_document(scene: Scene) -> dict:
         doc["coloring"] = entries
     if scene.charge is not None:
         doc["charge"] = [{"tet": t, "edge_index": e,
-                          "doubled": scene.charge.doubled[t][e]}
+                          "doubled": scene.charge[t][e]}
                          for t in range(T.n_tets) for e in _PAIR_REPS]
     return doc
 
@@ -549,7 +541,7 @@ def _edge_target(link: frozenset[int], cls: int) -> int:
     return 0 if cls in link else 2
 
 
-def _smith_solve(rows: list[list[int]], rhs: list[int],
+def _smith_solve(rows: list[dict[int, int]], rhs: list[int],
                  nvars: int) -> tuple[list[int], list[list[int]]] | None:
     """Solve an integer linear system; return (particular, kernel basis).
 
@@ -559,13 +551,13 @@ def _smith_solve(rows: list[list[int]], rhs: list[int],
     exists.  Step k swaps the first entry of least nonzero |.| at or beyond
     (k, k), in row-major order, into (k, k), then clears column k below and
     row k right of it entry by entry, swapping in any remainder as the pivot
-    (Euclid) until both are clean.  One exact path on Python ints, with the
-    rows of A and the columns of V stored as ``{index: value}`` dicts, so an
-    operation touches only nonzeros.  The entries are not bounded: they stay
+    (Euclid) until both are clean.  One exact path on Python ints: ``rows``
+    are ``{index: value}`` dicts, as are the rows of A and the columns of V,
+    so an operation touches only nonzeros.  The entries are not bounded: they stay
     small on the sparse charge systems, but can grow without bound on dense
     ones; a dense 7x7 system with entries in [-9, 9] may not finish.
     """
-    A = [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
+    A = [{j: int(v) for j, v in row.items() if v} for row in rows]
     b, V, m = [int(v) for v in rhs], [{j: 1} for j in range(nvars)], len(A)
 
     def subtract(target: dict, source: dict, q: int) -> None:
@@ -625,30 +617,31 @@ def _smith_solve(rows: list[list[int]], rhs: list[int],
 
 def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],
                  fixed: dict[int, int] | None = None):
-    """Rows of the doubled charge system over the pair variables of ``tets``.
+    """Rows of the doubled charge system over the pair variables of ``tets``,
+    each a ``{variable: coefficient}`` dict.
 
     ``fixed`` maps a tetrahedron to known doubled values (6-slot rows) for
     tetrahedra outside ``tets``; their contributions move to the right side.
     """
     var_of = {(t, p): 3 * i + p for i, t in enumerate(tets) for p in range(3)}
     # one face-sum row per tetrahedron: its three pair variables sum to 1
-    rows = [[int(j // 3 == i) for j in range(3 * len(tets))]
-            for i in range(len(tets))]
+    rows = [{3 * i + p: 1 for p in range(3)} for i in range(len(tets))]
     rhs = [1] * len(tets)
     for cls in sorted({T.edge_class(t, e) for t in tets for e in range(6)}):
-        row = [0] * (3 * len(tets))
+        row = {}
         target = _edge_target(link, cls)
         for (t, e) in T.edge_incidences(cls):
-            if (t, _PAIR_OF_EDGE[e]) in var_of:
-                row[var_of[(t, _PAIR_OF_EDGE[e])]] += 1
-            else:
+            v = var_of.get((t, _PAIR_OF_EDGE[e]))
+            if v is None:
                 target -= fixed[t][e]
+            else:
+                row[v] = row.get(v, 0) + 1
         rows.append(row)
         rhs.append(target)
     return rows, rhs, var_of
 
 
-def find_charge(T: TriComplex, link: frozenset[int]) -> Charge:
+def find_charge(T: TriComplex, link: frozenset[int]) -> DoubledCharge:
     """Solve the global charge system for an integral solution.
 
     The solution is deterministic: the particular solution of
@@ -660,16 +653,17 @@ def find_charge(T: TriComplex, link: frozenset[int]) -> Charge:
     if sol is None:
         raise NoCharge("the charge system has no half-integer solution")
     x, _ = sol
-    charge = Charge(tuple(tuple(x[3 * t + p] for p in _PAIR_OF_EDGE)
-                          for t in range(T.n_tets)))
+    charge = tuple(tuple(x[3 * t + p] for p in _PAIR_OF_EDGE)
+                   for t in range(T.n_tets))
     validate_charge(T, link, charge)
     return charge
 
 
-def validate_charge(T: TriComplex, link: frozenset[int], c: Charge) -> None:
-    if len(c.doubled) != T.n_tets or any(len(r) != 6 for r in c.doubled):
+def validate_charge(T: TriComplex, link: frozenset[int],
+                    c: DoubledCharge) -> None:
+    if len(c) != T.n_tets or any(len(r) != 6 for r in c):
         raise BadCharge("charge shape does not match the complex")
-    for t, row in enumerate(c.doubled):
+    for t, row in enumerate(c):
         for e in range(6):
             if row[e] != row[OPPOSITE_EDGE[e]]:
                 raise BadCharge(f"tetrahedron {t}: opposite edges {e}, "
@@ -677,7 +671,7 @@ def validate_charge(T: TriComplex, link: frozenset[int], c: Charge) -> None:
         if row[0] + row[1] + row[2] != 1:
             raise BadCharge(f"tetrahedron {t}: face sum is not 1/2")
     for cls in range(T.n_edges):
-        total = sum(c.doubled[t][e] for t, e in T.edge_incidences(cls))
+        total = sum(c[t][e] for t, e in T.edge_incidences(cls))
         if total != _edge_target(link, cls):
             raise BadCharge(f"edge class {cls}: incidence sum {total}/2, "
                             f"expected {_edge_target(link, cls)}/2")
@@ -712,8 +706,8 @@ def _edge_walk(T: TriComplex, t0: int, e0: int):
     return steps
 
 
-def deform_charge(T: TriComplex, link: frozenset[int], c: Charge,
-                  edge_cls: int) -> Charge:
+def deform_charge(T: TriComplex, link: frozenset[int], c: DoubledCharge,
+                  edge_cls: int) -> DoubledCharge:
     """Add the elementary deformation of one edge class to a charge.
 
     Walking around the edge in the positive direction, each crossed face
@@ -728,13 +722,13 @@ def deform_charge(T: TriComplex, link: frozenset[int], c: Charge,
         t2, _, cmap = T.partner(t, r_from)
         delta[t2, _EDGE_INDEX[(cmap[q], cmap[r_to])]] -= 1
     delta += delta[:, OPPOSITE_EDGE]     # each slot moves with its opposite
-    out = Charge(tuple(tuple(c.doubled[t][e] + d for e, d in enumerate(row))
-                       for t, row in enumerate(delta.tolist())))
+    out = tuple(tuple(c[t][e] + d for e, d in enumerate(row))
+                for t, row in enumerate(delta.tolist()))
     validate_charge(T, link, out)
     return out
 
 
-def charge_class(T: TriComplex, c: Charge,
+def charge_class(T: TriComplex, c: DoubledCharge,
                  loop: list[tuple[int, int, int]]) -> int:
     """Mod-2 class of a charge on a loop of tetrahedron passages.
 
@@ -754,7 +748,7 @@ def charge_class(T: TriComplex, c: Charge,
         if (t_next, f_next) != (want[0], want[1]):
             raise BadLoop(f"passages {idx} and {idx + 1} are not glued")
         # the edge on both faces joins the corners other than f_in, f_out
-        total += c.doubled[t][OPPOSITE_EDGE[_EDGE_INDEX[(f_in, f_out)]]]
+        total += c[t][OPPOSITE_EDGE[_EDGE_INDEX[(f_in, f_out)]]]
     return total % 2
 
 
@@ -791,7 +785,8 @@ def _transport_coloring(T_old, coloring, T_new, edge_map, vertex_map,
     return out
 
 
-def _transport_charge(T_new, link_new, rows, new_tets: range) -> Charge:
+def _transport_charge(T_new, link_new, rows,
+                      new_tets: range) -> DoubledCharge:
     """Complete the surviving charge ``rows`` over the tetrahedra created by
     a move.
 
@@ -824,7 +819,7 @@ def _transport_charge(T_new, link_new, rows, new_tets: range) -> Charge:
                   for combo in itertools.product(*grids)), key=key)
     for i, t in enumerate(new_tets):
         rows[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
-    out = Charge(tuple(tuple(r) for r in rows))
+    out = tuple(tuple(r) for r in rows)
     validate_charge(T_new, link_new, out)
     return out
 
@@ -947,7 +942,7 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
              for (u, w), g in (new_colors or {}).items()})
     charge = None
     if scene.charge is not None:
-        rows = [list(scene.charge.doubled[t]) for t in keep] + [None] * len(new)
+        rows = [list(scene.charge[t]) for t in keep] + [None] * len(new)
         charge = _transport_charge(T_new, link_new, rows,
                                    range(base, base + len(new)))
     return Scene(T_new, link_new, coloring, charge)
@@ -1098,18 +1093,17 @@ def bubble_minus(scene: Scene, vertex: int) -> Scene:
 
 
 def gauge_transform(T: TriComplex, coloring: dict[int, GroupElement],
-                    gauge: GGauge) -> dict[int, GroupElement]:
+                    gauge: Gauge) -> dict[int, GroupElement]:
     """Act on a coloring: conjugate each edge color by the endpoint gauges."""
-    d = gauge.values
-    return {cls: group_mul(d[lo], group_mul(g, group_inv(d[hi])))
+    return {cls: group_mul(gauge[lo], group_mul(g, group_inv(gauge[hi])))
             for cls, g in coloring.items() for lo, hi in [T.edge_ends(cls)]}
 
 
-def point_gauge(T: TriComplex, vertex: int, g: GroupElement) -> GGauge:
+def point_gauge(T: TriComplex, vertex: int, g: GroupElement) -> Gauge:
     _check_range(vertex, T.n_vertices, "vertex", TopologyError)
     vals = [GroupElement(0.0, 1.0)] * T.n_vertices
     vals[vertex] = g
-    return GGauge(tuple(vals))
+    return tuple(vals)
 
 
 def _random_element(rng: np.random.Generator, x_min: float, x_max: float,
@@ -1120,9 +1114,9 @@ def _random_element(rng: np.random.Generator, x_min: float, x_max: float,
     return GroupElement(x, float(rng.uniform(*y)))
 
 
-def random_gauge(T: TriComplex, rng: np.random.Generator) -> GGauge:
-    return GGauge(tuple(_random_element(rng, 0.2, 1.5, (0.6, 1.6))
-                        for _ in range(T.n_vertices)))
+def random_gauge(T: TriComplex, rng: np.random.Generator) -> Gauge:
+    return tuple(_random_element(rng, 0.2, 1.5, (0.6, 1.6))
+                 for _ in range(T.n_vertices))
 
 
 def is_admissible(coloring: dict[int, GroupElement],

@@ -24,6 +24,9 @@ def test_root_data_rejects_even_or_small_order():
         RootData(1)
     with pytest.raises(BadOperands):
         RootData(9, k=3)
+    for k in (0, -1, 4, 10 ** 23):  # k past 2**53 rounds inside 2 pi k / N
+        with pytest.raises(BadOperands):
+            RootData(3, k)
 
 
 def test_group_law_fixed_values():

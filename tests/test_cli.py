@@ -153,6 +153,26 @@ def test_invariant_over_budget_is_input_error(monkeypatch, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--N", str(10 ** 21 + 1), "over the budget"),
+    ("--k-root", str(10 ** 23), "k must lie in 1..N-1"),
+])
+def test_invariant_refuses_a_root_past_int64(option, value, message, capsys):
+    code, out, err = run(["invariant", FIXTURE, option, value], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_canonical_reads_a_record_past_int64(tmp_path, capsys):
+    N = 10 ** 23 + 1
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"N": N, "value": [0.5, 0.0]}))
+    code, out, _ = run(["canonical", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"N": N, "modulus": 0.5, "qtilde_order": N,
+                               "reduced_arg": 0.0, "value": [0.5, 0.0]}
+
+
 def test_memory_error_is_input_error(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 12.2 GiB")
@@ -392,9 +412,11 @@ def test_tolerance_must_be_finite_and_positive(option, value, tmp_path,
     assert f"must be finite and > 0, got {float(value)}" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails
 @pytest.mark.parametrize("x,y,message", [
     ("nan", "1", "must be finite, got nan"),       # refused by the parser
     ("1e308", "1e308", "not a finite real number"),  # colors overflow
+    ("1e200", "1e-300", "not a finite real number"),  # inverses overflow
 ])
 def test_gauge_writes_only_documents_that_load(x, y, message, tmp_path,
                                                capsys):
@@ -406,6 +428,8 @@ def test_gauge_writes_only_documents_that_load(x, y, message, tmp_path,
         code = exc.code
     _, err = capsys.readouterr()
     assert code == 2 and message in err and "Traceback" not in err
+    if x != "nan":  # the gauge, not the document, is refused
+        assert err.startswith("error: --x/--y send edge class")
     assert not out.exists()
 
 

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cyclic6j.algebra import GroupElement, random_admissible_pair
 from cyclic6j.operators import (
-    HalfInt, LabelMismatch, assemble_q, compose, identity_block, op_A,
+    LabelMismatch, assemble_q, compose, identity_block, op_A,
     op_A_oracle, op_Astar, op_B, op_B_oracle, op_Bstar, op_C, op_L, op_R,
     op_sfA, op_sfB, op_sqrtL, op_sqrtR, op_word, pow_L, pow_R, q_scalar,
     qtilde,
@@ -24,16 +22,6 @@ def scalar_part(mat):
     c = np.trace(mat) / mat.shape[0]
     assert np.linalg.norm(mat - c * np.eye(mat.shape[0])) < 1e-9
     return c
-
-
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_half_int_arithmetic(a, b):
-    x, y = HalfInt(a), HalfInt(b)
-    assert (x + y).doubled == a + b
-    assert (x - y).doubled == a - b
-    assert (-x).doubled == -a
-    assert x.value == a / 2
-    assert bool(x) == (a != 0)
 
 
 def test_compose_checks_labels(root3):
@@ -95,12 +83,11 @@ def test_conjugation_relations(root3, rng):
 
 def test_half_integer_powers(root3, rng):
     g, h = random_admissible_pair(root3, rng)
-    assert block_diff(pow_R(root3, g, h, HalfInt(2)), op_R(root3, g, h)) < 1e-12
-    assert block_diff(pow_R(root3, g, h, HalfInt(1)),
-                      op_sqrtR(root3, g, h)) < 1e-12
-    assert block_diff(pow_L(root3, g, h, HalfInt(-2)),
+    assert block_diff(pow_R(root3, g, h, 2), op_R(root3, g, h)) < 1e-12
+    assert block_diff(pow_R(root3, g, h, 1), op_sqrtR(root3, g, h)) < 1e-12
+    assert block_diff(pow_L(root3, g, h, -2),
                       op_word(root3, g, h, "L^-1")) < 1e-12
-    assert block_diff(pow_L(root3, g, h, HalfInt(0)),
+    assert block_diff(pow_L(root3, g, h, 0),
                       identity_block(root3, g, h)) < 1e-12
 
 

@@ -8,7 +8,7 @@ from cyclic6j.algebra import (
 )
 from cyclic6j.cli import _random_label_six, _random_pentagon, run_suite
 from cyclic6j.operators import (
-    HalfInt, NegativeBase, NotScalarError, compose, pow_L, pow_R, qtilde,
+    NegativeBase, NotScalarError, compose, pow_L, pow_R, qtilde,
 )
 from cyclic6j.sixj import (
     BadLabels, ChargeConstraint, LabelSix, apply_to_leg,
@@ -78,7 +78,7 @@ def test_composite_simplicity_is_checked(root3, monkeypatch):
 
 def _oracle_pos(root, lab, a, c):
     # the charge twist as dense operator matrices applied leg by leg
-    out = qtilde(root) ** (a.doubled * c.doubled) * tform_tensor(root, lab)
+    out = qtilde(root) ** (a * c) * tform_tensor(root, lab)
     out = apply_to_leg(out, pow_R(root, lab.k, lab.l, c).hat_mat.T, 0)
     out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).hat_mat.T, 1)
     return apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
@@ -87,7 +87,7 @@ def _oracle_pos(root, lab, a, c):
 
 
 def _oracle_neg(root, lab, a, c):
-    out = qtilde(root) ** (-a.doubled * c.doubled) * tbar_tensor(root, lab)
+    out = qtilde(root) ** (-a * c) * tbar_tensor(root, lab)
     out = apply_to_leg(out, compose(pow_L(root, lab.j, lab.l, -a),
                                     pow_R(root, lab.j, lab.l, -c)).hat_mat.T, 1)
     out = apply_to_leg(out, pow_R(root, lab.i, lab.j, -a).check_mat.T, 2)
@@ -104,11 +104,10 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
     root = RootData(N)
     labs = [_random_label_six(rng) for _ in range(5)]
     right = [True, False, False, True, False]
-    a = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
-    c = [HalfInt(int(v)) for v in rng.integers(-3, 4, size=5)]
-    a[0], c[0] = HalfInt(0), HalfInt(0)
-    got = sixj_stack(root, _pairs(labs, right), right,
-                     [x.doubled for x in a], [x.doubled for x in c])
+    a = [int(v) for v in rng.integers(-3, 4, size=5)]
+    c = [int(v) for v in rng.integers(-3, 4, size=5)]
+    a[0] = c[0] = 0
+    got = sixj_stack(root, _pairs(labs, right), right, a, c)
     assert got.shape == (5, N, N, N, N)
     for t in range(5):
         want = (_oracle_pos if right[t] else _oracle_neg)(root, labs[t],
@@ -281,24 +280,21 @@ def test_permute_legs_round_trip(rng):
 
 def test_zero_charge_symbols_reduce_to_bare_tensors(root3, rng):
     lab = _random_label_six(rng)
-    zero = HalfInt(0)
-    assert np.allclose(sixj_pos(root3, lab, zero, zero),
-                       tform_tensor(root3, lab))
-    assert np.allclose(sixj_neg(root3, lab, zero, zero),
-                       tbar_tensor(root3, lab))
+    assert np.allclose(sixj_pos(root3, lab, 0, 0), tform_tensor(root3, lab))
+    assert np.allclose(sixj_neg(root3, lab, 0, 0), tbar_tensor(root3, lab))
 
 
 def test_charged_inversions(root3, rng):
     lab = _random_label_six(rng)
     for da, dc in ((0, 0), (1, 0), (-2, 3)):
-        r1, r2 = check_charged_inversion(root3, lab, HalfInt(da), HalfInt(dc))
+        r1, r2 = check_charged_inversion(root3, lab, da, dc)
         assert r1 < 1e-9 and r2 < 1e-9
 
 
 def test_inversion_fails_at_mismatched_charges(root3, rng):
     lab = _random_label_six(rng)
-    pos = sixj_pos(root3, lab, HalfInt(1), HalfInt(0))
-    neg = sixj_neg(root3, lab, HalfInt(-1), HalfInt(1))
+    pos = sixj_pos(root3, lab, 1, 0)
+    neg = sixj_neg(root3, lab, -1, 1)
     target = np.einsum("ad,bg->abgd", np.eye(3), np.eye(3))
     got = np.einsum("abnm,mngd->abgd", pos, neg, optimize=True)
     assert np.linalg.norm(got - target) > 1e-3
@@ -308,16 +304,14 @@ def test_symmetry_relations_charged_and_not(root3, rng):
     lab = _random_label_six(rng)
     assert max(check_uncharged_symmetries(root3, lab)) < 1e-9
     for da, db in ((1, 0), (0, 0), (-2, 1)):
-        rs = check_symmetry_relations(root3, lab, HalfInt(da), HalfInt(db),
-                                      HalfInt(1 - da - db))
+        rs = check_symmetry_relations(root3, lab, da, db, 1 - da - db)
         assert max(rs) < 1e-9
 
 
 def test_symmetry_charges_must_sum_to_one_half(root3, rng):
     lab = _random_label_six(rng)
     with pytest.raises(ChargeConstraint):
-        check_symmetry_relations(root3, lab, HalfInt(1), HalfInt(1),
-                                 HalfInt(1))
+        check_symmetry_relations(root3, lab, 1, 1, 1)
 
 
 def test_pentagon_labels_compose():
@@ -330,12 +324,11 @@ def test_pentagon_labels_compose():
 
 def test_charged_pentagon(root3, rng):
     jd = _random_pentagon(rng)
-    zero = tuple(HalfInt(0) for _ in range(5))
+    zero = (0,) * 5
     assert check_charged_pentagon(root3, jd, zero, zero) < 1e-8
     a0, a2, a4, c0, c4 = 1, -1, 2, 0, -2
-    a = tuple(HalfInt(v) for v in (a0, a0 + a2, a2, a2 + a4, a4))
-    c = tuple(HalfInt(v) for v in
-              (c0, c0 + a4, c0 + a4 + a0 + c4, a0 + c4, c4))
+    a = (a0, a0 + a2, a2, a2 + a4, a4)
+    c = (c0, c0 + a4, c0 + a4 + a0 + c4, a0 + c4, c4)
     assert check_charged_pentagon(root3, jd, a, c) < 1e-8
 
 
@@ -361,19 +354,18 @@ def test_charged_symmetry_residuals_detect_a_wrong_charge_split(N, rng):
     # the same a + b + c = 1/2, split as (a + 1/2, b - 1/2, c)
     root = RootData(N)
     lab = _random_label_six(rng)
-    a, b, c = HalfInt(1), HalfInt(-2), HalfInt(2)
+    a, b, c = 1, -2, 2
     pos = sixj_pos(root, lab, a, c)
     norm = np.linalg.norm
-    for t in sixj._sym_targets(root, lab, a + HalfInt(1), b - HalfInt(1), c,
-                               charged=True):
+    for t in sixj._sym_targets(root, lab, a + 1, b - 1, c, charged=True):
         assert norm(pos - t) / (norm(pos) + norm(t)) >= 1e-3
     assert max(check_symmetry_relations(root, lab, a, b, c)) < 1e-9
 
 
 def test_pentagon_rejects_or_detects_bad_charges(root3, rng):
     jd = _random_pentagon(rng)
-    zero = tuple(HalfInt(0) for _ in range(5))
-    bad = (HalfInt(1),) + zero[1:]
+    zero = (0,) * 5
+    bad = (1,) + zero[1:]
     with pytest.raises(ChargeConstraint):
         check_charged_pentagon(root3, jd, bad, zero)
     resid = check_charged_pentagon(root3, jd, bad, zero,

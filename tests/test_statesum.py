@@ -162,6 +162,16 @@ def test_over_budget_plan_is_refused_before_any_weight(root3, fixture_scene,
         state_sum(root3, fixture_scene)
 
 
+def test_over_budget_root_is_refused_before_the_q_guard(fixture_scene,
+                                                      monkeypatch):
+    # the guard multiplies dense N x N operators: 26 s at N = 3001
+    def guard(root):
+        raise AssertionError("the q guard ran before the budget refusal")
+    monkeypatch.setattr(statesum, "_assert_q_scalar", guard)
+    with pytest.raises(InvariantError, match="budget"):
+        state_sum(RootData(3001), fixture_scene)
+
+
 def test_budget_is_the_largest_step_of_stored_entries(root3, fixture_scene,
                                                      monkeypatch):
     leaves = _leaves(fixture_scene)

@@ -14,7 +14,7 @@ from cyclic6j.algebra import AlgebraError, GroupElement, group_inv, group_mul
 from cyclic6j.fixtures import boundary4simplex_document, boundary4simplex_scene
 from cyclic6j.statesum import mod_qtilde_residual, state_sum
 from cyclic6j.triangulation import (
-    BadCharge, BadColoring, BadLoop, Charge, EDGE_CORNERS, FACE_CORNERS,
+    BadCharge, BadColoring, BadLoop, EDGE_CORNERS, FACE_CORNERS,
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
     TriComplex,
@@ -74,6 +74,16 @@ def test_perm_sign_matches_determinant(perm):
     assert _perm_sign(perm) == pytest.approx(np.linalg.det(mat))
 
 
+def _sparse(rows):
+    """Dense rows as the ``{variable: coefficient}`` rows of the solver."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, nvars):
+    """The inverse of :func:`_sparse` over ``nvars`` variables."""
+    return [[row.get(j, 0) for j in range(nvars)] for row in rows]
+
+
 def test_smith_solver_on_constructed_systems():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -82,8 +92,7 @@ def test_smith_solver_on_constructed_systems():
         A = rng.integers(-4, 5, size=(neqs, nvars))
         x0 = rng.integers(-3, 4, size=nvars)
         b = A @ x0
-        res = _smith_solve([list(map(int, row)) for row in A],
-                           [int(v) for v in b], nvars)
+        res = _smith_solve(_sparse(A.tolist()), [int(v) for v in b], nvars)
         assert res is not None
         part, kernel = res
         assert np.array_equal(A @ np.array(part), b)
@@ -92,7 +101,7 @@ def test_smith_solver_on_constructed_systems():
 
 
 def test_smith_solver_detects_unsolvable():
-    assert _smith_solve([[2]], [1], 1) is None
+    assert _smith_solve([{0: 2}], [1], 1) is None
 
 
 def _oracle_smith_solve(rows, rhs, nvars):
@@ -191,7 +200,7 @@ def test_smith_solver_matches_the_sequential_oracle():
         kind = ("plain", "non-unit", "rank-deficient")[trial % 3]
         rows, rhs, nvars = _random_system(rng, kind)
         want = _oracle_smith_solve(rows, rhs, nvars)
-        assert _smith_solve(rows, rhs, nvars) == want, (rows, rhs)
+        assert _smith_solve(_sparse(rows), rhs, nvars) == want, (rows, rhs)
         unsolvable += want is None
         with_kernel += want is not None and len(want[1]) > 0
     assert unsolvable >= 50 and with_kernel >= 50
@@ -202,7 +211,7 @@ def test_smith_solver_matches_the_oracle_on_charge_systems(n_tets, grown_s3):
     scene = grown_s3(n_tets)
     T = scene.complex
     rows, rhs, _ = _charge_rows(T, scene.link, list(range(T.n_tets)))
-    want = _oracle_smith_solve(rows, rhs, 3 * T.n_tets)
+    want = _oracle_smith_solve(_dense(rows, 3 * T.n_tets), rhs, 3 * T.n_tets)
     assert want is not None
     assert _smith_solve(rows, rhs, 3 * T.n_tets) == want
 
@@ -221,19 +230,21 @@ def test_smith_solver_is_exact_past_int64():
         ([[2**32 + 1, 2**32 - 1, 7], [2**32, 2**32 + 3, 11]], [2**33, 1], 3),
     ]
     for rows, rhs, nvars in cases:
-        got = _smith_solve(rows, rhs, nvars)
+        got = _smith_solve(_sparse(rows), rhs, nvars)
         assert got == _oracle_smith_solve(rows, rhs, nvars)
         x, kernel = got
         assert _residuals(rows, rhs, x) == [0, 0]
         for k in kernel:
             assert _residuals(rows, [0, 0], k) == [0, 0]
-    assert _smith_solve(*cases[0]) == ([-3, 3], [])
-    x, _ = _smith_solve(*cases[1])
+    rows, rhs, nvars = cases[0]
+    assert _smith_solve(_sparse(rows), rhs, nvars) == ([-3, 3], [])
+    rows, rhs, nvars = cases[1]
+    x, _ = _smith_solve(_sparse(rows), rhs, nvars)
     assert max(abs(v) for v in x) >= 2**63
     # coefficients that int64 cannot hold at all
     rows = [[2**70 + 3, 5], [7, 2**64 + 1]]
     rhs = _residuals(rows, [0, 0], [3, -2])
-    got = _smith_solve(rows, rhs, 2)
+    got = _smith_solve(_sparse(rows), rhs, 2)
     assert got == _oracle_smith_solve(rows, rhs, 2) == ([3, -2], [])
 
 
@@ -545,19 +556,18 @@ def test_document_reals_are_finite_numbers(value):
 
 def test_document_fills_opposite_charge_slots():
     scene = load_document(boundary4simplex_document())
-    for row in scene.charge.doubled:
+    for row in scene.charge:
         for e in range(6):
             assert row[e] == row[OPPOSITE_EDGE[e]]
 
 
 def test_tampered_charge_rejected(fixture_scene):
     T = fixture_scene.complex
-    rows = [list(r) for r in fixture_scene.charge.doubled]
+    rows = [list(r) for r in fixture_scene.charge]
     rows[0][0] += 1
     rows[0][OPPOSITE_EDGE[0]] += 1
     with pytest.raises(BadCharge):
-        validate_charge(T, fixture_scene.link, Charge(tuple(
-            tuple(r) for r in rows)))
+        validate_charge(T, fixture_scene.link, tuple(tuple(r) for r in rows))
 
 
 def test_tampered_coloring_rejected():
@@ -598,11 +608,11 @@ def test_charge_values_in_doubled_range(fixture_scene):
     # per-tetrahedron pair sums are 1 (doubled), link edges sum to 0
     T = fixture_scene.complex
     for t in range(T.n_tets):
-        row = fixture_scene.charge.doubled[t]
+        row = fixture_scene.charge[t]
         pair_sum = row[0] + row[1] + row[2]
         assert pair_sum == 1
     for cls in range(T.n_edges):
-        total = sum(fixture_scene.charge.doubled[t][e]
+        total = sum(fixture_scene.charge[t][e]
                     for t, e in T.edge_incidences(cls))
         assert total == (0 if cls in fixture_scene.link else 2)
 
@@ -722,9 +732,8 @@ def _canonical(scene: Scene) -> bytes:
         for g in T.gluings)
     coloring = None if scene.coloring is None else [
         (cls, g.x.hex(), g.y.hex()) for cls, g in sorted(scene.coloring.items())]
-    charge = None if scene.charge is None else scene.charge.doubled
     return repr((T.orientations, gluings, T.vertex_rank, sorted(scene.link),
-                 coloring, charge)).encode()
+                 coloring, scene.charge)).encode()
 
 
 # SHA-256 of the four excursions below; any change to what a move builds,
@@ -758,7 +767,8 @@ def test_smith_solver_matches_the_oracle_on_every_walk_system(monkeypatch):
         for _ in _excursion(seed, top=30, bottom=8):
             pass
     for rows, rhs, nvars, out in calls:
-        assert out == _oracle_smith_solve(rows, rhs, nvars), (rows, rhs)
+        assert out == _oracle_smith_solve(_dense(rows, nvars), rhs,
+                                          nvars), (rows, rhs)
     # bubble- solves for no variables, and kernels of dimension 0 to 2 occur
     assert any(nvars == 0 for _, _, nvars, _ in calls)
     assert {0, 1, 2} <= {len(out[1]) for *_, out in calls if out}
@@ -824,7 +834,7 @@ def test_bubble_round_trip_restores_charge(fixture_scene):
     new_v = max(range(T2.n_vertices), key=lambda v: T2.vertex_rank[v])
     back = bubble_minus(blown, new_v)
     assert back.complex.n_tets == 5
-    assert back.charge.doubled == fixture_scene.charge.doubled
+    assert back.charge == fixture_scene.charge
     assert set(back.link) == set(fixture_scene.link)
 
 
@@ -857,7 +867,7 @@ def test_gauge_preserves_cocycle_and_conjugates_holonomy(fixture_scene, rng):
     cycle = [0, 1, 2]
     h1 = holonomy(T, col, cycle)
     h2 = holonomy(T, col2, cycle)
-    d = gauge.values[cycle[0]]
+    d = gauge[cycle[0]]
     want = group_mul(d, group_mul(h1, group_inv(d)))
     assert h2.x == pytest.approx(want.x, abs=1e-9)
     assert h2.y == pytest.approx(want.y, rel=1e-9)
