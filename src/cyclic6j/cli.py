@@ -19,9 +19,9 @@ import numpy as np
 from numpy.linalg import norm
 
 from .algebra import (
-    AlgebraError, GroupElement, RootData, clock_shift, coords, duality_b,
-    duality_d, eps_sign, group_inv, group_mul, intertwiner_S, psi_coeffs,
-    psi_coeffs_product, random_admissible_pair, rep_matrices,
+    AlgebraError, GroupElement, RootData, _powers, clock_shift, coords,
+    duality_b, duality_d, eps_sign, group_inv, group_mul, intertwiner_S,
+    psi_coeffs, psi_coeffs_product, random_admissible_pair, rep_matrices,
 )
 from .fixtures import boundary4simplex_scene
 from .operators import (
@@ -34,14 +34,15 @@ from .sixj import (
     check_uncharged_symmetries, pentagon_labels, sixj_neg, sixj_pos,
 )
 from .statesum import (
-    InvariantError, equal_mod_qtilde, invariant_record, mod_qtilde_residual,
-    state_sum,
+    MAX_ENTRIES, InvariantError, equal_mod_qtilde, invariant_record,
+    mod_qtilde_residual, state_sum,
 )
 from .triangulation import (
-    FACE_CORNERS, Scene, TopologyError, _EDGE_INDEX, _random_element, _real,
-    bubble_minus, bubble_plus, deform_charge, find_charge, gauge_transform,
-    is_admissible, load_document, make_admissible, pachner_minus,
-    pachner_plus, point_gauge, random_gauge, scene_document,
+    FACE_CORNERS, BadColoring, Scene, TopologyError, _EDGE_INDEX,
+    _random_element, _real, bubble_minus, bubble_plus, deform_charge,
+    find_charge, gauge_transform, is_admissible, load_document,
+    make_admissible, pachner_minus, pachner_plus, point_gauge, random_gauge,
+    scene_document,
 )
 
 __all__ = [
@@ -76,20 +77,24 @@ def _block_diff(f, g) -> float:
 
 def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
                   tol: float, tol_strict: float) -> list:
-    """Coordinate identities, psi oracle, duality zig-zags, intertwiner."""
+    """Coordinate identities, psi oracle, duality zig-zags, intertwiner.
+
+    The functional equation evaluates ``Psi(M) = sum_m psi_m (eps M)**m``
+    at ``M = E`` and ``M = w E``, for the constant ``E = -(Y^-1 X) (x) Y``.
+    The powers ``(eps E)**m``, m = 0..N-1, are stacked once per call, so
+    each trial's ``Psi(E)`` and ``Psi(w E)`` are one contraction of its
+    psi row, as it stands and times ``w**m``, against the stack.
+    """
     N = root.N
     rows = _Rows()
     I_N = np.eye(N)
     X, Y = clock_shift(root)
     E = -np.kron(np.linalg.inv(Y) @ X, Y)
-
-    def psi_of(psis: np.ndarray, M: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(M, dtype=complex)
-        P = np.eye(M.shape[0], dtype=complex)
-        for m in range(N):
-            acc += psis[m] * P
-            P = P @ (root.eps * M)
-        return acc
+    powers = np.empty((N, N * N, N * N), dtype=complex)
+    powers[0] = np.eye(N * N)
+    for m in range(1, N):
+        powers[m] = powers[m - 1] @ (root.eps * E)
+    w_m = _powers(root)
 
     for _ in range(trials):
         g, h = random_admissible_pair(root, rng)
@@ -104,7 +109,9 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
         psis = psi_coeffs(root, g, h)
         rows.rec("psi_product_oracle",
                  np.max(np.abs(psis - psi_coeffs_product(root, g, h))), tol_strict)
-        lhs = psi_of(psis, root.omega * E) @ np.linalg.inv(psi_of(psis, E))
+        psi_E, psi_wE = (np.tensordot(p, powers, axes=1)
+                         for p in (psis, psis * w_m))
+        lhs = psi_wE @ np.linalg.inv(psi_E)
         rhs = (cg.v * np.eye(N * N) - cg.u * ch.v * E) / cgh.v
         rows.rec("functional_equation", norm(lhs - rhs), tol)
 
@@ -296,16 +303,29 @@ def suite_moves(root: RootData, rng: np.random.Generator, trials: int,
     return list(rows.values())
 
 
-# level -> (suite, default trial count; acceptance runs raise these explicitly)
-_SUITES = {"algebra": (suite_algebra, 50), "operators": (suite_operators, 25),
-           "sixj": (suite_sixj, 4), "moves": (suite_moves, 5)}
+# level -> (suite, default trial count, e: its largest array has N**e
+# entries); acceptance runs raise the trial counts explicitly.  Those
+# arrays are the N powers of the N^2 x N^2 matrix E (algebra), the dense
+# intertwiner and the oracle's composite stack (operators) and the two
+# sides of the pentagon (sixj); the state-sum plan bounds moves.
+_SUITES = {"algebra": (suite_algebra, 50, 5),
+           "operators": (suite_operators, 25, 4),
+           "sixj": (suite_sixj, 4, 6), "moves": (suite_moves, 5, 0)}
 SUITE_LEVELS = tuple(_SUITES)
 
 
 def run_suite(level: str, N: int, seed: int, trials: int | None,
               tol: float, tol_strict: float) -> tuple[list, bool]:
-    """Runs one verification suite; returns (rows, all_ok)."""
-    suite, default_trials = _SUITES[level]
+    """Runs one verification suite; returns (rows, all_ok).
+
+    Raises :class:`AlgebraError` before building any array when the
+    suite's largest array would hold more than ``MAX_ENTRIES`` entries.
+    """
+    suite, default_trials, exponent = _SUITES[level]
+    if N ** exponent > MAX_ENTRIES:
+        raise AlgebraError(
+            f"verify --level {level} at N = {N} needs an array of "
+            f"N^{exponent} entries, over the budget of {MAX_ENTRIES}")
     rows = suite(RootData(N), np.random.default_rng(seed),
                  default_trials if trials is None else trials, tol, tol_strict)
     return rows, all(_row_ok(r) for r in rows)
@@ -456,7 +476,14 @@ def cmd_gauge(args: argparse.Namespace) -> int:
             raise TopologyError(f"--x/--y send edge class {cls} out of range: "
                                 "x, y, -x/y or 1/y is not a finite real number")
     gauged = dataclasses.replace(scene, coloring=coloring)
-    load_document(scene_document(gauged))  # output must revalidate
+    try:
+        load_document(scene_document(gauged))  # output must revalidate
+    except BadColoring as exc:
+        # a gauge of a cocycle is a cocycle: terms near the float range
+        # cancelled in the check
+        raise TopologyError(
+            f"--x/--y leave gauged colors that no longer pass the cocycle "
+            f"check to rounding ({exc})") from exc
     _emit_document(gauged, args.out)
     return 0
 

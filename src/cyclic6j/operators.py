@@ -212,25 +212,34 @@ def _oracle(root: RootData, g: GroupElement, h: GroupElement, flow,
             mirror: bool) -> BlockOperator:
     """``A``, or ``B`` when ``mirror``, from duality and intertwiners.
 
-    ``(d_{g*} x id)(id x S_{g,h})(S_{g*,gh} x id)`` sends ``x (x) e_gamma
-    (x) e_beta`` to ``<e_gamma, A e_beta> x``; for ``B`` the factors are
-    mirrored, with ``d_h`` and ``S_{gh,h*}``.  The hat part, by
-    involutivity, inverts the check part at the target pair.
+    ``(d_{g*} x id)(id x S_{g,h}[:, beta::N]) S_{g*,gh}[:, gamma::N]``
+    is ``<e_gamma, A e_beta>`` times the identity of ``V_{g*}``; for
+    ``B`` the factors are mirrored, with ``d_h`` and ``S_{gh,h*}``.  With
+    ``S`` as ``[row module, row module, column module, multiplicity]``
+    and ``d`` as ``[module, module]``, all N**2 composites come from two
+    contractions in a fixed order: ``d`` with ``S_in`` over one module
+    index, then that with ``S_out`` over two.  Every composite of the
+    ``[gamma, beta]`` stack must equal ``c Id`` within ``_COMPOSITE_TOL``
+    times ``max(1, |c|)``.  The hat part, by involutivity, inverts the
+    check part at the target pair.
     """
-    N, eyeN = root.N, np.eye(root.N)
+    N = root.N
 
     def check(g: GroupElement, h: GroupElement) -> np.ndarray:
         target = flow(g, h)
-        S_out, S_in = intertwiner_S(root, *target), intertwiner_S(root, g, h)
-        d_row = duality_d(root, h if mirror else target[0]).reshape(1, -1)
-        out = np.empty((N, N), dtype=complex)
-        for gamma in range(N):
-            m1 = S_out @ np.kron(eyeN, eyeN[:, [gamma]])
-            for beta in range(N):
-                m2 = S_in @ np.kron(eyeN, eyeN[:, [beta]])
-                full = _kron(eyeN, m2, mirror) @ m1
-                out[gamma, beta] = _scalar_part(_kron(d_row, eyeN, mirror) @ full)
-        return out
+        S_out = intertwiner_S(root, *target).reshape((N,) * 4)
+        S_in = intertwiner_S(root, g, h).reshape((N,) * 4)
+        d = duality_d(root, h if mirror else target[0]).reshape(N, N)
+        if mirror:  # the mirror composite swaps the two tensor factors
+            S_out, S_in, d = S_out.swapaxes(0, 1), S_in.swapaxes(0, 1), d.T
+        D = np.tensordot(d, S_in, axes=(1, 0))  # [a, r, b, beta]
+        # [r, beta, c, gamma] -> [gamma, beta, r, c]
+        M = np.tensordot(D, S_out, axes=((0, 2), (0, 1))).transpose(3, 1, 0, 2)
+        c = np.trace(M, axis1=2, axis2=3) / N
+        off = np.linalg.norm(M - c[..., None, None] * np.eye(N), axis=(2, 3))
+        if np.any(off > _COMPOSITE_TOL * np.maximum(1.0, np.abs(c))):
+            raise NotScalarError("composite is not proportional to the identity")
+        return c
     target = flow(g, h)
     return BlockOperator((g, h), target, check(g, h),
                          np.linalg.inv(check(*target)), True)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -107,6 +108,33 @@ def test_verify_row_schema_is_pinned(level, capsys):
         rows.append((name, float(bound), "max" if rel == "<=" else "min"))
     assert rows == schema
     assert lines[-1] == f"PASS {len(schema)} identities"
+
+
+@pytest.mark.parametrize("level,N", [
+    ("algebra", 10 ** 21 + 1), ("operators", 10 ** 21 + 1),
+    ("sixj", 10 ** 21 + 1), ("algebra", 101),
+])
+def test_verify_refuses_an_N_over_the_budget(level, N, capsys):
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--level", level, "--N", str(N)], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: verify --level {level} at N = {N} ")
+    assert f"over the budget of {statesum.MAX_ENTRIES}" in err
+
+
+def test_algebra_suite_catches_a_wrong_psi(monkeypatch):
+    exact = cli.psi_coeffs
+
+    def bent(root, g, h):
+        psis = exact(root, g, h).copy()
+        psis[1] *= 1.01
+        return psis
+    monkeypatch.setattr(cli, "psi_coeffs", bent)
+    rows, ok = cli.run_suite("algebra", 9, 0, 3, 1e-8, 1e-10)
+    failed = {name for name, value, bound, _ in rows if value > bound}
+    assert not ok
+    assert failed == {"functional_equation", "psi_product_oracle"}
 
 
 def test_even_order_rejected():
@@ -417,6 +445,9 @@ def test_tolerance_must_be_finite_and_positive(option, value, tmp_path,
     ("nan", "1", "must be finite, got nan"),       # refused by the parser
     ("1e308", "1e308", "not a finite real number"),  # colors overflow
     ("1e200", "1e-300", "not a finite real number"),  # inverses overflow
+    # finite colors whose cocycle check cancels terms of ~1e300
+    ("1", "1e-300", "no longer pass the cocycle check to rounding"),
+    ("1e300", "1", "no longer pass the cocycle check to rounding"),
 ])
 def test_gauge_writes_only_documents_that_load(x, y, message, tmp_path,
                                                capsys):
@@ -429,7 +460,9 @@ def test_gauge_writes_only_documents_that_load(x, y, message, tmp_path,
     _, err = capsys.readouterr()
     assert code == 2 and message in err and "Traceback" not in err
     if x != "nan":  # the gauge, not the document, is refused
-        assert err.startswith("error: --x/--y send edge class")
+        assert err.startswith("error: --x/--y send edge class"
+                              if "finite" in message
+                              else "error: --x/--y leave gauged colors")
     assert not out.exists()
 
 

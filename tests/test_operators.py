@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from cyclic6j.algebra import GroupElement, random_admissible_pair
+from cyclic6j import operators
+from cyclic6j.algebra import (
+    GroupElement, RootData, duality_d, random_admissible_pair,
+)
 from cyclic6j.operators import (
-    LabelMismatch, assemble_q, compose, identity_block, op_A,
+    LabelMismatch, NotScalarError, assemble_q, compose, identity_block, op_A,
     op_A_oracle, op_Astar, op_B, op_B_oracle, op_Bstar, op_C, op_L, op_R,
     op_sfA, op_sfB, op_sqrtL, op_sqrtR, op_word, pow_L, pow_R, q_scalar,
     qtilde,
@@ -46,6 +49,64 @@ def test_closed_forms_match_oracle(root3, root5, rng):
             g, h = random_admissible_pair(root, rng)
             assert block_diff(op_A(root, g, h), op_A_oracle(root, g, h)) < 1e-9
             assert block_diff(op_B(root, g, h), op_B_oracle(root, g, h)) < 1e-9
+
+
+def _loop_oracle(root, g, h, mirror):
+    """Check and hat parts of ``A``, or ``B`` when ``mirror``, one
+    composite ``(d x 1)(1 x S_in[:, beta::N]) S_out[:, gamma::N]`` at a
+    time: the reference for the batched oracle."""
+    flow = operators._flow_B if mirror else operators._flow_A
+    N, eyeN = root.N, np.eye(root.N)
+
+    def check(g, h):
+        target = flow(g, h)
+        S_out = operators.intertwiner_S(root, *target)
+        S_in = operators.intertwiner_S(root, g, h)
+        d_row = duality_d(root, h if mirror else target[0]).reshape(1, -1)
+        out = np.empty((N, N), dtype=complex)
+        for gamma in range(N):
+            m1 = S_out @ np.kron(eyeN, eyeN[:, [gamma]])
+            for beta in range(N):
+                m2 = S_in @ np.kron(eyeN, eyeN[:, [beta]])
+                full = operators._kron(eyeN, m2, mirror) @ m1
+                out[gamma, beta] = operators._scalar_part(
+                    operators._kron(d_row, eyeN, mirror) @ full)
+        return out
+    return check(g, h), np.linalg.inv(check(*flow(g, h)))
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_batched_oracle_matches_loop(N):
+    root = RootData(N)
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        g, h = random_admissible_pair(root, rng)
+        for mirror, oracle in ((False, op_A_oracle), (True, op_B_oracle)):
+            got = oracle(root, g, h)
+            for mat, want in zip((got.check_mat, got.hat_mat),
+                                 _loop_oracle(root, g, h, mirror)):
+                assert np.linalg.norm(mat - want) \
+                    <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_oracles_check_every_composite(N, monkeypatch):
+    # one entry of S off by 1e-6 in a column of multiplicity index 2:
+    # only the composites at gamma = 2 or beta = 2 see it
+    exact = operators.intertwiner_S
+
+    def bent(root, g, h):
+        S = exact(root, g, h)
+        S[np.flatnonzero(S[:, 2])[0], 2] *= 1 + 1e-6
+        return S
+    monkeypatch.setattr(operators, "intertwiner_S", bent)
+    root = RootData(N)
+    g, h = random_admissible_pair(root, np.random.default_rng(N))
+    for mirror, oracle in ((False, op_A_oracle), (True, op_B_oracle)):
+        with pytest.raises(NotScalarError):
+            oracle(root, g, h)
+        with pytest.raises(NotScalarError):
+            _loop_oracle(root, g, h, mirror)
 
 
 def test_involutions_and_triple_product(root3, rng):
