@@ -23,24 +23,29 @@ symbol at ``a = 1/2``, ``c = 0``.
 six-tuples, mixed signs and charges, in one pass: the intertwiners of
 every leg from one closed-form graded ``S``
 (:func:`~cyclic6j.algebra.graded_S`), the inverse blocks of every check
-leg from one ``np.linalg.inv``, the composites as two batched matrix
-products of ``N**6`` multiplications per tensor, a slice of at most
-``_SLICE_ENTRIES`` entries at a time, and the twist in closed form as one
-index gather and one phase multiply.  The composite guard stays per
-tensor: each tensor's worst diagonal deviation is compared with
-``_COMPOSITE_TOL`` times its own ``max(1, max|tensor|)``, never with a
-scale taken across the stack.  :func:`tform_tensor`, :func:`tbar_tensor`,
-:func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases;
-:func:`t_form`, :func:`tbar_form` and the operator powers of
-:mod:`cyclic6j.operators` stay independent of it, as oracles.  The
-checkers at the bottom return residuals for the charged pentagon, the two
-inversion identities and the three symmetry relations; each residual
-should sit at rounding level for valid inputs and order one for violated
-charges.  The pentagon and charged symmetry residuals are relative to
-the scale of their sides; the inversion and uncharged ones are absolute.
+leg from one ``np.linalg.inv``, each tensor from three slices of its
+composite (:func:`_sliced`), ``3 N**5`` multiplications per tensor, and
+the twist in closed form as one index gather and one phase multiply.  On its
+flux support every tensor is, at each outer index, a rank-one matrix
+times a phase, so the three slices fix it.  The guard stays per tensor
+and covers every entry formed: each one's N diagonal values, one column
+off the support that must vanish, and the agreement of the first slice
+with the rank-one reconstruction, all within ``_COMPOSITE_TOL`` times the
+tensor's own ``max(1, max|tensor|)``, never a scale taken across the
+stack.  :func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases.
+:func:`tform_tensor` and :func:`tbar_tensor` form every entry of the
+composite (:func:`_composites`) and, with :func:`t_form`,
+:func:`tbar_form` and the operator powers of :mod:`cyclic6j.operators`,
+stay independent of the slices, as oracles.  The checkers at the bottom
+return residuals for the charged pentagon, the two inversion identities
+and the three symmetry relations; each residual should sit at rounding
+level for valid inputs and order one for violated charges.  The pentagon
+and charged symmetry residuals are relative to the scale of their sides;
+the inversion and uncharged ones are absolute.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,35 +179,64 @@ def _gathers(N: int) -> tuple[list, list]:
     return ([(i % N, j % N) for i, j in pos], [(i % N, j % N) for i, j in neg])
 
 
-# Entries per composite slice: each intermediate, such as [t, s, u, v, x,
-# w], holds at most this many, or one tensor's N**5 when that is more.
+# Entries per batch of tensors: each intermediate holds at most this many,
+# or one tensor's when that is more.
 _SLICE_ENTRIES = 2 ** 15
+
+
+def _factors(root: RootData, pairs: np.ndarray) -> np.ndarray:
+    """The four factors of every composite of a stack, ``[tensor, factor,
+    first, second, leg]``: ``S^-1`` on the two check legs and ``S`` on the
+    two hat legs, read along their supports.  The check legs' ``S`` is
+    block diagonal over the product index ``c``, with blocks ``B_c[x, d] =
+    G[x, c - x, d]``.  ``G[x, y, d]`` depends on ``y`` and ``d`` only
+    through ``y - d``, so ``B_c[x, d] = B_0[x, d - c]`` and ``B_c^-1[d, x]
+    = B_0^-1[d - c, x]``: one block per check leg is inverted, all of the
+    stack in one call."""
+    N = root.N
+    G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
+    i = np.arange(N)
+    # [.., c, x, d] from [.., d - c, x]
+    H = np.linalg.inv(G[:, :2, i[:, None], -i[:, None] % N, i])[
+        :, :, (i - i[:, None, None]) % N, i[:, None]]
+    return np.concatenate([H, G[:, 2:]], axis=1)
+
+
+def _refuse(scale: np.ndarray, first: int, **worst: np.ndarray) -> None:
+    """Raise :class:`NotScalarError` for the first tensor with a worst
+    deviation, of any kind given, that is not within ``_COMPOSITE_TOL``
+    times its ``scale``, a NaN included; the tensors are numbered from
+    ``first``."""
+    dev = np.array(list(worst.values()))
+    ok = dev <= _COMPOSITE_TOL * scale
+    if not ok.all():
+        b = np.flatnonzero(~ok.all(axis=0))[0]
+        kind = np.flatnonzero(~ok[:, b])[0]
+        raise NotScalarError(
+            f"{list(worst)[kind].replace('_', ' ')} {dev[kind, b]:.3e} of "
+            f"tensor {first + b} exceeds {_COMPOSITE_TOL:.1e} "
+            f"(x {scale[b]:.1e})")
 
 
 def _composites(root: RootData, pairs: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
-    """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``.
+    """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``,
+    with every entry formed: the oracle of :func:`_sliced`, and the body of
+    :func:`tform_tensor` and :func:`tbar_tensor`.
 
-    Each tensor is the composite of its four intertwiners, an
-    endomorphism of ``V_m`` at every fixed multiplicity index, read along
-    the supports of the factors: ``S^-1`` on the two check legs and ``S``
-    on the two hat legs.  The check legs' ``S`` is block diagonal over the
-    product index ``c``, with blocks ``B_c[x, d] = G[x, c - x, d]``; all
-    blocks of the stack are inverted in one call.  With the ``V_m`` index
-    ``s`` and the outer and inner indices ``u``, ``v`` of :func:`_gathers`,
-    factors 1-3 are summed over ``v`` and then factor 0 over ``u``: two
-    batched matrix products of ``N**6`` multiplications per tensor.  Off
-    the diagonal the composite vanishes by the support, so it is
-    proportional to the identity exactly when its N diagonal entries
-    agree.  Each tensor's worst deviation from their mean is checked
-    against ``_COMPOSITE_TOL`` times its own scale, ``max(1,
-    max|tensor|)``.
+    Each tensor is the composite of its four intertwiners (see
+    :func:`_factors`), an endomorphism of ``V_m`` at every fixed
+    multiplicity index.  With the ``V_m`` index ``s`` and the outer and
+    inner indices ``u``, ``v`` of :func:`_gathers`, factors 1-3 are summed
+    over ``v`` and then factor 0 over ``u``: two batched matrix products
+    of ``N**6`` multiplications per tensor.  Off the diagonal the
+    composite vanishes by the support, so it is proportional to the
+    identity exactly when its N diagonal entries agree.  Each tensor's
+    worst deviation from their mean is checked against ``_COMPOSITE_TOL``
+    times its own scale, ``max(1, max|tensor|)``.
     """
     N, T = root.N, len(right)
-    G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
-    c, x = np.ogrid[:N, :N]
-    H = np.linalg.inv(G[:, :2, x, (c - x) % N]).swapaxes(-1, -2)
-    factors = (H[:, 0], H[:, 1], G[:, 2], G[:, 3])
+    factors = _factors(root, pairs).swapaxes(0, 1)
     sel = right[:, None, None, None]
     index = [(np.where(sel, i, k), np.where(sel, j, l))
              for (i, j), (k, l) in zip(*_gathers(N))]
@@ -219,16 +253,139 @@ def _composites(root: RootData, pairs: np.ndarray,
         diag = (f0[:, :, :, 0].swapaxes(-1, -2)
                 @ inner.reshape(n, N, N, N ** 3)).reshape((n,) + (N,) * 5)
         tensor = diag.mean(axis=1)
-        worst = np.abs(diag - tensor[:, None]).max(axis=(1, 2, 3, 4, 5))
-        scale = np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3, 4)))
-        bad = np.flatnonzero(worst > _COMPOSITE_TOL * scale)
-        if bad.size:
-            b = bad[0]
-            raise NotScalarError(
-                f"composite defect {worst[b]:.3e} of tensor {lo + b} exceeds "
-                f"{_COMPOSITE_TOL:.1e} (x {scale[b]:.1e})")
+        _refuse(np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3, 4))), lo,
+                composite_defect=np.abs(diag - tensor[:, None]).max(
+                    axis=(1, 2, 3, 4, 5)))
         out[t] = tensor
     return out
+
+
+# The factor of each role of a slice, for a positive and a negative
+# tensor, and the pair it is read at: ``[sign, role, first or second]`` as
+# coefficients of the V_m index s, the outer index u and the inner index
+# v.  The negative tensor reads as in :func:`_gathers`, the positive one
+# with u and v exchanged.  Role 0 is summed over u, roles 1-3 over v; with
+# the tensor's outer index p and its legs j and k (see :func:`_sliced`),
+# role 0 carries the leg p + j, role 1 leg j, role 2 leg k and role 3 p.
+_ROLE_FACTORS = ((3, 1, 2, 0), (0, 2, 1, 3))
+_ROLE_PAIRS = ((((0, 1, 0), (1, -1, 0)), ((0, 0, 1), (0, 1, 0)),
+                ((0, -1, 1), (1, 0, -1)), ((1, 0, 0), (0, 0, 1))),
+               (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)),
+                ((1, -1, 0), (0, 0, 1)), ((0, 1, 1), (1, -1, -1))))
+# The legs 1-4 of the support entry at (p, j, k), as coefficients of p, j
+# and k, for a positive and a negative tensor.
+_SUPPORT = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
+            ((1, 1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)))
+
+
+@functools.cache
+def _slice_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 for a positive tensor, row 1 for a negative one: the flat
+    index into ``[factor, first, second]`` of each role over ``(s, u, v)``,
+    and the flat index into ``[leg 1, .., leg 4]`` of each support entry
+    over ``(p, j, k)``.  Built once per N, read-only."""
+    grid = np.indices((N,) * 3).reshape(3, -1)
+    index = ([N, 1] @ (np.array(_ROLE_PAIRS) @ grid % N)
+             + N * N * np.array(_ROLE_FACTORS)[..., None])
+    support = N ** np.arange(3, -1, -1) @ (np.array(_SUPPORT) @ grid % N)
+    index.flags.writeable = support.flags.writeable = False
+    return index, support
+
+
+def _sliced(root: RootData, pairs: np.ndarray,
+            right: np.ndarray) -> np.ndarray:
+    """Uncharged 6j tensors of a stack, as :func:`_composites` returns
+    them, from three slices of each composite.
+
+    On the flux support a positive tensor is ``T[p, b, c, p + b]`` and a
+    negative one ``T[p + c, b, c, p]``.  Write ``j`` for ``b`` and ``k``
+    for ``c`` in a positive tensor, the other way round in a negative one.
+    At every outer index ``p`` the N x N matrix ``T w^(bc)`` (positive) or
+    ``T w^(cp - bc)`` (negative) over ``(j, k)`` has rank one, with ``w =
+    _powers(root)[1]``.  So each tensor is read off three slices at every
+    ``p``: ``j = 0``, whose largest entry picks ``k0``; ``k = k0``, whose
+    largest entry at ``j != 0`` picks ``j0``; and ``j = j0``.  Then
+
+        T[j, k] = T[j, k0] T[j0, k] / T[j0, k0] w^(-+(j - j0)(k - k0)).
+
+    The slice ``j = 0`` is the probe of that structure: it must agree
+    with the reconstruction within ``_COMPOSITE_TOL`` times the tensor's
+    scale, ``max(1, max|tensor|)``, or the tensor is refused.  ``j0 != 0``
+    keeps the probe apart from the slice it checks.
+
+    Every slice entry is formed at all N values of ``s`` and its N values
+    are checked as :func:`_composites` checks its diagonal.  So are N
+    entries off the support, at ``j = k = 0`` with role 0 one step past
+    ``p + j``, whose mean must also vanish within the same bound: a wrong
+    psi coefficient or leg label keeps every composite scalar on the
+    support and shows only off it.  In the slices at fixed ``j`` every
+    factor but role 2's leg is fixed at each ``p`` (see
+    :data:`_ROLE_PAIRS`), so the slice is one batched matrix product over
+    ``(u, v)``; at ``k = k0`` roles 1-3 are summed over ``v`` in one and
+    role 0 over ``u`` after it.  Each is ``N**5`` multiplications per
+    tensor.  The other entries off the support are not formed: they are
+    zero.
+    """
+    N, T = root.N, len(right)
+    neg = np.where(right, 0, 1)
+    index, support = (table[neg] for table in _slice_tables(N))
+    factors = _factors(root, pairs).reshape(T * 4 * N * N, N)
+    i = np.arange(N)
+    hankel = (i[:, None] + i) % N
+    out = np.zeros((T, N ** 4), dtype=complex)
+    step = max(1, _SLICE_ENTRIES // N ** 4)
+    for lo in range(0, T, step):
+        t = np.arange(lo, min(lo + step, T))
+        n, on = len(t), np.arange(len(t))[:, None]
+        R = np.take(factors, 4 * N * N * t[:, None, None] + index[t],
+                    axis=0).reshape(n, 4, N, N, N, N)
+        formed = []
+
+        def mean(each: np.ndarray) -> np.ndarray:
+            """The mean over ``s`` of a slice ``[t, s, p, q]``; the slice
+            goes to ``formed``."""
+            formed.append(each)
+            return each.mean(axis=1)
+
+        def at_j(lead: np.ndarray) -> np.ndarray:
+            """The slice at ``j``, ``[t, s, p, k]``, from roles 3, 1 at ``j``
+            and 0 at ``p + j``, multiplied over ``[t, s, u, v, p]``."""
+            return (R[:, 2].reshape(n, N, N * N, N).swapaxes(-1, -2)
+                    @ lead.reshape(n, N, N * N, N)).swapaxes(-1, -2)
+
+        def at_k(fix: np.ndarray) -> np.ndarray:
+            """The slice ``k = fix[t, p]``, ``[t, s, p, j]``."""
+            summed = (R[:, 3].swapaxes(-1, -2)
+                      * R[on, 2, :, :, :, fix].transpose(0, 2, 3, 1, 4)
+                      ) @ R[:, 1]
+            return (R[:, 0, :, :, 0][..., hankel] * summed).sum(axis=2)
+        # off the support, where the composite vanishes: j = k = 0 with
+        # role 0 at p + 1.  A wrong psi or label shows here, not on it.
+        at0 = R[:, 3] * R[:, 1, ..., :1]
+        off = mean((R[:, 2, ..., :1] * at0 * R[:, 0][..., :1, (i + 1) % N]
+                    ).sum(axis=(2, 3))[..., None])
+        first = mean(at_j(at0 * R[:, 0, :, :, :1]))
+        k0 = np.abs(first).argmax(axis=-1)
+        row = mean(at_k(k0))
+        j0 = np.abs(row[..., 1:]).argmax(axis=-1) + 1
+        col = mean(at_j(R[:, 3]
+                        * R[on, 1, :, :, :, j0].transpose(0, 2, 3, 4, 1)
+                        * R[on, 0, :, :, :1, (i + j0) % N].transpose(
+                            0, 2, 3, 4, 1)))
+        phase = (np.where(right[t], -1, 1)[:, None, None, None]
+                 * (i[:, None] - j0[..., None, None])
+                 * (i - k0[..., None, None]) % N)
+        tensor = ((row / row[on, i, j0][..., None])[..., None]
+                  * col[:, :, None] * _powers(root)[phase])
+        each = np.concatenate(formed, axis=-1)
+        _refuse(np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3))), lo,
+                composite_defect=np.abs(each - each.mean(
+                    axis=1, keepdims=True)).max(axis=(1, 2, 3)),
+                off_support=np.abs(off).max(axis=(1, 2)),
+                rank_one_probe=np.abs(tensor[:, :, 0] - first).max(
+                    axis=(1, 2)))
+        out[t[:, None], support[t]] = tensor.reshape(n, -1)
+    return out.reshape((T,) + (N,) * 4)
 
 
 def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
@@ -281,13 +438,15 @@ def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
     Tensor ``t``, of leg pairs ``pairs[t]`` (see :func:`_leg_pairs`), is
     the positive symbol at doubled charges ``(a[t], c[t])`` when
     ``right[t]`` holds and the negative one otherwise; the result is
-    indexed ``[t, leg 1, .., leg 4]``.  All intertwiners of the stack are
-    built together, the composites are contracted a slice of tensors at a
-    time, and each tensor's scalar defect is checked on its own scale.
+    indexed ``[t, leg 1, .., leg 4]``, zero off each tensor's flux
+    support.  All intertwiners of the stack are built together, each
+    uncharged tensor is read off three slices of its composite
+    (:func:`_sliced`), a few tensors at a time, and every formed entry is
+    checked on its own tensor's scale.
     """
     right = np.array(right, dtype=bool)
     return _twist(root, pairs, right, np.array(a), np.array(c),
-                  _composites(root, pairs, right))
+                  _sliced(root, pairs, right))
 
 
 def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cyclic6j import sixj
+from cyclic6j import algebra, sixj, statesum
 from cyclic6j.algebra import (
-    BadOperands, GroupElement, RootData, Resonance, ZeroX, group_mul,
-    psi_coeffs, psi_coeffs_product, psi_stack, random_admissible_pair,
+    BadOperands, GroupElement, RootData, Resonance, ZeroX, _powers,
+    group_mul, psi_coeffs, psi_coeffs_product, psi_stack,
+    random_admissible_pair,
 )
 from cyclic6j.cli import _random_label_six, _random_pentagon, run_suite
 from cyclic6j.operators import (
@@ -94,12 +95,13 @@ def _oracle_neg(root, lab, a, c):
     return apply_to_leg(out, pow_R(root, lab.k, lab.l, c).check_mat.T, 3)
 
 
-@pytest.mark.parametrize("N, slice_entries", [(3, 2 * 3 ** 5), (3, 2 ** 15),
+@pytest.mark.parametrize("N, slice_entries", [(3, 2 * 3 ** 4), (3, 2 ** 15),
                                               (5, 2 ** 15), (7, 2 ** 15),
-                                              (9, 2 ** 15)])
+                                              (9, 2 ** 15), (11, 2 ** 15),
+                                              (13, 2 ** 15)])
 def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
                                             monkeypatch):
-    # 2 * 3**5 entries cut the N = 3 stack into slices of two tensors
+    # 2 * 3**4 entries cut the N = 3 stack into batches of two tensors
     monkeypatch.setattr(sixj, "_SLICE_ENTRIES", slice_entries)
     root = RootData(N)
     labs = [_random_label_six(rng) for _ in range(5)]
@@ -224,6 +226,130 @@ def test_defect_guard_scale_is_per_tensor(root3, monkeypatch):
     monkeypatch.setattr(sixj, "graded_S", skewed)
     with pytest.raises(NotScalarError, match="of tensor 1 "):
         sixj_stack(root3, pairs, [True, True], zero, zero)
+
+
+def _rank_one_spread(root, tensor, right):
+    """Largest sigma_2 / sigma_1, over the outer index p, of the support
+    slices ``T[p, b, c, p + b] w^(bc)`` of a positive tensor or ``T[p + c,
+    b, c, p] w^(cp - bc)`` of a negative one."""
+    N, w = root.N, _powers(root)
+    p, b, c = np.ogrid[:N, :N, :N]
+    if right:
+        V = tensor[p, b, c, (p + b) % N] * w[b * c % N]
+    else:
+        V = tensor[(p + c) % N, b, c, p] * w[(c * p - b * c) % N]
+    sigma = np.linalg.svd(V, compute_uv=False)
+    return np.max(sigma[:, 1] / sigma[:, 0])
+
+
+def _fixture_cases(root, scene, monkeypatch):
+    """The label six-tuples, signs and doubled charges of the tensors the
+    state sum of ``scene`` asks ``sixj_stack`` for."""
+    seen = {}
+
+    def capture(root, pairs, right, a, c):
+        seen.update(pairs=pairs, right=right, a=a, c=c)
+        return np.zeros((len(right),) + (root.N,) * 4, dtype=complex)
+    T = scene.complex
+    with monkeypatch.context() as patch:
+        patch.setattr(statesum, "sixj_stack", capture)
+        statesum.tetra_weights(root, T, scene.coloring, scene.charge,
+                               range(T.n_tets))
+    cases = []
+    for t, right in enumerate(seen["right"]):
+        # legs (k, l), (i, j) of a positive tensor, (i, j), (k, l) of a
+        # negative one
+        pairs = seen["pairs"][t]
+        (i, j), l = pairs[1 if right else 2], pairs[0 if right else 3, 1]
+        lab = LabelSix.from_generators(GroupElement(*i), GroupElement(*j),
+                                       GroupElement(*l))
+        cases.append((lab, bool(right), int(seen["a"][t]),
+                       int(seen["c"][t])))
+    return cases
+
+
+@pytest.mark.parametrize("N, k", [(3, 1), (5, 1), (7, 1), (9, 1), (11, 1),
+                                  (7, 3)])
+def test_support_slices_of_the_dense_oracle_have_rank_one(
+        N, k, rng, fixture_scene, monkeypatch):
+    # the structure the sliced kernel reads the tensors off, pinned on
+    # the dense oracle alone: both signs, uncharged and charged, seeded
+    # labels and the fixture's five tensors at their own charges
+    root = RootData(N, k)
+    cases = [(lab, right, a, c)
+             for lab in (_random_label_six(rng) for _ in range(2))
+             for right in (True, False)
+             for a, c in ((0, 0), (1, 0), (1, 1), (-1, 2))]
+    fixture = _fixture_cases(root, fixture_scene, monkeypatch)
+    assert len(fixture) == 5
+    for lab, right, a, c in cases + fixture:
+        dense = (_oracle_pos if right else _oracle_neg)(root, lab, a, c)
+        assert _rank_one_spread(root, dense, right) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_a_wrong_psi_coefficient_is_refused(N, monkeypatch):
+    # one psi coefficient of one leg off by 1e-5 keeps every composite
+    # scalar on the flux support; its diagonal spreads only off it
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = [True, False, True, False]
+    pairs = _pairs([lab] * 4, right)
+    zero = [0] * 4
+    psi = algebra.psi_stack
+    for t in (1, 2):
+        for leg in range(4):
+            for m in range(1, N):
+                def bent(root, g, h, tol=1e-12, t=t, leg=leg, m=m):
+                    out = psi(root, g, h, tol)
+                    out[t, leg, m] *= 1 + 1e-5
+                    return out
+                monkeypatch.setattr(algebra, "psi_stack", bent)
+                with pytest.raises(NotScalarError, match=f"of tensor {t} "):
+                    sixj_stack(RootData(N), pairs, right, zero, zero)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_a_wrong_label_is_refused(N):
+    # one coordinate of one leg's label pair off by 1e-6; the intertwiner
+    # does not read the y coordinate of h, so that one is left out
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = [True, False, True, False]
+    pairs = _pairs([lab] * 4, right)
+    zero = [0] * 4
+    for t in (1, 2):
+        for leg in range(4):
+            for side, xy in ((0, 0), (0, 1), (1, 0)):
+                bent = pairs.copy()
+                bent[t, leg, side, xy] *= 1 + 1e-6
+                with pytest.raises(NotScalarError, match=f"of tensor {t} "):
+                    sixj_stack(RootData(N), bent, right, zero, zero)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("t, what", [(2, "rank one probe"),
+                                     (3, "off support")])
+def test_kernel_refuses_an_intertwiner_mixed_on_its_multiplicity(
+        N, t, what, monkeypatch):
+    # mixing the multiplicity index of hat leg 2 keeps the intertwiner an
+    # intertwiner, so the dense composite stays scalar.  On a positive
+    # tensor that leg is c, off the flux: the support slices lose rank
+    # one.  On a negative one it is the flux leg c: weight leaves the
+    # support.
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = [True, False, True, False]
+    pairs = _pairs([lab] * 4, right)
+    zero = [0] * 4
+    mix = np.eye(N) + 0.01 * np.roll(np.eye(N), 1, axis=0)
+    graded = sixj.graded_S
+
+    def mixed(root, g, h):
+        G = graded(root, g, h).copy()
+        G[t, 2] = G[t, 2] @ mix
+        return G
+    monkeypatch.setattr(sixj, "graded_S", mixed)
+    sixj._composites(RootData(N), pairs, np.array(right))
+    with pytest.raises(NotScalarError, match=f"{what} .* of tensor {t} "):
+        sixj_stack(RootData(N), pairs, right, zero, zero)
 
 
 def test_twist_checks_exactly_the_operator_pairs(root3):
