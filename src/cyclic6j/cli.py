@@ -351,10 +351,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in ``path``, or on stdin for '-'."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not text, or arrays nested past the parser's depth
+        raise TopologyError(f"bad JSON input ({exc})") from None
 
 
 def _emit_document(scene: Scene, out: str | None) -> None:
@@ -606,8 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TopologyError, AlgebraError, InvariantError,
-            FileNotFoundError) as exc:
+    except (TopologyError, AlgebraError, InvariantError, OSError) as exc:
         why = str(exc)
     except json.JSONDecodeError as exc:
         why = f"bad JSON input ({exc})"

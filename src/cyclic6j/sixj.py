@@ -20,19 +20,21 @@ argument is a doubled int: ``sixj_pos(root, lab, 1, 0)`` is the positive
 symbol at ``a = 1/2``, ``c = 0``.
 
 :func:`sixj_stack` builds the charged tensors of a whole stack of
-six-tuples, mixed signs and charges, in one pass: the intertwiners of
+six-tuples, mixed signs and charges, in one pass and only on their flux
+supports (:data:`_SUPPORT`, N**3 of N**4 entries): the intertwiners of
 every leg from one closed-form graded ``S``
 (:func:`~cyclic6j.algebra.graded_S`), the inverse blocks of every check
 leg from one ``np.linalg.inv``, each tensor from three slices of its
-composite (:func:`_sliced`), ``3 N**5`` multiplications per tensor, and
-the twist in closed form as one index gather and one phase multiply.  On its
-flux support every tensor is, at each outer index, a rank-one matrix
-times a phase, so the three slices fix it.  The guard stays per tensor
-and covers every entry formed: each one's N diagonal values, one column
-off the support that must vanish, and the agreement of the first slice
-with the rank-one reconstruction, all within ``_COMPOSITE_TOL`` times the
-tensor's own ``max(1, max|tensor|)``, never a scale taken across the
-stack.  :func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases.
+composite (:func:`_sliced`), ``3 N**5`` multiplications per tensor, the
+twist as one gather and one phase, and one scatter into the layout the
+state sum stores.  On its support every tensor is, at each outer index,
+a rank-one matrix times a phase, so the three slices fix it.  The guard
+stays per tensor and covers every entry formed: each one's N diagonal
+values, one column off the support that must vanish, and the agreement
+of the first slice with the rank-one reconstruction, all within
+``_COMPOSITE_TOL`` times the tensor's own ``max(1, max|tensor|)``, never
+a scale taken across the stack.  :func:`sixj_pos` and :func:`sixj_neg`
+are its one-tensor cases, expanded by :func:`_dense`.
 :func:`tform_tensor` and :func:`tbar_tensor` form every entry of the
 composite (:func:`_composites`) and, with :func:`t_form`,
 :func:`tbar_form` and the operator powers of :mod:`cyclic6j.operators`,
@@ -276,30 +278,47 @@ _ROLE_PAIRS = ((((0, 1, 0), (1, -1, 0)), ((0, 0, 1), (0, 1, 0)),
 # and k, for a positive and a negative tensor.
 _SUPPORT = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
             ((1, 1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)))
+# Coefficient of each leg of a positive (True) and a negative (False)
+# tensor in its flux constraint, +1 on a check leg, -1 on a hat leg and 0
+# on the (j, l) leg: it vanishes off sum(c * index) = 0 mod N.
+_FLUX = {True: (1, 1, 0, -1), False: (1, 0, -1, -1)}
 
 
 @functools.cache
 def _slice_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Row 0 for a positive tensor, row 1 for a negative one: the flat
     index into ``[factor, first, second]`` of each role over ``(s, u, v)``,
-    and the flat index into ``[leg 1, .., leg 4]`` of each support entry
-    over ``(p, j, k)``.  Built once per N, read-only."""
+    and the flat index into the stored ``[leg 1, leg 2, leg 3]`` of each
+    support entry over ``(p, j, k)``.  Built once per N, read-only."""
     grid = np.indices((N,) * 3).reshape(3, -1)
     index = ([N, 1] @ (np.array(_ROLE_PAIRS) @ grid % N)
              + N * N * np.array(_ROLE_FACTORS)[..., None])
-    support = N ** np.arange(3, -1, -1) @ (np.array(_SUPPORT) @ grid % N)
-    index.flags.writeable = support.flags.writeable = False
-    return index, support
+    stored = [N * N, N, 1] @ (np.array(_SUPPORT)[:, :3] @ grid % N)
+    index.flags.writeable = stored.flags.writeable = False
+    return index, stored
+
+
+def _dense(N: int, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Stored weights ``[tensor, N**3]`` as dense tensors ``[tensor, leg 1,
+    .., leg 4]``, zero off each one's flux support: leg 3 is ``-c3 (c0 i0
+    + c1 i1 + c2 i2)`` mod N over the ``_FLUX`` coefficients c."""
+    flux = np.array([_FLUX[r] for r in right])
+    i = np.indices((N,) * 3).reshape(3, -1)
+    out = np.zeros((len(flux), N ** 3, N), dtype=complex)
+    out[np.arange(len(flux))[:, None], np.arange(N ** 3),
+        -flux[:, 3:] * (flux[:, :3] @ i) % N] = weights
+    return out.reshape((len(flux),) + (N,) * 4)
 
 
 def _sliced(root: RootData, pairs: np.ndarray,
             right: np.ndarray) -> np.ndarray:
-    """Uncharged 6j tensors of a stack, as :func:`_composites` returns
-    them, from three slices of each composite.
+    """Uncharged 6j tensors of a stack on their flux supports, ``[tensor,
+    p, j, k]``, from three slices of each composite.
 
     On the flux support a positive tensor is ``T[p, b, c, p + b]`` and a
-    negative one ``T[p + c, b, c, p]``.  Write ``j`` for ``b`` and ``k``
-    for ``c`` in a positive tensor, the other way round in a negative one.
+    negative one ``T[p + c, b, c, p]`` (:data:`_SUPPORT`).  Write ``j`` for
+    ``b`` and ``k`` for ``c`` in a positive tensor, the other way round in
+    a negative one.
     At every outer index ``p`` the N x N matrix ``T w^(bc)`` (positive) or
     ``T w^(cp - bc)`` (negative) over ``(j, k)`` has rank one, with ``w =
     _powers(root)[1]``.  So each tensor is read off three slices at every
@@ -327,12 +346,11 @@ def _sliced(root: RootData, pairs: np.ndarray,
     zero.
     """
     N, T = root.N, len(right)
-    neg = np.where(right, 0, 1)
-    index, support = (table[neg] for table in _slice_tables(N))
+    index = _slice_tables(N)[0][np.where(right, 0, 1)]
     factors = _factors(root, pairs).reshape(T * 4 * N * N, N)
     i = np.arange(N)
     hankel = (i[:, None] + i) % N
-    out = np.zeros((T, N ** 4), dtype=complex)
+    out = np.empty((T, N, N, N), dtype=complex)
     step = max(1, _SLICE_ENTRIES // N ** 4)
     for lo in range(0, T, step):
         t = np.arange(lo, min(lo + step, T))
@@ -384,22 +402,25 @@ def _sliced(root: RootData, pairs: np.ndarray,
                 off_support=np.abs(off).max(axis=(1, 2)),
                 rank_one_probe=np.abs(tensor[:, :, 0] - first).max(
                     axis=(1, 2)))
-        out[t[:, None], support[t]] = tensor.reshape(n, -1)
-    return out.reshape((T,) + (N,) * 4)
+        out[t] = tensor
+    return out
 
 
 def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
            a: np.ndarray, c: np.ndarray, tensors: np.ndarray) -> np.ndarray:
-    """Charge twist of a stack of uncharged tensors at doubled charges ``a``, ``c``.
+    """Charge twist at doubled charges ``a``, ``c`` of a stack of uncharged
+    tensors ``[tensor, p, j, k]`` on their supports (see :func:`_sliced`).
 
     Positive (negative) tensors get ``q^{4ac}`` (``q^{-4ac}``), ``R^c`` on
     the ``(k, l)`` leg, ``R^{-a}`` on the ``(i, j)`` leg and ``L^{-a}
     R^{-c}`` on the ``(j, l)`` leg, all on the form's arguments.  In closed
     form ``(sqrtR)^n`` is the diagonal ``w^{-i n (N+1)/2}`` and
     ``(sqrtL)^n`` reads a check leg at ``i - n (N+1)/2`` and a hat leg at
-    ``i + n (N+1)/2``, each times its half-power scalar to the n.  So the
-    twist is one index gather and one phase multiply; the pairs are
-    checked as :func:`~cyclic6j.operators.op_sqrtR` and
+    ``i + n (N+1)/2``, each times its half-power scalar to the n.  The
+    ``(j, l)`` leg is ``k`` of either sign, of flux coefficient 0, so the
+    twist is one gather along ``k`` and one phase, a linear form of ``(p,
+    j, k)`` mod N.  The pairs are checked as
+    :func:`~cyclic6j.operators.op_sqrtR` and
     :func:`~cyclic6j.operators.op_sqrtL` check them.
     """
     N, half, T = root.N, root.half, len(right)
@@ -419,16 +440,11 @@ def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
     expo = np.zeros((T, 4), dtype=int)
     np.put_along_axis(expo, legs, np.stack([-half * c, half * a, half * c],
                                            axis=1), axis=1)
-    shift = np.zeros((T, 4), dtype=int)
-    np.put_along_axis(shift, legs[:, 2:], (sign * half * a)[:, None], axis=1)
-
-    def per_tensor(v: np.ndarray) -> np.ndarray:
-        return v.reshape(T, 1, 1, 1, 1)
-    idx = np.ogrid[:N, :N, :N, :N]
-    phase = sum(per_tensor(expo[:, q]) * i for q, i in enumerate(idx)) % N
-    at = [(i + per_tensor(shift[:, q])) % N for q, i in enumerate(idx)]
-    return (per_tensor(scalar) * _powers(root)[phase]
-            * tensors[(per_tensor(np.arange(T)), *at)])
+    form = (expo[:, None] @ np.array(_SUPPORT)[np.where(right, 0, 1)])[:, 0]
+    t, p, j, k = np.ogrid[:T, :N, :N, :N]
+    phase = (form[t, 0] * p + form[t, 1] * j + form[t, 2] * k) % N
+    return (scalar[t] * _powers(root)[phase]
+            * tensors[t, p, j, (k + (sign * half * a)[t]) % N])
 
 
 def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
@@ -437,16 +453,22 @@ def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
 
     Tensor ``t``, of leg pairs ``pairs[t]`` (see :func:`_leg_pairs`), is
     the positive symbol at doubled charges ``(a[t], c[t])`` when
-    ``right[t]`` holds and the negative one otherwise; the result is
-    indexed ``[t, leg 1, .., leg 4]``, zero off each tensor's flux
-    support.  All intertwiners of the stack are built together, each
-    uncharged tensor is read off three slices of its composite
-    (:func:`_sliced`), a few tensors at a time, and every formed entry is
-    checked on its own tensor's scale.
+    ``right[t]`` holds and the negative one otherwise.  The result is
+    indexed ``[t, N**3]``, flat over legs 1-3, leg 4 following from them
+    by the flux constraint (:data:`_FLUX`): the layout the state sum
+    contracts, which :func:`_dense` expands.  All intertwiners of the
+    stack are built together, each uncharged tensor is read off three
+    slices of its composite (:func:`_sliced`), a few tensors at a time,
+    and every formed entry is checked on its own tensor's scale.
     """
     right = np.array(right, dtype=bool)
-    return _twist(root, pairs, right, np.array(a), np.array(c),
-                  _sliced(root, pairs, right))
+    N, T = root.N, len(right)
+    twisted = _twist(root, pairs, right, np.array(a), np.array(c),
+                     _sliced(root, pairs, right))
+    out = np.empty((T, N ** 3), dtype=complex)
+    out[np.arange(T)[:, None], _slice_tables(N)[1][np.where(right, 0, 1)]] \
+        = twisted.reshape(T, -1)
+    return out
 
 
 def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:
@@ -536,7 +558,8 @@ def sixj_pos(root: RootData, lab: LabelSix, a: int, c: int) -> np.ndarray:
     slot 1, ``R^{-a}`` on slot 2, ``L^{-a} R^{-c}`` on slot 3 (slot 4
     untouched).
     """
-    return sixj_stack(root, *_one(lab, True), [a], [c])[0]
+    return _dense(root.N, sixj_stack(root, *_one(lab, True), [a], [c]),
+                  [True])[0]
 
 
 def sixj_neg(root: RootData, lab: LabelSix, a: int, c: int) -> np.ndarray:
@@ -545,7 +568,8 @@ def sixj_neg(root: RootData, lab: LabelSix, a: int, c: int) -> np.ndarray:
     Twist on the form's arguments: ``q^{-4ac}`` on slot 1, ``L^{-a} R^{-c}``
     on slot 2, ``R^{-a}`` on slot 3 and ``R^{c}`` on slot 4.
     """
-    return sixj_stack(root, *_one(lab, False), [a], [c])[0]
+    return _dense(root.N, sixj_stack(root, *_one(lab, False), [a], [c]),
+                  [False])[0]
 
 
 def pentagon_labels(j1: GroupElement, j2: GroupElement, j3: GroupElement,

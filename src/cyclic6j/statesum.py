@@ -15,18 +15,19 @@ No tetrahedron is glued to itself: that would identify two of its corners
 and make the edge between them a loop, which ``TriComplex`` refuses.  So
 every weight has four legs on four distinct faces.
 
-The contraction is Z_N-graded.  A weight vanishes unless its leg
-indices satisfy one flux constraint mod N, with coefficient +1 on a
-check leg, -1 on a hat leg and 0 on the (j, l) leg, so it is stored on
-that support: N^3 of its N^4 entries, after a guard that what it drops
-is rounding.  Every tensor of the network keeps disjoint constraint
-groups of +-1 coefficients.  Contracting two tensors joins the groups
-that a shared face links and drops a group that meets a face the other
-side leaves free; each step gathers both operands into flux sectors,
-without growing either, and multiplies the sectors in one batched
-matmul.  The pairwise order is greedy on stored entries, and the plan
-is refused before any weight is built when one of its steps would hold
-more than ``MAX_ENTRIES`` stored entries.
+The contraction is Z_N-graded.  A weight vanishes unless its leg indices
+satisfy one flux constraint mod N, with coefficient +1 on a check leg, -1
+on a hat leg and 0 on the (j, l) leg (:data:`~cyclic6j.sixj._FLUX`).
+:func:`~cyclic6j.sixj.sixj_stack` builds it on that support, N^3 of its
+N^4 entries, in the layout the contraction stores: legs 0-2, leg 3
+following from them; no weight is formed dense.  Every tensor of the
+network keeps disjoint constraint groups of +-1 coefficients.  Contracting
+two tensors joins the groups that a shared face links and drops a group
+that meets a face the other side leaves free; each step gathers both
+operands into flux sectors, without growing either, and multiplies the
+sectors in one batched matmul.  The pairwise order is greedy on stored
+entries, and the plan is refused before any weight is built when one of
+its steps would hold more than ``MAX_ENTRIES`` stored entries.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import GroupElement, RootData
-from .operators import NotScalarError, qtilde, q_scalar, assemble_q
-from .sixj import _label_stack, _leg_pairs, sixj_stack
+from .operators import qtilde, q_scalar, assemble_q
+from .sixj import _FLUX, _dense, _label_stack, _leg_pairs, sixj_stack
 from .triangulation import (
     _EDGE_SLOT, _SIGN, DoubledCharge, Scene, TriComplex, _edge_colors,
     validate_charge,
@@ -102,7 +103,8 @@ def _weights(root: RootData, T: TriComplex,
              coloring: dict[int, GroupElement], charge: DoubledCharge,
              tets: np.ndarray, vs: np.ndarray, right: np.ndarray) -> tuple:
     """The 6j tensors of the tetrahedra ``tets``, of sorted corners ``vs``
-    and signs ``right``, and the label pairs of their legs."""
+    and signs ``right``, each on its flux support as :func:`sixj_stack`
+    returns it, and the label pairs of their legs."""
     leg = _edge_colors(T, coloring)
     i, j, l = (np.stack(leg(vs[:, p], vs[:, p + 1], tets), axis=1)
                for p in range(3))
@@ -116,10 +118,11 @@ def _weights(root: RootData, T: TriComplex,
 def tetra_weights(root: RootData, T: TriComplex,
                   coloring: dict[int, GroupElement], charge: DoubledCharge,
                   tets: Sequence[int]) -> tuple:
-    """The 6j tensors of the given tetrahedra, built in one stacked pass,
-    with the ``(x, y)`` of each leg's label pair and each leg's face class:
-    ``[tensor, leg 1, .., leg 4]``, ``[tensor, leg, g or h, x or y]`` and
-    ``[tensor, leg]``.
+    """The 6j tensors of the given tetrahedra, built in one stacked pass
+    and expanded dense, with the ``(x, y)`` of each leg's label pair and
+    each leg's face class: ``[tensor, leg 1, .., leg 4]``, ``[tensor, leg,
+    g or h, x or y]`` and ``[tensor, leg]``.  The state sum contracts the
+    weights as they are built, on their supports, and never calls this.
 
     Corners are sorted by the global vertex order into (v1, v2, v3, v4);
     the labels are the colors of v1v2, v2v3, v3v4 and their products, the
@@ -128,7 +131,8 @@ def tetra_weights(root: RootData, T: TriComplex,
     """
     tets = np.asarray(tets)
     vs, right, faces = _corners(T, tets)
-    return (*_weights(root, T, coloring, charge, tets, vs, right), faces)
+    weights, pairs = _weights(root, T, coloring, charge, tets, vs, right)
+    return _dense(root.N, weights, right), pairs, faces
 
 
 def tetra_weight(root: RootData, T: TriComplex,
@@ -144,16 +148,6 @@ def tetra_weight(root: RootData, T: TriComplex,
 # and its result.  A network whose plan needs more is refused before any
 # weight is built.
 MAX_ENTRIES = 2 ** 24
-
-# Coefficient of each leg of a positive (True) and a negative (False)
-# weight in its flux constraint: +1 on a check leg, -1 on a hat leg and 0
-# on the (j, l) leg.  A weight vanishes off sum(c * index) = 0 mod N.
-_FLUX = {True: (1, 1, 0, -1), False: (1, 0, -1, -1)}
-
-# Largest entry off that support, relative to the weight's largest entry,
-# that storing the weight on its support may drop.  Rounding leaves at
-# most ~3e-14 on the fixture at N = 15.
-_SUPPORT_TOL = 1e-10
 
 
 class _Node(NamedTuple):
@@ -489,31 +483,6 @@ def _check_faces(pairs: np.ndarray, faces: np.ndarray) -> None:
             "{} with {}".format(*kinds) if same[x] else "unequal labels"))
 
 
-def _stored_weights(N: int, weights: np.ndarray, right: np.ndarray) -> list:
-    """Each weight on its support, stored over legs 0, 1 and 2.
-
-    Raises :class:`NotScalarError` naming the first weight whose entries
-    off the support exceed ``_SUPPORT_TOL`` of its own largest entry.
-    """
-    stack = weights.reshape(len(weights), -1)
-    # the pivot, leg 3, is -c3 * (c0 i0 + c1 i1 + c2 i2) mod N
-    flux = np.where(right[:, None], _FLUX[True], _FLUX[False])
-    i = np.indices((N,) * 3).reshape(3, -1)
-    cols = N * np.arange(N ** 3) + -flux[:, 3:] * (flux[:, :3] @ i) % N
-    rows = np.arange(len(stack))[:, None]
-    mag = np.abs(stack)
-    top = mag.max(axis=1)
-    mag[rows, cols] = 0
-    off = mag.max(axis=1)
-    bad = np.flatnonzero(off > _SUPPORT_TOL * top)
-    if bad.size:
-        t = bad[0]
-        raise NotScalarError(
-            f"entry {off[t] / top[t]:.1e} of its largest off the support of "
-            f"tensor {t} exceeds {_SUPPORT_TOL:.0e}")
-    return list(stack[rows, cols])
-
-
 def state_sum(root: RootData, scene: Scene) -> complex:
     """Contract all tetra weights over the interior faces.
 
@@ -543,7 +512,7 @@ def state_sum(root: RootData, scene: Scene) -> complex:
     weights, pairs = _weights(root, T, scene.coloring, scene.charge, tets,
                               vs, right)
     _check_faces(pairs, faces)
-    arrays = _stored_weights(root.N, weights, right)
+    arrays = list(weights)
     tail = _tail(root.N, max([len(n.axes) for n in leaves]
                              + [dh + dr + dc for dh, dr, _, dc in
                                 (step.dims for step in steps)]))

@@ -3,6 +3,7 @@ import json
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cyclic6j import cli, statesum
@@ -155,6 +156,39 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     code, _, err = run(["invariant", str(bad)], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "{dir}"],
+    ["canonical", "{dir}"],
+    ["move", "{dir}", "--kind", "pachner+", "--target", "0,0"],
+    ["invariant", FIXTURE, "--baseline", "{dir}"],
+    ["find-charge", FIXTURE, "--out", "{dir}"],
+])
+def test_directory_path_is_input_error(argv, tmp_path, capsys):
+    code, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["invariant", "canonical"])
+def test_random_bytes_are_input_error(command, tmp_path, capsys):
+    path = tmp_path / "noise.json"
+    path.write_bytes(b"\xff" + np.random.default_rng(5).bytes(99))
+    code, _, err = run([command, str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: bad JSON input")
+
+
+@pytest.mark.parametrize("option", [[], ["--baseline"]])
+def test_deeply_nested_json_is_input_error(option, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    argv = ["invariant", FIXTURE, "--baseline", str(path)] if option \
+        else ["invariant", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: bad JSON input")
 
 
 def test_invariant_record_output(capsys):

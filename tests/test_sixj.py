@@ -108,15 +108,37 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
     right = [True, False, False, True, False]
     a = [int(v) for v in rng.integers(-3, 4, size=5)]
     c = [int(v) for v in rng.integers(-3, 4, size=5)]
-    a[0] = c[0] = 0
-    got = sixj_stack(root, _pairs(labs, right), right, a, c)
-    assert got.shape == (5, N, N, N, N)
+    # tensors 0 (positive) and 1 (negative) uncharged, the rest charged
+    a[0] = c[0] = a[1] = c[1] = 0
+    a[2:] = [v or 1 for v in a[2:]]
+    stored = sixj_stack(root, _pairs(labs, right), right, a, c)
+    assert stored.shape == (5, N ** 3)
+    got = sixj._dense(N, stored, np.array(right))
+    i = np.indices((N,) * 4)
     for t in range(5):
         want = (_oracle_pos if right[t] else _oracle_neg)(root, labs[t],
                                                           a[t], c[t])
-        assert np.max(np.abs(got[t] - want)) <= 1e-12 * np.max(np.abs(want))
-    one = (sixj_pos if right[1] else sixj_neg)(root, labs[1], a[1], c[1])
-    assert np.allclose(one, got[1], rtol=1e-13, atol=0)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[t] - want)) <= 1e-12 * scale
+        # the oracle itself vanishes off the flux support
+        flux = sixj._FLUX[right[t]]
+        off = sum(f * x for f, x in zip(flux, i)) % N != 0
+        assert np.max(np.abs(want[off])) <= 1e-12 * scale
+    one = (sixj_pos if right[2] else sixj_neg)(root, labs[2], a[2], c[2])
+    assert np.allclose(one, got[2], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_support_table_meets_the_flux_and_fills_the_stored_layout(N):
+    # every row of _SUPPORT lies on its sign's flux constraint, and the
+    # stored index of the support entries covers N**3 once
+    p, j, k = np.indices((N,) * 3).reshape(3, -1)
+    stored = sixj._slice_tables(N)[1]
+    for row, right in ((0, True), (1, False)):
+        legs = np.array(sixj._SUPPORT[row]) @ [p, j, k] % N
+        assert not (np.array(sixj._FLUX[right]) @ legs % N).any()
+        assert np.array_equal(stored[row], [N * N, N, 1] @ legs[:3])
+        assert np.array_equal(np.sort(stored[row]), np.arange(N ** 3))
 
 
 def _composites_n7(root, pairs, right):
@@ -249,7 +271,7 @@ def _fixture_cases(root, scene, monkeypatch):
 
     def capture(root, pairs, right, a, c):
         seen.update(pairs=pairs, right=right, a=a, c=c)
-        return np.zeros((len(right),) + (root.N,) * 4, dtype=complex)
+        return np.zeros((len(right), root.N ** 3), dtype=complex)
     T = scene.complex
     with monkeypatch.context() as patch:
         patch.setattr(statesum, "sixj_stack", capture)
@@ -359,7 +381,7 @@ def test_twist_checks_exactly_the_operator_pairs(root3):
     right = np.array([True, False])
     pairs = _pairs([lab, lab], right)
     zero = np.zeros(2, dtype=int)
-    tensors = np.ones((2,) + (3,) * 4, dtype=complex)
+    tensors = np.ones((2,) + (3,) * 3, dtype=complex)
 
     def twist(t, leg, side, value):
         p = pairs.copy()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclic6j import statesum
+from cyclic6j import sixj, statesum
 from cyclic6j.algebra import RootData
 from cyclic6j.operators import NotScalarError, qtilde
 from cyclic6j.statesum import (
@@ -259,16 +259,35 @@ def test_leaf_is_one_flux_group_stored_over_legs_0_to_2():
 
 def test_support_guard_refuses_an_off_support_entry(root3, fixture_scene,
                                                     monkeypatch):
-    build = statesum.sixj_stack
+    # mixing the multiplicity index of hat leg 2 keeps an intertwiner an
+    # intertwiner; on a negative tensor that is the flux leg c, so weight
+    # leaves the support and the kernel's off-support probe refuses it
+    _, right, _ = statesum._corners(fixture_scene.complex, np.arange(5))
+    t = int(np.flatnonzero(~right)[0])
+    mix = np.eye(3) + 0.01 * np.roll(np.eye(3), 1, axis=0)
+    graded = sixj.graded_S
 
-    def bumped(*args, **kwargs):
-        weights = build(*args, **kwargs)
-        # i0 + i1 - i3 and i0 - i2 - i3 are both -1 here: off the support
-        weights[2, 0, 0, 0, 1] += 1e-6 * np.abs(weights[2]).max()
-        return weights
-    monkeypatch.setattr(statesum, "sixj_stack", bumped)
-    with pytest.raises(NotScalarError, match="of tensor 2 "):
+    def mixed(root, g, h):
+        G = graded(root, g, h).copy()
+        G[t, 2] = G[t, 2] @ mix
+        return G
+    monkeypatch.setattr(sixj, "graded_S", mixed)
+    with pytest.raises(NotScalarError, match=f"off support .* of tensor {t} "):
         state_sum(root3, fixture_scene)
+
+
+def _dense_weights(*args, **kwargs):
+    raise AssertionError("a weight was expanded dense")
+
+
+@pytest.mark.parametrize("N, n_tets", [(3, None), (5, None), (3, 30)])
+def test_state_sum_never_expands_a_weight_dense(N, n_tets, fixture_scene,
+                                                grown_s3, monkeypatch):
+    scene = fixture_scene if n_tets is None else grown_s3(n_tets)
+    want = state_sum(RootData(N), scene)
+    monkeypatch.setattr(sixj, "_dense", _dense_weights)
+    monkeypatch.setattr(statesum, "_dense", _dense_weights)
+    assert state_sum(RootData(N), scene) == want
 
 
 @pytest.mark.parametrize("N", range(3, 16, 2))
@@ -306,7 +325,7 @@ def _random_network(rng, n_tets: int, N: int) -> tuple:
     i = np.indices((N,) * 4)
     weights = []
     for right in rights:
-        c = statesum._FLUX[right]
+        c = sixj._FLUX[right]
         on = sum(cp * ip for cp, ip in zip(c, i)) % N == 0
         entries = rng.normal(size=on.shape) + 1j * rng.normal(size=on.shape)
         weights.append(np.where(on, entries, 0))
@@ -328,7 +347,13 @@ def _random_case(seed: int) -> tuple:
 def test_graded_contraction_equals_dense_on_random_networks(seed):
     N, weights, faces, rights = _random_case(seed)
     leaves = [statesum._leaf(fs, r) for fs, r in zip(faces, rights)]
-    arrays = statesum._stored_weights(N, weights, rights)
+    # each weight on its support, stored over legs 0-2 as sixj_stack does
+    flux = np.where(rights[:, None], sixj._FLUX[True], sixj._FLUX[False])
+    i = np.indices((N,) * 3).reshape(3, -1)
+    pivot = -flux[:, 3:] * (flux[:, :3] @ i) % N
+    stack = weights.reshape(len(weights), -1)
+    arrays = list(stack[np.arange(len(stack))[:, None],
+                        N * np.arange(N ** 3) + pivot])
     steps = statesum._plan(leaves, N)
     tail = statesum._tail(N, 4 * len(leaves))
     for s in steps:
