@@ -9,15 +9,22 @@ clock and shift matrices.  This module provides
 
 * the group arithmetic and the admissibility predicate,
 * N-th root coordinates ``(u, v)`` of a group element,
+* the table of powers ``w**m`` that every phase reads,
 * the ``phi`` phase factors and the ``psi`` coefficient sequence,
 * clock/shift matrices, Gauss-sum operators and the tensor-product
   intertwiner ``S`` between ``V_g (x) V_h`` and ``N`` copies of ``V_{gh}``,
 * rigid duality pairings and copairings.
 
+The branch sign is ``eps = -1``, so ``eps**(+-1) = -1`` on both components
+of the regular part and the phases ``phi(m) = w**(m(m-1)/2)`` carry no
+label; for odd N they are N-periodic in ``m``.  Every root-of-unity value
+is an entry of the one table :func:`_powers`.
+
 Everything is plain numpy; matrices are complex128 throughout.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,15 +84,17 @@ class RootData:
 
     @property
     def eps(self) -> int:
+        """The branch sign, -1; ``eps**(+-1) = -1``, so it is the same on
+        both components of the regular part."""
         return -1
 
     @property
     def omega(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.k / self.N))
+        return complex(_powers(self)[1])
 
     def omega_pow(self, m: int) -> complex:
-        """``w**m`` evaluated at the reduced exponent, avoiding drift for large m."""
-        return complex(np.exp(2j * np.pi * self.k * (m % self.N) / self.N))
+        """``w**m``, the table entry at the reduced exponent."""
+        return complex(_powers(self)[m % self.N])
 
     @property
     def half(self) -> int:
@@ -144,14 +153,13 @@ class Coords:
     ``u = y**(1/N)`` is always positive.  ``v`` is the real N-th root of
     ``x`` on the branch that sends negative ``x`` to a negative root
     (for odd N the real N-th root is unique, and equals
-    ``eps * |x|**(1/N)`` for ``x < 0`` with ``eps = -1``).  ``eps_exp``
-    records which component of the regular part the element lies in:
-    +1 for ``x > 0`` and -1 for ``x < 0``.
+    ``eps * |x|**(1/N)`` for ``x < 0`` with ``eps = -1``).  The component
+    of the regular part is not recorded: its sign ``eps**(+-1)`` is -1 on
+    both.
     """
 
     u: float
     v: float
-    eps_exp: int
 
 
 def coords(root: RootData, g: GroupElement) -> Coords:
@@ -159,29 +167,32 @@ def coords(root: RootData, g: GroupElement) -> Coords:
         raise ZeroX(f"no root coordinates on the singular line, got {g}")
     u = g.y ** (1.0 / root.N)
     if g.x > 0:
-        return Coords(u, g.x ** (1.0 / root.N), +1)
-    return Coords(u, root.eps * (-g.x) ** (1.0 / root.N), -1)
+        return Coords(u, g.x ** (1.0 / root.N))
+    return Coords(u, root.eps * (-g.x) ** (1.0 / root.N))
 
 
-def eps_sign(root: RootData, g: GroupElement) -> int:
-    """The sign ``eps**(+-1)`` attached to ``g`` by its component; -1 for eps=-1."""
-    return root.eps ** coords(root, g).eps_exp
-
-
-def phi(root: RootData, g: GroupElement, m: int) -> complex:
-    """Phase factor ``(-eps_g)**m * w**(m(m-1)/2)``, well defined mod N for odd N."""
-    s = -eps_sign(root, g)
-    expo = (m * (m - 1)) // 2
-    return float(s) ** m * root.omega_pow(expo)
-
-
-def phi_bar(root: RootData, g: GroupElement, m: int) -> complex:
-    return 1.0 / phi(root, g, m)
-
-
+@functools.cache
 def _powers(root: RootData) -> np.ndarray:
-    """``w**m`` for m = 0..N-1, each from its reduced exponent."""
-    return np.exp(2j * np.pi * root.k * np.arange(root.N) / root.N)
+    """``w**m`` for m = 0..N-1, each from its exponent ``k m`` reduced mod
+    N; one read-only table per root, the only place a root of unity is
+    computed."""
+    table = np.exp(2j * np.pi * (root.k * np.arange(root.N) % root.N) / root.N)
+    table.flags.writeable = False
+    return table
+
+
+def phi(root: RootData, m):
+    """Phase factor ``w**(m(m-1)/2)`` of an int or an int array ``m``.
+
+    The factor ``(-eps**(+-1))**m`` is 1 on both components, so the phase
+    has no label, and ``m(m-1)/2`` mod N is N-periodic in ``m`` for odd N.
+    """
+    return _powers(root)[(m * (m - 1) // 2) % root.N]
+
+
+def phi_bar(root: RootData, m):
+    """``1 / phi(root, m)``: on the unit circle, the conjugate."""
+    return np.conj(phi(root, m))
 
 
 def real_roots(root: RootData, x: np.ndarray) -> np.ndarray:
@@ -242,25 +253,20 @@ def psi_coeffs_product(root: RootData, g: GroupElement, h: GroupElement) -> np.n
     ch = coords(root, h)
     cgh = coords(root, group_mul(g, h))
     x, y, z = cgh.v, cg.u * ch.v / root.eps, cg.v
+    w = _powers(root)
     out = np.empty(root.N, dtype=complex)
     ratio = y / z
-    t = root.omega * x / z
+    t = w[1] * x / z
     poch = 1.0 + 0.0j
     for m in range(root.N):
         out[m] = ratio ** m / poch
-        poch *= 1.0 - t * root.omega_pow(m)
+        poch *= 1.0 - t * w[m]
     return out
 
 
 def psi_scalar(root: RootData, g: GroupElement, h: GroupElement, z: complex) -> complex:
     """``Psi_{g,h}`` evaluated at a scalar argument: ``sum_m psi_m (eps z)**m``."""
-    psis = psi_coeffs(root, g, h)
-    acc = 0.0 + 0.0j
-    t = 1.0 + 0.0j
-    for m in range(root.N):
-        acc += psis[m] * t
-        t *= root.eps * z
-    return acc
+    return complex(psi_coeffs(root, g, h) @ (root.eps * z) ** np.arange(root.N))
 
 
 # Closest approach of the argument of ``nu`` to 1, and largest norm of
@@ -296,15 +302,10 @@ def gauss_L(root: RootData, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise BadOperands("gauss_L operands must have order dividing N")
     if np.linalg.norm(U @ V - V @ U) > _GAUSS_TOL:
         raise BadOperands("gauss_L operands must commute")
-    Ui = [np.linalg.matrix_power(U, i) for i in range(root.N)]
-    Vj = [np.linalg.matrix_power(V, j) for j in range(root.N)]
-    out = np.zeros_like(U, dtype=complex)
-    for i in range(root.N):
-        acc = np.zeros_like(U, dtype=complex)
-        for j in range(root.N):
-            acc += root.omega_pow(i * j) * Vj[j]
-        out += Ui[i] @ acc
-    return out / root.N
+    r = np.arange(root.N)
+    Vj = np.array([np.linalg.matrix_power(V, j) for j in r])
+    acc = np.tensordot(_powers(root)[np.outer(r, r) % root.N], Vj, axes=1)
+    return sum(np.linalg.matrix_power(U, i) @ acc[i] for i in r) / root.N
 
 
 def rep_matrices(root: RootData, g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
@@ -358,25 +359,26 @@ def intertwiner_S(root: RootData, g: GroupElement, h: GroupElement) -> np.ndarra
 def duality_d(root: RootData, g: GroupElement) -> np.ndarray:
     """Evaluation ``d_g: V_g (x) V_{g^-1} -> C`` as a row vector of length N**2.
 
-    ``d_g(w_i (x) w_j) = phi(g, i)`` when ``i + j = 0 mod N`` and 0 otherwise.
+    ``d_g(w_i (x) w_j) = phi(i)`` when ``i + j = 0 mod N`` and 0 otherwise;
+    the phase does not depend on ``g``.
     """
     N = root.N
+    i = np.arange(N)
     row = np.zeros(N * N, dtype=complex)
-    for i in range(N):
-        row[i * N + ((-i) % N)] = phi(root, g, i)
+    row[i * N + -i % N] = phi(root, i)
     return row
 
 
 def duality_b(root: RootData, g: GroupElement) -> np.ndarray:
     """Coevaluation ``b_g: C -> V_g (x) V_{g^-1}`` as a column vector of length N**2.
 
-    ``b_g(1) = sum_i phi_bar(g^-1, -i) w_i (x) w_{-i}``.
+    ``b_g(1) = sum_i phi_bar(-i) w_i (x) w_{-i}``; the phase does not
+    depend on ``g``.
     """
     N = root.N
-    gi = group_inv(g)
+    i = np.arange(N)
     col = np.zeros(N * N, dtype=complex)
-    for i in range(N):
-        col[i * N + ((-i) % N)] = phi_bar(root, gi, -i)
+    col[i * N + -i % N] = phi_bar(root, -i)
     return col
 
 

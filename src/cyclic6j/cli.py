@@ -18,16 +18,14 @@ import sys
 import numpy as np
 from numpy.linalg import norm
 
+from . import operators
 from .algebra import (
     AlgebraError, GroupElement, RootData, _powers, clock_shift, coords,
-    duality_b, duality_d, eps_sign, group_inv, group_mul, intertwiner_S,
+    duality_b, duality_d, group_inv, group_mul, intertwiner_S,
     psi_coeffs, psi_coeffs_product, random_admissible_pair, rep_matrices,
 )
 from .fixtures import boundary4simplex_scene
-from .operators import (
-    _scalar_split, assemble_q, identity_block, op_A, op_A_oracle,
-    op_B, op_B_oracle, op_C, op_L, op_R, op_sqrtL, op_word, q_scalar,
-)
+from .operators import _scalar_split, assemble_q, op_word, q_scalar
 from .sixj import (
     LabelSix, _inversion_defect, check_charged_inversion,
     check_charged_pentagon, check_symmetry_relations,
@@ -103,7 +101,7 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
         cg, ch, cgh, cgi = (coords(root, e) for e in (g, h, gh, gi))
         rows.rec("u_multiplicative", abs(cgh.u - cg.u * ch.u), tol_strict)
         rows.rec("u_inverse", abs(cgi.u - 1.0 / cg.u), tol_strict)
-        rows.rec("v_inverse", abs(cgi.v - eps_sign(root, g) * cg.v / cg.u),
+        rows.rec("v_inverse", abs(cgi.v - root.eps * cg.v / cg.u),
                  tol_strict)
 
         psis = psi_coeffs(root, g, h)
@@ -135,18 +133,19 @@ def suite_algebra(root: RootData, rng: np.random.Generator, trials: int,
     return list(rows.values())
 
 
-# (row, left side, right side); a side is an ``op_word`` word or a builder
+# (row, left side, right side); a side is an ``op_word`` word or the name of
+# a builder in :mod:`cyclic6j.operators`, looked up when the side is built
 _RELATIONS = (
-    ("A_involution", "A A", identity_block),
-    ("B_involution", "B B", identity_block),
-    ("A_vs_oracle", op_A, op_A_oracle),
-    ("B_vs_oracle", op_B, op_B_oracle),
-    ("L_from_AstarA", "A* A", op_L),
-    ("R_from_BstarB", "B* B", op_R),
-    ("C_identity", op_C, identity_block),
-    ("sqrtR_squared", "sqrtR sqrtR", op_R),
-    ("sqrtL_squared", "sqrtL sqrtL", op_L),
-    ("sqrtL_conjugation", "B A sqrtR^-1 A B", op_sqrtL),
+    ("A_involution", "A A", "identity_block"),
+    ("B_involution", "B B", "identity_block"),
+    ("A_vs_oracle", "op_A", "op_A_oracle"),
+    ("B_vs_oracle", "op_B", "op_B_oracle"),
+    ("L_from_AstarA", "A* A", "op_L"),
+    ("R_from_BstarB", "B* B", "op_R"),
+    ("C_identity", "op_C", "identity_block"),
+    ("sqrtR_squared", "sqrtR sqrtR", "op_R"),
+    ("sqrtL_squared", "sqrtL sqrtL", "op_L"),
+    ("sqrtL_conjugation", "B A sqrtR^-1 A B", "op_sqrtL"),
     ("ALA_inverts_L", "A L A", "L^-1"),
     ("BRB_inverts_R", "B R B", "R^-1"),
     ("ARA_flips_R", "A R A", "L^-1 R"),
@@ -162,8 +161,8 @@ def suite_operators(root: RootData, rng: np.random.Generator, trials: int,
         g, h = random_admissible_pair(root, rng)
 
         def side(s):
-            return op_word(root, g, h, s) if isinstance(s, str) \
-                else s(root, g, h)
+            build = getattr(operators, s, None)
+            return build(root, g, h) if build else op_word(root, g, h, s)
         for name, left, right in _RELATIONS:
             rows.rec(name, _block_diff(side(left), side(right)), tol)
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraError, BadOperands, GroupElement, RootData,
-    coords, duality_d, eps_sign, group_close, group_inv, group_mul,
-    intertwiner_S, nu, pair_admissible, phi, phi_bar, psi_scalar,
+    AlgebraError, BadOperands, GroupElement, RootData, _powers, _xy,
+    coords, duality_d, group_close, group_inv, group_mul,
+    intertwiner_S, nu, pair_admissible, phi, phi_bar, psi_stack,
 )
 
 __all__ = [
@@ -126,23 +126,22 @@ def _circulant(root: RootData, g: GroupElement, h: GroupElement,
                star: bool) -> BlockOperator:
     """``A``, or ``A*`` when ``star``: circulant on both parts.
 
-    ``A`` reads its check part at ``i - j`` from ``g*`` and
-    ``Psi_{g*,gh}(eps_g w)``, its hat part at ``j - i`` from ``g`` and
-    ``1 / (N Psi_{g,h}(w / eps_g))``; ``A*`` swaps the two pairs, each
-    with its index difference.
+    ``A`` has ``Psi_{g*,gh}(eps w) phi(i - j)`` at ``[j, i]`` of its check
+    part and ``phi_bar(j - i) / (N Psi_{g,h}(w / eps))`` of its hat part;
+    ``A*`` swaps the two Psi values and negates both index differences.
+    With ``eps = -1`` both Psi are taken at ``-w``, that is
+    ``sum_m psi_m w**m``: one psi stack of the two pairs against the table.
     """
     _require_admissible(g, h)
     N = root.N
     gs, gh = _flow_A(g, h)
-    e = eps_sign(root, g)
-    parts = [(gs, psi_scalar(root, gs, gh, e * root.omega), 1),
-             (g, psi_scalar(root, g, h, root.omega / e), -1)]
-    (lc, sc_check, sgn_c), (lh, psi_hat, sgn_h) = parts[::-1] if star else parts
-    sc_hat = 1.0 / (N * psi_hat)
-    check = np.array([[sc_check * phi(root, lc, sgn_c * (i - j))
-                       for i in range(N)] for j in range(N)])
-    hat = np.array([[sc_hat * phi_bar(root, lh, sgn_h * (i - j))
-                     for i in range(N)] for j in range(N)])
+    psi = psi_stack(root, np.array([_xy(gs), _xy(g)]),
+                    np.array([_xy(gh), _xy(h)])) @ _powers(root)
+    sgn = -1 if star else 1
+    d = sgn * (np.arange(N) - np.arange(N)[:, None])  # [j, i] -> +-(i - j)
+    psi_check, psi_hat = psi[::sgn]
+    check = psi_check * phi(root, d)
+    hat = phi_bar(root, -d) / (N * psi_hat)
     return BlockOperator((g, h), (gs, gh), check, hat, True)
 
 
@@ -160,22 +159,21 @@ def _antidiagonal(root: RootData, g: GroupElement, h: GroupElement,
                   star: bool) -> BlockOperator:
     """``B``, or ``B*`` when ``star``: ``e_i -> (scalar) e*_{-i}``.
 
-    ``B`` reads its check part at ``i`` from ``h`` and ``1 / nu(v_gh /
-    v_g)``, its hat part at ``-i`` from ``h*`` and ``nu(v_g / v_gh)``;
-    ``B*`` swaps the two pairs, each with its index.
+    ``B`` has ``phi(i) / nu(v_gh / v_g)`` at ``[-i, i]`` of its check part
+    and ``nu(v_g / v_gh) phi_bar(-i)`` of its hat part; ``B*`` swaps the
+    two ratios and negates both indices.
     """
     _require_admissible(g, h)
     N = root.N
     gh, hs = _flow_B(g, h)
     vg, vgh = coords(root, g).v, coords(root, gh).v
-    parts = [(h, vgh / vg, 1), (hs, vg / vgh, -1)]
-    (lc, ratio_c, sgn_c), (lh, ratio_h, sgn_h) = parts[::-1] if star else parts
-    sc_check, sc_hat = 1.0 / nu(root, ratio_c), nu(root, ratio_h)
+    sgn = -1 if star else 1
+    ratio_c, ratio_h = (vgh / vg, vg / vgh)[::sgn]
     i = np.arange(N)
     check = np.zeros((N, N), dtype=complex)
     hat = np.zeros((N, N), dtype=complex)
-    check[-i % N, i] = [sc_check * phi(root, lc, sgn_c * m) for m in range(N)]
-    hat[-i % N, i] = [sc_hat * phi_bar(root, lh, sgn_h * m) for m in range(N)]
+    check[-i % N, i] = phi(root, sgn * i) / nu(root, ratio_c)
+    hat[-i % N, i] = nu(root, ratio_h) * phi_bar(root, -sgn * i)
     return BlockOperator((g, h), (gh, hs), check, hat, True)
 
 
@@ -296,8 +294,7 @@ def _diagonal(root: RootData, g: GroupElement, h: GroupElement,
     """``R``, or ``sqrtR`` when ``half``: the diagonal ``w^{-n i}`` times
     the scalar on both parts."""
     sc, n = _positive_part(root, g, h, 1, half)
-    check = np.diag(np.array([root.omega_pow(-n * i) * sc
-                              for i in range(root.N)]))
+    check = np.diag(_powers(root)[-n * np.arange(root.N) % root.N] * sc)
     return BlockOperator((g, h), (g, h), check, check.copy(), False)
 
 
@@ -356,12 +353,14 @@ def op_sfB(root: RootData, g: GroupElement, h: GroupElement) -> BlockOperator:
     return op_word(root, g, h, "B sqrtR^-1")
 
 
+# builder of each named operator, by its name in this module: looked up at
+# call time, so a rebound module attribute (a wrapper) is the one called
 _FACTORIES = {
-    "A": op_A, "A*": op_Astar, "B": op_B, "B*": op_Bstar,
-    "L": op_L, "R": op_R, "C": op_C,
-    "sqrtL": op_sqrtL, "sqrtR": op_sqrtR,
-    "sfA": op_sfA, "sfB": op_sfB,
-    "Id": identity_block,
+    "A": "op_A", "A*": "op_Astar", "B": "op_B", "B*": "op_Bstar",
+    "L": "op_L", "R": "op_R", "C": "op_C",
+    "sqrtL": "op_sqrtL", "sqrtR": "op_sqrtR",
+    "sfA": "op_sfA", "sfB": "op_sfB",
+    "Id": "identity_block",
 }
 
 # label flow of each named operator; grading-preserving names are absent
@@ -385,13 +384,14 @@ def op_word(root: RootData, g: GroupElement, h: GroupElement, word: str) -> Bloc
         if name not in _FACTORIES:
             raise BadOperands(f"unknown operator name {name!r}")
         k = int(suffix) if suffix else 1
+        build = globals()[_FACTORIES[name]]
         for _ in range(abs(k)):
             cur = acc.target
             if k >= 0:
-                factor = _FACTORIES[name](root, *cur)
+                factor = build(root, *cur)
             else:
                 pre = _FLOWS[name](*cur) if name in _FLOWS else cur
-                factor = _FACTORIES[name](root, *pre).inverse()
+                factor = build(root, *pre).inverse()
             acc = compose(factor, acc)
     return acc
 
@@ -410,13 +410,11 @@ def q_scalar(root: RootData, part: str) -> complex:
     ``(-1)^{(N-1)/2} w^{-a}`` on the hat part and ``(-1)^{(N-1)/2} w^{+a}``
     on the check part, with ``a = (N^2 - 1)/8``.
     """
-    a = (root.N * root.N - 1) // 8
-    sign = (-1.0) ** ((root.N - 1) // 2)
-    if part == "hat":
-        return sign * root.omega_pow(-a)
-    if part == "check":
-        return sign * root.omega_pow(a)
-    raise BadOperands(f"part must be 'hat' or 'check', got {part!r}")
+    sign = {"hat": -1, "check": 1}.get(part)
+    if sign is None:
+        raise BadOperands(f"part must be 'hat' or 'check', got {part!r}")
+    return ((-1.0) ** ((root.N - 1) // 2)
+            * root.omega_pow(sign * (root.N * root.N - 1) // 8))
 
 
 def qtilde(root: RootData) -> complex:

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from cyclic6j.algebra import (
     BadOperands, GroupElement, NearOne, Resonance, RootData, UNIT, ZeroX,
-    clock_shift, coords, duality_b, duality_d, eps_sign, gauss_L, group_inv,
+    _powers,
+    clock_shift, coords, duality_b, duality_d, gauss_L, group_inv,
     group_mul, in_I, intertwiner_S, nu, pair_admissible, phi, phi_bar,
     psi_coeffs, psi_coeffs_product, psi_scalar, random_admissible_pair,
     rep_matrices,
@@ -74,18 +77,45 @@ def test_coordinate_identities_on_random_pairs(root3, rng):
         assert cgh.u == pytest.approx(cg.u * ch.u, rel=1e-12)
         ci = coords(root3, group_inv(g))
         assert ci.u == pytest.approx(1 / cg.u, rel=1e-12)
-        assert ci.v == pytest.approx(eps_sign(root3, g) * cg.v / cg.u,
-                                     rel=1e-12)
+        assert ci.v == pytest.approx(root3.eps * cg.v / cg.u, rel=1e-12)
 
 
 def test_phi_values_and_reciprocal(root3):
-    g = GroupElement(0.7, 1.3)
-    assert phi(root3, g, 0) == pytest.approx(1.0)
-    assert phi(root3, g, 1) == pytest.approx(-eps_sign(root3, g))
+    assert phi(root3, 0) == pytest.approx(1.0)
+    assert phi(root3, 1) == pytest.approx(-root3.eps ** -1)
     for m in range(-3, root3.N + 3):
-        assert phi(root3, g, m) * phi_bar(root3, g, m) == pytest.approx(1.0)
+        assert phi(root3, m) * phi_bar(root3, m) == pytest.approx(1.0)
         # well-defined on residues mod N
-        assert phi(root3, g, m) == pytest.approx(phi(root3, g, m + root3.N))
+        assert phi(root3, m) == pytest.approx(phi(root3, m + root3.N))
+
+
+@pytest.mark.parametrize("N, k", [(3, 1), (5, 2), (9, 4), (15, 7)])
+def test_omega_reads_the_one_table(N, k):
+    root = RootData(N, k)
+    table = _powers(root)
+    assert table is _powers(RootData(N, k))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+    assert root.omega == table[1]
+    for m in range(-3 * N, 3 * N + 1):
+        assert root.omega_pow(m) == table[m % N]
+    want = [cmath.exp(2j * cmath.pi * (k * m % N) / N) for m in range(N)]
+    assert np.max(np.abs(table - want)) < 1e-15
+
+
+@pytest.mark.parametrize("N, k", [(3, 1), (5, 2), (9, 4), (15, 7)])
+def test_phi_indexes_the_table(N, k):
+    root = RootData(N, k)
+    table = _powers(root)
+    m = np.arange(-3 * N, 3 * N + 1)
+    got = phi(root, m)
+    assert np.array_equal(got, table[(m * (m - 1) // 2) % N])
+    assert np.array_equal(got, phi(root, m + N))  # N-periodic
+    assert all(phi(root, int(i)) == v for i, v in zip(m, got))
+    assert np.array_equal(phi_bar(root, m),
+                          [phi_bar(root, int(i)) for i in m])
+    assert np.max(np.abs(got * phi_bar(root, m) - 1.0)) < 1e-15
 
 
 def test_psi_normalization_and_first_step(root3):

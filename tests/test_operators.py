@@ -3,7 +3,7 @@ import pytest
 
 from cyclic6j import operators
 from cyclic6j.algebra import (
-    GroupElement, RootData, duality_d, random_admissible_pair,
+    GroupElement, RootData, duality_d, psi_scalar, random_admissible_pair,
 )
 from cyclic6j.operators import (
     LabelMismatch, NotScalarError, assemble_q, compose, identity_block, op_A,
@@ -49,6 +49,66 @@ def test_closed_forms_match_oracle(root3, root5, rng):
             g, h = random_admissible_pair(root, rng)
             assert block_diff(op_A(root, g, h), op_A_oracle(root, g, h)) < 1e-9
             assert block_diff(op_B(root, g, h), op_B_oracle(root, g, h)) < 1e-9
+
+
+def _entry_blocks(root, g, h, name):
+    """Check and hat parts of ``name`` filled one entry at a time, each
+    phase ``(-eps**(+-1))**m w**(m(m-1)/2)`` from its label's component
+    and a scalar ``exp``: the reference for the closed forms' index
+    arithmetic."""
+    N, eps = root.N, root.eps
+
+    def sign(lab):  # eps**(+-1) by the component of the label
+        return eps ** (1 if lab.x > 0 else -1)
+
+    def phi(lab, m):
+        e = (m * (m - 1)) // 2 % N
+        return (-sign(lab)) ** m * np.exp(2j * np.pi * root.k * e / N)
+
+    gh, gs, hs = (operators.group_mul(g, h), operators.group_inv(g),
+                  operators.group_inv(h))
+    check = np.zeros((N, N), dtype=complex)
+    hat = np.zeros((N, N), dtype=complex)
+    if name in ("A", "A*"):
+        w = np.exp(2j * np.pi * root.k / N)
+        parts = [(gs, psi_scalar(root, gs, gh, sign(g) * w), 1),
+                 (g, psi_scalar(root, g, h, w / sign(g)), -1)]
+        (lc, sc_c, s_c), (lh, psi_h, s_h) = parts[::-1] if name == "A*" \
+            else parts
+        for j in range(N):
+            for i in range(N):
+                check[j, i] = sc_c * phi(lc, s_c * (i - j))
+                hat[j, i] = 1.0 / (N * psi_h) / phi(lh, s_h * (i - j))
+    elif name in ("B", "B*"):
+        vg, vgh = (operators.coords(root, e).v for e in (g, gh))
+        parts = [(h, vgh / vg, 1), (hs, vg / vgh, -1)]
+        (lc, r_c, s_c), (lh, r_h, s_h) = parts[::-1] if name == "B*" \
+            else parts
+        for i in range(N):
+            check[-i % N, i] = phi(lc, s_c * i) / operators.nu(root, r_c)
+            hat[-i % N, i] = operators.nu(root, r_h) / phi(lh, s_h * i)
+    else:  # R or sqrtR
+        sc, n = operators._positive_part(root, g, h, 1, name == "sqrtR")
+        for i in range(N):
+            check[i, i] = hat[i, i] = sc * np.exp(
+                2j * np.pi * root.k * (-n * i % N) / N)
+    return check, hat
+
+
+@pytest.mark.parametrize("N", [3, 5, 9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_forms_match_entrywise_loops(N, k, rng):
+    root = RootData(N, k)
+    builders = {"A": op_A, "A*": op_Astar, "B": op_B, "B*": op_Bstar,
+                "R": op_R, "sqrtR": op_sqrtR}
+    for _ in range(3):
+        g, h = random_admissible_pair(root, rng)
+        for name, build in builders.items():
+            op = build(root, g, h)
+            for got, want in zip((op.check_mat, op.hat_mat),
+                                 _entry_blocks(root, g, h, name)):
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-14 * np.max(np.abs(want)), name
 
 
 def _loop_oracle(root, g, h, mirror):
