@@ -21,24 +21,26 @@ symbol at ``a = 1/2``, ``c = 0``.
 
 :func:`sixj_stack` builds the charged tensors of a whole stack of
 six-tuples, mixed signs and charges, in one pass and only on their flux
-supports (:data:`_SUPPORT`, N**3 of N**4 entries): the intertwiners of
-every leg from one closed-form graded ``S``
-(:func:`~cyclic6j.algebra.graded_S`), the inverse blocks of every check
-leg from one ``np.linalg.inv``, each tensor from three slices of its
-composite (:func:`_sliced`), ``3 N**5`` multiplications per tensor, the
-twist as one gather and one phase, and one scatter into the layout the
-state sum stores.  On its support every tensor is, at each outer index,
-a rank-one matrix times a phase, so the three slices fix it.  The guard
-stays per tensor and covers every entry formed: each one's N diagonal
-values, one column off the support that must vanish, and the agreement
-of the first slice with the rank-one reconstruction, all within
-``_COMPOSITE_TOL`` times the tensor's own ``max(1, max|tensor|)``, never
-a scale taken across the stack.  :func:`sixj_pos` and :func:`sixj_neg`
-are its one-tensor cases, expanded by :func:`_dense`.
+supports (:data:`_SUPPORT`, N**3 of N**4 entries).  Each uncharged tensor
+is Kashaev's cyclic 6j symbol (*Quantum dilogarithm as a 6j-symbol*,
+hep-th/9411147): on its support, one cyclic dilogarithm of the labels'
+real roots times a phase and a scalar (:func:`_closed_form`), filled in
+``O(N**3)``.  Only the scalar is read off the intertwiners: from 16
+composite entries per tensor, each at all N diagonal values, with the
+intertwiners of every leg from one closed-form graded ``S``
+(:func:`~cyclic6j.algebra.graded_S`) and the inverse blocks of every check
+leg from one ``np.linalg.inv``.  The guard stays per tensor and covers
+every entry formed: each one's N diagonal values, the 10 entries off the
+support, which must vanish, and the 6 on it, which must match the closed
+form, all within ``_COMPOSITE_TOL`` times the tensor's own ``max(1,
+max|tensor|)``, never a scale taken across the stack.  The twist is one
+gather and one phase, and one scatter writes the layout the state sum
+stores.  :func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases,
+expanded by :func:`_dense`.
 :func:`tform_tensor` and :func:`tbar_tensor` form every entry of the
 composite (:func:`_composites`) and, with :func:`t_form`,
 :func:`tbar_form` and the operator powers of :mod:`cyclic6j.operators`,
-stay independent of the slices, as oracles.  The checkers at the bottom
+stay independent of the closed form, as oracles.  The checkers at the bottom
 return residuals for the charged pentagon, the two inversion identities
 and the three symmetry relations; each residual should sit at rounding
 level for valid inputs and order one for violated charges.  The pentagon
@@ -64,7 +66,7 @@ from .operators import (
 
 __all__ = [
     "BadLabels", "ChargeConstraint", "LabelSix",
-    "multiplicity_dim", "t_form", "tbar_form",
+    "t_form", "tbar_form",
     "tform_tensor", "tbar_tensor", "sixj_stack", "sixj_pos", "sixj_neg",
     "permute_legs", "apply_to_leg",
     "pentagon_labels", "check_charged_pentagon", "check_charged_inversion",
@@ -127,14 +129,6 @@ class LabelSix:
         return (self.i, self.j, self.k, self.l, self.m, self.n)
 
 
-def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
-                     h: GroupElement) -> int:
-    """Dimension of the multiplicity space of ``V_h`` in ``V_f (x) V_g``: N or 0."""
-    if in_I(f) and in_I(g) and in_I(h) and group_close(group_mul(f, g), h, 1e-9):
-        return root.N
-    return 0
-
-
 def _label_stack(i: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
     """The labels ``[tensor, i..n, x or y]`` of stacked generators ``[tensor,
     x or y]``, with the float operations and the checks of
@@ -181,27 +175,36 @@ def _gathers(N: int) -> tuple[list, list]:
     return ([(i % N, j % N) for i, j in pos], [(i % N, j % N) for i, j in neg])
 
 
-# Entries per batch of tensors: each intermediate holds at most this many,
-# or one tensor's when that is more.
+# Tensors per batch: each intermediate holds at most about this many
+# entries, or one tensor's when that is more; a composite holds N**5 per
+# tensor, the closed form's entries 3 N**3.
 _SLICE_ENTRIES = 2 ** 15
 
 
-def _factors(root: RootData, pairs: np.ndarray) -> np.ndarray:
+def _factors(root: RootData, pairs: np.ndarray,
+             legs: np.ndarray | None = None) -> np.ndarray:
     """The four factors of every composite of a stack, ``[tensor, factor,
     first, second, leg]``: ``S^-1`` on the two check legs and ``S`` on the
-    two hat legs, read along their supports.  The check legs' ``S`` is
-    block diagonal over the product index ``c``, with blocks ``B_c[x, d] =
-    G[x, c - x, d]``.  ``G[x, y, d]`` depends on ``y`` and ``d`` only
-    through ``y - d``, so ``B_c[x, d] = B_0[x, d - c]`` and ``B_c^-1[d, x]
-    = B_0^-1[d - c, x]``: one block per check leg is inverted, all of the
-    stack in one call."""
+    two hat legs, read along their supports, at the multiplicity indices
+    ``legs[tensor, factor]``, all of them by default.  The check legs'
+    ``S`` is block diagonal over the product index ``c``, with blocks
+    ``B_c[x, d] = G[x, c - x, d]``.  ``G[x, y, d]`` depends on ``y`` and
+    ``d`` only through ``y - d``, so ``B_c[x, d] = B_0[x, d - c]`` and
+    ``B_c^-1[d, x] = B_0^-1[d - c, x]``: one block per check leg is
+    inverted, all of the stack in one call."""
     N = root.N
     G = graded_S(root, pairs[:, :, 0], pairs[:, :, 1])
     i = np.arange(N)
-    # [.., c, x, d] from [.., d - c, x]
+    if legs is None:
+        legs = np.broadcast_to(i, (len(pairs), 4, N))
+    t, f = np.arange(len(pairs))[:, None, None, None, None], np.arange(2)[
+        :, None, None, None]
+    d = legs[:, :, None, None]
+    # [t, f, c, x, d] from [t, f, d - c, x]
     H = np.linalg.inv(G[:, :2, i[:, None], -i[:, None] % N, i])[
-        :, :, (i - i[:, None, None]) % N, i[:, None]]
-    return np.concatenate([H, G[:, 2:]], axis=1)
+        t, f, (d[:, :2] - i[:, None, None]) % N, i[:, None]]
+    return np.concatenate([H, G[t, f + 2, i[:, None, None], i[:, None],
+                                d[:, 2:]]], axis=1)
 
 
 def _refuse(scale: np.ndarray, first: int, **worst: np.ndarray) -> None:
@@ -223,8 +226,8 @@ def _refuse(scale: np.ndarray, first: int, **worst: np.ndarray) -> None:
 def _composites(root: RootData, pairs: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
     """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``,
-    with every entry formed: the oracle of :func:`_sliced`, and the body of
-    :func:`tform_tensor` and :func:`tbar_tensor`.
+    with every entry formed: the oracle of :func:`_closed_form`, and the
+    body of :func:`tform_tensor` and :func:`tbar_tensor`.
 
     Each tensor is the composite of its four intertwiners (see
     :func:`_factors`), an endomorphism of ``V_m`` at every fixed
@@ -262,18 +265,6 @@ def _composites(root: RootData, pairs: np.ndarray,
     return out
 
 
-# The factor of each role of a slice, for a positive and a negative
-# tensor, and the pair it is read at: ``[sign, role, first or second]`` as
-# coefficients of the V_m index s, the outer index u and the inner index
-# v.  The negative tensor reads as in :func:`_gathers`, the positive one
-# with u and v exchanged.  Role 0 is summed over u, roles 1-3 over v; with
-# the tensor's outer index p and its legs j and k (see :func:`_sliced`),
-# role 0 carries the leg p + j, role 1 leg j, role 2 leg k and role 3 p.
-_ROLE_FACTORS = ((3, 1, 2, 0), (0, 2, 1, 3))
-_ROLE_PAIRS = ((((0, 1, 0), (1, -1, 0)), ((0, 0, 1), (0, 1, 0)),
-                ((0, -1, 1), (1, 0, -1)), ((1, 0, 0), (0, 0, 1))),
-               (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)),
-                ((1, -1, 0), (0, 0, 1)), ((0, 1, 1), (1, -1, -1))))
 # The legs 1-4 of the support entry at (p, j, k), as coefficients of p, j
 # and k, for a positive and a negative tensor.
 _SUPPORT = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
@@ -282,20 +273,44 @@ _SUPPORT = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
 # tensor in its flux constraint, +1 on a check leg, -1 on a hat leg and 0
 # on the (j, l) leg: it vanishes off sum(c * index) = 0 mod N.
 _FLUX = {True: (1, 1, 0, -1), False: (1, 0, -1, -1)}
+# The support entries ``(p, j, k)`` whose four legs all lie in {0, 1}, the
+# same for either sign (see :data:`_SUPPORT`).  Every tensor forms the 16
+# composite entries with legs in {0, 1}, these 6 and 10 off the support,
+# after a shift of p (see :func:`_closed_form`).  They move p, j and k,
+# reach a phase w^Q != 1 and read the dilogarithm at n - 1, n and n + 1.
+_PROBES = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1))
+# The index ``8 a + 4 b + 2 c + d`` of legs ``(a, b, c, d)`` of each entry
+# of :data:`_PROBES` and of the others, for a positive and a negative
+# tensor.
+_ON = (np.array(_SUPPORT) @ np.transpose(_PROBES) * [[8], [4], [2], [1]]
+       ).sum(axis=1)
+_OFF = np.array([[e for e in range(16) if e not in on] for on in _ON])
+# The coefficient of p in each leg of the support, of either sign.
+_P_LEGS = np.array(_SUPPORT)[0, :, :1]
 
 
 @functools.cache
-def _slice_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row 0 for a positive tensor, row 1 for a negative one: the flat
-    index into ``[factor, first, second]`` of each role over ``(s, u, v)``,
-    and the flat index into the stored ``[leg 1, leg 2, leg 3]`` of each
-    support entry over ``(p, j, k)``.  Built once per N, read-only."""
+def _slice_tables(N: int) -> tuple[np.ndarray, ...]:
+    """Row 0 for a positive tensor, row 1 for a negative one: the row of
+    ``[factor, first, second]`` that each factor of a composite reads,
+    factor 0 over ``(s, u)`` and then factors 1-3 over ``(s, u, v)`` (see
+    :func:`_gathers`); the flat index into the stored ``[leg 1, leg 2, leg
+    3]`` of each support entry over ``(p, j, k)``; and there the exponent
+    of the phase and the argument of the dilogarithm of the closed form
+    (see :func:`_closed_form`).  Built once per N, read-only."""
     grid = np.indices((N,) * 3).reshape(3, -1)
-    index = ([N, 1] @ (np.array(_ROLE_PAIRS) @ grid % N)
-             + N * N * np.array(_ROLE_FACTORS)[..., None])
-    stored = [N * N, N, 1] @ (np.array(_SUPPORT)[:, :3] @ grid % N)
-    index.flags.writeable = stored.flags.writeable = False
-    return index, stored
+    rows = [np.concatenate([np.broadcast_to((f * N + first) * N + second,
+                                            (N, N, N if f else 1)).ravel()
+                            for f, (first, second) in enumerate(gathers)])
+            for gathers in _gathers(N)]
+    p, j, k = grid
+    sign = np.array([[1], [-1]])
+    tables = (np.array(rows), [N * N, N, 1] @ (np.array(_SUPPORT)[:, :3]
+                                                @ grid % N),
+              sign * (p * j - j * k) % N, sign * (p - k) % N)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _dense(N: int, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -310,106 +325,105 @@ def _dense(N: int, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape((len(flux),) + (N,) * 4)
 
 
-def _sliced(root: RootData, pairs: np.ndarray,
-            right: np.ndarray) -> np.ndarray:
+def _dilog(root: RootData, pairs: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The cyclic dilogarithm ``h[tensor, n]``, n = 0..N-1, of each tensor
+    of a stack, from the labels of its leg pairs (see :func:`_closed_form`).
+    ``r`` is real, so each denominator ``|1 - r w^t|`` is at least
+    ``|sin(2 pi t k / N)| >= sin(pi / N)``: unlike the psi recursion's, it
+    cannot come near zero."""
+    N, T = root.N, len(right)
+    p = pairs[np.arange(T)[:, None], np.where(right[:, None], [0, 1, 2],
+                                              [3, 2, 1])]
+    gx, gy, hx = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0]
+    # g, h and gh of the (k, l), (i, j) and (j, l) pairs
+    (vk, vi, _), (vl, vj, _), (vm, _, vn) = real_roots(
+        root, np.array([gx, hx, gx + gy * hx])).transpose(0, 2, 1)
+    den = 1 - (vj * vm / (vk * vn))[:, None] * _powers(root)[
+        np.where(right, -1, 1)[:, None] * np.arange(1, N) % N]
+    h = np.ones((T, N), dtype=complex)
+    h[:, 1:] = np.cumprod((vi * gy[:, 2] ** (1.0 / N) * vl / (vk * vn))[
+        :, None] / den, axis=1)
+    return h
+
+
+def _closed_form(root: RootData, pairs: np.ndarray,
+                 right: np.ndarray) -> np.ndarray:
     """Uncharged 6j tensors of a stack on their flux supports, ``[tensor,
-    p, j, k]``, from three slices of each composite.
+    p, j, k]``, in closed form.
 
     On the flux support a positive tensor is ``T[p, b, c, p + b]`` and a
     negative one ``T[p + c, b, c, p]`` (:data:`_SUPPORT`).  Write ``j`` for
     ``b`` and ``k`` for ``c`` in a positive tensor, the other way round in
-    a negative one.
-    At every outer index ``p`` the N x N matrix ``T w^(bc)`` (positive) or
-    ``T w^(cp - bc)`` (negative) over ``(j, k)`` has rank one, with ``w =
-    _powers(root)[1]``.  So each tensor is read off three slices at every
-    ``p``: ``j = 0``, whose largest entry picks ``k0``; ``k = k0``, whose
-    largest entry at ``j != 0`` picks ``j0``; and ``j = j0``.  Then
+    a negative one, and ``e = 1`` for a positive tensor, ``-1`` for a
+    negative one.  Kashaev's cyclic 6j symbol (*Quantum dilogarithm as a
+    6j-symbol*, hep-th/9411147) is one cyclic dilogarithm times a phase:
 
-        T[j, k] = T[j, k0] T[j0, k] / T[j0, k0] w^(-+(j - j0)(k - k0)).
+        T[p, j, k] = C w^(e (pj - jk)) h(e (p - k)),
+        h(n) = prod_{t=1..n} K / (1 - r w^(-e t)),
 
-    The slice ``j = 0`` is the probe of that structure: it must agree
-    with the reconstruction within ``_COMPOSITE_TOL`` times the tensor's
-    scale, ``max(1, max|tensor|)``, or the tensor is refused.  ``j0 != 0``
-    keeps the probe apart from the slice it checks.
+    with ``w = _powers(root)[1]``, the real roots ``v`` of the labels'
+    x coordinates (:func:`~cyclic6j.algebra.real_roots`), ``u_j =
+    y_j**(1/N)``, ``r = v_j v_m / (v_k v_n)`` and ``K = v_i u_j v_l / (v_k
+    v_n)``.  The ax+b group gives ``x_i y_j x_l = x_k x_n - x_j x_m``, so
+    ``K**N = 1 - r**N`` and ``h`` is N-periodic (:func:`_dilog`).
 
-    Every slice entry is formed at all N values of ``s`` and its N values
-    are checked as :func:`_composites` checks its diagonal.  So are N
-    entries off the support, at ``j = k = 0`` with role 0 one step past
-    ``p + j``, whose mean must also vanish within the same bound: a wrong
-    psi coefficient or leg label keeps every composite scalar on the
-    support and shows only off it.  In the slices at fixed ``j`` every
-    factor but role 2's leg is fixed at each ``p`` (see
-    :data:`_ROLE_PAIRS`), so the slice is one batched matrix product over
-    ``(u, v)``; at ``k = k0`` roles 1-3 are summed over ``v`` in one and
-    role 0 over ``u`` after it.  Each is ``N**5`` multiplications per
-    tensor.  The other entries off the support are not formed: they are
-    zero.
+    Only the scalar ``C`` is not in closed form.  Each tensor forms 16
+    composite entries (see :func:`_composites`), each at all N values of
+    the ``V_m`` index ``s``: those whose legs, after p is shifted so that
+    the probes of :data:`_PROBES` read ``h`` at its largest entry, lie in
+    {0, 1}.  So each factor is read at two multiplicity indices, and
+    factors 1-3 are summed over ``v``, factor 0 over ``u``: about ``12
+    N**3`` multiplications per tensor.  ``C`` is the least-squares fit of
+    the closed form to the means of the 6 entries on the support, which
+    are then the tensor's largest.  Every formed entry is guarded,
+    within ``_COMPOSITE_TOL`` times the tensor's own scale ``max(1,
+    max|T|)``: its N diagonal values must agree, the 10 entries off the
+    support must vanish (a wrong psi coefficient or leg label keeps every
+    composite scalar on the support and shows only off it), and the 6 on
+    it must match the closed form.
     """
     N, T = root.N, len(right)
-    index = _slice_tables(N)[0][np.where(right, 0, 1)]
-    factors = _factors(root, pairs).reshape(T * 4 * N * N, N)
-    i = np.arange(N)
-    hankel = (i[:, None] + i) % N
-    out = np.empty((T, N, N, N), dtype=complex)
-    step = max(1, _SLICE_ENTRIES // N ** 4)
+    sign = np.where(right, 0, 1)
+    rows, _, phase, arg = _slice_tables(N)
+    h = _dilog(root, pairs, right)
+    # p moves the probes to the largest entry of h, and legs 0 and 3 with it
+    shift = np.abs(h).argmax(axis=1) * np.where(right, 1, -1) % N
+    factors = _factors(root, pairs, (_P_LEGS * shift[:, None, None] + [0, 1])
+                       % N).reshape(-1, 2)
+    stack = np.arange(T)[:, None]
+    form = _powers(root)[phase[sign]] * h[stack, arg[sign]]
+    p, j, k = np.transpose(_PROBES)
+    probe = form[stack, (p + shift[:, None]) % N * N * N + j * N + k]
+    step = max(1, _SLICE_ENTRIES // (3 * N ** 3))
     for lo in range(0, T, step):
         t = np.arange(lo, min(lo + step, T))
-        n, on = len(t), np.arange(len(t))[:, None]
-        R = np.take(factors, 4 * N * N * t[:, None, None] + index[t],
-                    axis=0).reshape(n, 4, N, N, N, N)
-        formed = []
-
-        def mean(each: np.ndarray) -> np.ndarray:
-            """The mean over ``s`` of a slice ``[t, s, p, q]``; the slice
-            goes to ``formed``."""
-            formed.append(each)
-            return each.mean(axis=1)
-
-        def at_j(lead: np.ndarray) -> np.ndarray:
-            """The slice at ``j``, ``[t, s, p, k]``, from roles 3, 1 at ``j``
-            and 0 at ``p + j``, multiplied over ``[t, s, u, v, p]``."""
-            return (R[:, 2].reshape(n, N, N * N, N).swapaxes(-1, -2)
-                    @ lead.reshape(n, N, N * N, N)).swapaxes(-1, -2)
-
-        def at_k(fix: np.ndarray) -> np.ndarray:
-            """The slice ``k = fix[t, p]``, ``[t, s, p, j]``."""
-            summed = (R[:, 3].swapaxes(-1, -2)
-                      * R[on, 2, :, :, :, fix].transpose(0, 2, 3, 1, 4)
-                      ) @ R[:, 1]
-            return (R[:, 0, :, :, 0][..., hankel] * summed).sum(axis=2)
-        # off the support, where the composite vanishes: j = k = 0 with
-        # role 0 at p + 1.  A wrong psi or label shows here, not on it.
-        at0 = R[:, 3] * R[:, 1, ..., :1]
-        off = mean((R[:, 2, ..., :1] * at0 * R[:, 0][..., :1, (i + 1) % N]
-                    ).sum(axis=(2, 3))[..., None])
-        first = mean(at_j(at0 * R[:, 0, :, :, :1]))
-        k0 = np.abs(first).argmax(axis=-1)
-        row = mean(at_k(k0))
-        j0 = np.abs(row[..., 1:]).argmax(axis=-1) + 1
-        col = mean(at_j(R[:, 3]
-                        * R[on, 1, :, :, :, j0].transpose(0, 2, 3, 4, 1)
-                        * R[on, 0, :, :, :1, (i + j0) % N].transpose(
-                            0, 2, 3, 4, 1)))
-        phase = (np.where(right[t], -1, 1)[:, None, None, None]
-                 * (i[:, None] - j0[..., None, None])
-                 * (i - k0[..., None, None]) % N)
-        tensor = ((row / row[on, i, j0][..., None])[..., None]
-                  * col[:, :, None] * _powers(root)[phase])
-        each = np.concatenate(formed, axis=-1)
-        _refuse(np.maximum(1.0, np.abs(tensor).max(axis=(1, 2, 3))), lo,
-                composite_defect=np.abs(each - each.mean(
-                    axis=1, keepdims=True)).max(axis=(1, 2, 3)),
-                off_support=np.abs(off).max(axis=(1, 2)),
-                rank_one_probe=np.abs(tensor[:, :, 0] - first).max(
-                    axis=(1, 2)))
-        out[t] = tensor
-    return out
+        n = len(t)
+        R = np.take(factors, 4 * N * N * t[:, None] + rows[sign[t]], axis=0)
+        f1, f2, f3 = R[:, N * N:].reshape(n, 3, N, N, N, 2).swapaxes(0, 1)
+        # [t, s, u, v, b] [t, s, u, v, (c, d)] -> [t, s, u, (b, c, d)]
+        inner = (f1.swapaxes(-1, -2) @ (f2[..., None] * f3[..., None, :]
+                                        ).reshape(n, N, N, N, 4))
+        entries = (R[:, :N * N].reshape(n, N, N, 2).swapaxes(-1, -2)
+                   @ inner.reshape(n, N, N, 8)).reshape(n, N, 16)
+        mean = entries.mean(axis=1)
+        read = mean[stack[:n], _ON[sign[t]]]
+        C = ((probe[t].conj() * read).sum(axis=1)
+             / (np.abs(probe[t]) ** 2).sum(axis=1))
+        _refuse(np.maximum(1.0, np.abs(C) * np.abs(h[t]).max(axis=1)), lo,
+                composite_defect=np.abs(entries - mean[:, None]).max(
+                    axis=(1, 2)),
+                off_support=np.abs(mean[stack[:n], _OFF[sign[t]]]).max(axis=1),
+                closed_form_probe=np.abs(read - C[:, None] * probe[t]).max(
+                    axis=1))
+        form[t] *= C[:, None]
+    return form.reshape(T, N, N, N)
 
 
 def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
            a: np.ndarray, c: np.ndarray, tensors: np.ndarray) -> np.ndarray:
     """Charge twist at doubled charges ``a``, ``c`` of a stack of uncharged
-    tensors ``[tensor, p, j, k]`` on their supports (see :func:`_sliced`).
+    tensors ``[tensor, p, j, k]`` on their supports (see
+    :func:`_closed_form`).
 
     Positive (negative) tensors get ``q^{4ac}`` (``q^{-4ac}``), ``R^c`` on
     the ``(k, l)`` leg, ``R^{-a}`` on the ``(i, j)`` leg and ``L^{-a}
@@ -456,15 +470,18 @@ def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
     ``right[t]`` holds and the negative one otherwise.  The result is
     indexed ``[t, N**3]``, flat over legs 1-3, leg 4 following from them
     by the flux constraint (:data:`_FLUX`): the layout the state sum
-    contracts, which :func:`_dense` expands.  All intertwiners of the
-    stack are built together, each uncharged tensor is read off three
-    slices of its composite (:func:`_sliced`), a few tensors at a time,
-    and every formed entry is checked on its own tensor's scale.
+    contracts, which :func:`_dense` expands.  Each uncharged tensor is
+    Kashaev's cyclic 6j symbol (hep-th/9411147), one cyclic dilogarithm
+    times a phase, filled on its support in closed form
+    (:func:`_closed_form`): only its scale is read off 16 composite entries
+    of the stack's intertwiners, built together, and every formed entry is
+    checked on its own tensor's scale.  The charge twist (:func:`_twist`)
+    is one gather and one phase.
     """
     right = np.array(right, dtype=bool)
     N, T = root.N, len(right)
     twisted = _twist(root, pairs, right, np.array(a), np.array(c),
-                     _sliced(root, pairs, right))
+                     _closed_form(root, pairs, right))
     out = np.empty((T, N ** 3), dtype=complex)
     out[np.arange(T)[:, None], _slice_tables(N)[1][np.where(right, 0, 1)]] \
         = twisted.reshape(T, -1)

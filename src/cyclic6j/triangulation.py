@@ -40,13 +40,12 @@ from .algebra import (AlgebraError, BadOperands, GroupElement, group_close,
 
 __all__ = [
     "TopologyError", "ParseError", "NotClosed", "NotQuasiRegular",
-    "NotOrientable", "NotHamiltonian", "NoCharge", "BadCharge", "BadLoop",
+    "NotOrientable", "NotHamiltonian", "NoCharge", "BadCharge",
     "BadColoring", "MoveNotApplicable", "AdmissibilityFailed",
     "EDGE_CORNERS", "OPPOSITE_EDGE", "FACE_CORNERS",
     "Gluing", "TriComplex", "DoubledCharge", "Gauge", "Scene",
     "load_complex", "load_document", "scene_document",
     "validate_link", "find_charge", "validate_charge", "deform_charge",
-    "charge_class",
     "pachner_plus", "pachner_minus", "bubble_plus", "bubble_minus",
     "gauge_transform", "point_gauge", "random_gauge",
     "is_admissible", "make_admissible", "edge_between", "holonomy",
@@ -83,10 +82,6 @@ class NoCharge(TopologyError):
 
 class BadCharge(TopologyError):
     """A charge violating a tetrahedron or edge constraint."""
-
-
-class BadLoop(TopologyError):
-    """A loop that is not a valid chain of face passages."""
 
 
 class BadColoring(TopologyError):
@@ -726,30 +721,6 @@ def deform_charge(T: TriComplex, link: frozenset[int], c: DoubledCharge,
                 for t, row in enumerate(delta.tolist()))
     validate_charge(T, link, out)
     return out
-
-
-def charge_class(T: TriComplex, c: DoubledCharge,
-                 loop: list[tuple[int, int, int]]) -> int:
-    """Mod-2 class of a charge on a loop of tetrahedron passages.
-
-    ``loop`` lists (tetrahedron, entering face, departing face); each
-    consecutive pair must be glued, and the loop must close up.
-    """
-    if not loop:
-        raise BadLoop("empty loop")
-    total = 0
-    for idx, (t, f_in, f_out) in enumerate(loop):
-        if f_in == f_out:
-            raise BadLoop(f"passage {idx} exits through the entering face")
-        if not (0 <= t < T.n_tets and 0 <= f_in < 4 and 0 <= f_out < 4):
-            raise BadLoop(f"passage {idx} references missing cells")
-        t_next, f_next, _ = T.partner(t, f_out)
-        want = loop[(idx + 1) % len(loop)]
-        if (t_next, f_next) != (want[0], want[1]):
-            raise BadLoop(f"passages {idx} and {idx + 1} are not glued")
-        # the edge on both faces joins the corners other than f_in, f_out
-        total += c[t][OPPOSITE_EDGE[_EDGE_INDEX[(f_in, f_out)]]]
-    return total % 2
 
 
 # -- moves -----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from cyclic6j import algebra, sixj, statesum
 from cyclic6j.algebra import (
     BadOperands, GroupElement, RootData, Resonance, ZeroX, _powers,
-    group_mul, psi_coeffs, psi_coeffs_product, psi_stack,
+    group_close, group_mul, in_I, psi_coeffs, psi_coeffs_product, psi_stack,
     random_admissible_pair,
 )
 from cyclic6j.cli import _random_label_six, _random_pentagon, run_suite
@@ -14,9 +14,9 @@ from cyclic6j.operators import (
 from cyclic6j.sixj import (
     BadLabels, ChargeConstraint, LabelSix, apply_to_leg,
     check_charged_inversion, check_charged_pentagon,
-    check_symmetry_relations, check_uncharged_symmetries, multiplicity_dim,
-    pentagon_labels, permute_legs, sixj_neg, sixj_pos, sixj_stack, t_form,
-    tbar_form, tbar_tensor, tform_tensor,
+    check_symmetry_relations, check_uncharged_symmetries, pentagon_labels,
+    permute_legs, sixj_neg, sixj_pos, sixj_stack, t_form, tbar_form,
+    tbar_tensor, tform_tensor,
 )
 
 I0 = GroupElement(0.7, 1.3)
@@ -45,6 +45,14 @@ def test_inconsistent_labels_rejected():
         LabelSix(lab.i, lab.j, GroupElement(2.0, 1.0), lab.l, lab.m, lab.n)
     with pytest.raises(BadLabels):
         LabelSix(GroupElement(0.0, 1.0), lab.j, lab.k, lab.l, lab.m, lab.n)
+
+
+def multiplicity_dim(root: RootData, f: GroupElement, g: GroupElement,
+                     h: GroupElement) -> int:
+    """Dimension of the multiplicity space of ``V_h`` in ``V_f (x) V_g``: N or 0."""
+    if in_I(f) and in_I(g) and in_I(h) and group_close(group_mul(f, g), h, 1e-9):
+        return root.N
+    return 0
 
 
 def test_multiplicity_spaces_have_full_dimension(root3, root5):
@@ -294,9 +302,9 @@ def _fixture_cases(root, scene, monkeypatch):
                                   (7, 3)])
 def test_support_slices_of_the_dense_oracle_have_rank_one(
         N, k, rng, fixture_scene, monkeypatch):
-    # the structure the sliced kernel reads the tensors off, pinned on
-    # the dense oracle alone: both signs, uncharged and charged, seeded
-    # labels and the fixture's five tensors at their own charges
+    # the rank one that the closed form's phase times h(p - k) implies,
+    # pinned on the dense oracle alone: both signs, uncharged and charged,
+    # seeded labels and the fixture's five tensors at their own charges
     root = RootData(N, k)
     cases = [(lab, right, a, c)
              for lab in (_random_label_six(rng) for _ in range(2))
@@ -307,6 +315,70 @@ def test_support_slices_of_the_dense_oracle_have_rank_one(
     for lab, right, a, c in cases + fixture:
         dense = (_oracle_pos if right else _oracle_neg)(root, lab, a, c)
         assert _rank_one_spread(root, dense, right) <= 1e-12
+
+
+def _support(tensors, right):
+    """The support entries ``[tensor, p, j, k]`` of dense tensors."""
+    N = tensors.shape[-1]
+    grid = np.indices((N,) * 3).reshape(3, -1)
+    return np.array([t[tuple(np.array(sixj._SUPPORT[0 if r else 1]) @ grid
+                             % N)].reshape(N, N, N)
+                     for t, r in zip(tensors, right)])
+
+
+@pytest.mark.parametrize("N, k", [(3, 1), (5, 1), (7, 1), (9, 1), (11, 1),
+                                  (13, 1), (7, 3), (9, 2)])
+def test_closed_form_matches_the_composite_oracle(N, k, rng, fixture_scene,
+                                                  monkeypatch):
+    # Kashaev's closed form against the mean of each composite's diagonal,
+    # on the support: both signs of seeded labels, and the fixture's five
+    # tensors with their own signs
+    root = RootData(N, k)
+    labs = [_random_label_six(rng) for _ in range(3)]
+    fixture = _fixture_cases(root, fixture_scene, monkeypatch)
+    labs = labs + labs + [lab for lab, *_ in fixture]
+    right = np.array([True] * 3 + [False] * 3 + [r for _, r, *_ in fixture])
+    pairs = _pairs(labs, right)
+    got = sixj._closed_form(root, pairs, right)
+    want = _support(sixj._composites(root, pairs, right), right)
+    for t in range(len(labs)):
+        scale = np.max(np.abs(want[t]))
+        assert np.max(np.abs(got[t] - want[t])) <= 1e-12 * scale
+
+
+def test_label_stack_meets_the_identity_of_the_dilogarithm(rng):
+    # x_i y_j x_l = x_k x_n - x_j x_m in the ax+b group, so K**N = 1 - r**N
+    # and the dilogarithm of the closed form is N-periodic
+    labs = [_random_label_six(rng) for _ in range(20)]
+    i, j, l = (np.array([(getattr(lab, x).x, getattr(lab, x).y)
+                         for lab in labs]) for x in "ijl")
+    x = sixj._label_stack(i, j, l)[..., 0]
+    lhs = x[:, 0] * j[:, 1] * x[:, 3]
+    rhs = x[:, 2] * x[:, 5] - x[:, 1] * x[:, 4]
+    scale = np.maximum(np.abs(x[:, 2] * x[:, 5]), np.abs(x[:, 1] * x[:, 4]))
+    assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_a_bent_dilogarithm_is_refused(N, monkeypatch):
+    # h off by 1e-6 at one n: the probes read h at its largest entry n and
+    # at n - 1 and n + 1, and a bend at any of these is refused
+    lab = LabelSix.from_generators(I0, J0, L0)
+    right = [True, False, True, False]
+    pairs = _pairs([lab] * 4, right)
+    zero = [0] * 4
+    dilog = sixj._dilog
+    peak = np.abs(dilog(RootData(N), pairs, np.array(right))).argmax(axis=1)
+    for t in (1, 2):
+        for n in peak[t] + np.array([-1, 0, 1]):
+            def bent(root, pairs, right, t=t, n=n % N):
+                h = dilog(root, pairs, right)
+                h[t, n] *= 1 + 1e-6
+                return h
+            monkeypatch.setattr(sixj, "_dilog", bent)
+            with pytest.raises(NotScalarError,
+                               match=f"closed form probe .* of tensor {t} "):
+                sixj_stack(RootData(N), pairs, right, zero, zero)
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -348,15 +420,18 @@ def test_a_wrong_label_is_refused(N):
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
-@pytest.mark.parametrize("t, what", [(2, "rank one probe"),
-                                     (3, "off support")])
+# the ids keep the name the positive case's guard had before the closed
+# form, so that the test ids stay stable
+@pytest.mark.parametrize("t, what", [(2, "closed form probe"),
+                                     (3, "off support")],
+                         ids=["2-rank one probe", "3-off support"])
 def test_kernel_refuses_an_intertwiner_mixed_on_its_multiplicity(
         N, t, what, monkeypatch):
     # mixing the multiplicity index of hat leg 2 keeps the intertwiner an
     # intertwiner, so the dense composite stays scalar.  On a positive
-    # tensor that leg is c, off the flux: the support slices lose rank
-    # one.  On a negative one it is the flux leg c: weight leaves the
-    # support.
+    # tensor that leg is c, off the flux: the support entries leave the
+    # closed form.  On a negative one it is the flux leg c: weight leaves
+    # the support.
     lab = LabelSix.from_generators(I0, J0, L0)
     right = [True, False, True, False]
     pairs = _pairs([lab] * 4, right)

@@ -139,6 +139,14 @@ def test_fixture_value_is_one_over_N_squared(N, fixture_scene):
     assert equal_mod_qtilde(K, 1.0 / N ** 2, root)
 
 
+def test_fixture_value_is_accurate_up_to_the_largest_root(fixture_scene):
+    # every N the plan admits on the fixture; 1e-12 also bounds the error
+    # of the closed-form 6j weights' scale
+    for N in range(3, 25, 2):
+        K = state_sum(RootData(N), fixture_scene)
+        assert abs(abs(K) * N * N - 1) <= 1e-12, N
+
+
 @pytest.mark.parametrize("n_tets", [30, 60])
 def test_grown_s3_keeps_the_fixture_value(n_tets, root3, fixture_scene,
                                           grown_s3):

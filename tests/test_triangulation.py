@@ -14,14 +14,14 @@ from cyclic6j.algebra import AlgebraError, GroupElement, group_inv, group_mul
 from cyclic6j.fixtures import boundary4simplex_document, boundary4simplex_scene
 from cyclic6j.statesum import mod_qtilde_residual, state_sum
 from cyclic6j.triangulation import (
-    BadCharge, BadColoring, BadLoop, EDGE_CORNERS, FACE_CORNERS,
+    BadCharge, BadColoring, DoubledCharge, EDGE_CORNERS, FACE_CORNERS,
     Gluing, MoveNotApplicable, NotClosed, NotHamiltonian, NotOrientable,
     NotQuasiRegular, OPPOSITE_EDGE, ParseError, Scene, TopologyError,
     TriComplex,
     _EDGE_INDEX, _charge_rows, _check_cocycle, _glue_faces, _perm_sign,
     _smith_solve, _tet_ends,
     bubble_minus, bubble_plus,
-    charge_class, color_of, deform_charge, edge_between, find_charge,
+    color_of, deform_charge, edge_between, find_charge,
     gauge_transform, holonomy, is_admissible, load_complex, load_document,
     make_admissible, pachner_minus, pachner_plus, point_gauge, random_gauge,
     scene_document, validate_charge, validate_link,
@@ -642,6 +642,34 @@ def _three_tet_loop(T):
             if t3 == t0 and f3 != 0:
                 return [(t0, f3, 0), (t1, f10, f_out1), (t2, f21, f_out2)]
     raise AssertionError("no three-tetrahedron loop found")
+
+
+class BadLoop(TopologyError):
+    """A loop that is not a valid chain of face passages."""
+
+
+def charge_class(T: TriComplex, c: DoubledCharge,
+                 loop: list[tuple[int, int, int]]) -> int:
+    """Mod-2 class of a charge on a loop of tetrahedron passages.
+
+    ``loop`` lists (tetrahedron, entering face, departing face); each
+    consecutive pair must be glued, and the loop must close up.
+    """
+    if not loop:
+        raise BadLoop("empty loop")
+    total = 0
+    for idx, (t, f_in, f_out) in enumerate(loop):
+        if f_in == f_out:
+            raise BadLoop(f"passage {idx} exits through the entering face")
+        if not (0 <= t < T.n_tets and 0 <= f_in < 4 and 0 <= f_out < 4):
+            raise BadLoop(f"passage {idx} references missing cells")
+        t_next, f_next, _ = T.partner(t, f_out)
+        want = loop[(idx + 1) % len(loop)]
+        if (t_next, f_next) != (want[0], want[1]):
+            raise BadLoop(f"passages {idx} and {idx + 1} are not glued")
+        # the edge on both faces joins the corners other than f_in, f_out
+        total += c[t][OPPOSITE_EDGE[_EDGE_INDEX[(f_in, f_out)]]]
+    return total % 2
 
 
 def test_charge_class_is_deformation_invariant(fixture_scene):
