@@ -20,22 +20,23 @@ argument is a doubled int: ``sixj_pos(root, lab, 1, 0)`` is the positive
 symbol at ``a = 1/2``, ``c = 0``.
 
 :func:`sixj_stack` builds the charged tensors of a whole stack of
-six-tuples, mixed signs and charges, in one pass and only on their flux
+six-tuples, mixed signs and charges, in one fill and only on their flux
 supports (:data:`_SUPPORT`, N**3 of N**4 entries).  Each uncharged tensor
 is Kashaev's cyclic 6j symbol (*Quantum dilogarithm as a 6j-symbol*,
 hep-th/9411147): on its support, one cyclic dilogarithm of the labels'
-real roots times a phase and a scalar (:func:`_closed_form`), filled in
-``O(N**3)``.  Only the scalar is read off the intertwiners: from 16
-composite entries per tensor, each at all N diagonal values, with the
-intertwiners of every leg from one closed-form graded ``S``
-(:func:`~cyclic6j.algebra.graded_S`) and the inverse blocks of every check
-leg from one ``np.linalg.inv``.  The guard stays per tensor and covers
-every entry formed: each one's N diagonal values, the 10 entries off the
-support, which must vanish, and the 6 on it, which must match the closed
-form, all within ``_COMPOSITE_TOL`` times the tensor's own ``max(1,
-max|tensor|)``, never a scale taken across the stack.  The twist is one
-gather and one phase, and one scatter writes the layout the state sum
-stores.  :func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases,
+real roots times a phase and a scalar.  The charge twist adds a linear
+phase, a shift of the dilogarithm's argument and a scalar, from the same
+roots, so each stored entry is written once, in the layout the state sum
+stores, in ``O(N**3)`` per tensor.  Only the scalar is read off the
+intertwiners (:func:`_fit`): from 16 composite entries per tensor, each
+at all N diagonal values, with the intertwiners of every leg from one
+closed-form graded ``S`` (:func:`~cyclic6j.algebra.graded_S`) and the
+inverse blocks of every check leg from one ``np.linalg.inv``.  The guard
+stays per tensor and covers every entry formed: each one's N diagonal
+values, the 10 entries off the support, which must vanish, and the 6 on
+it, which must match the closed form, all within ``_COMPOSITE_TOL`` times
+the tensor's own ``max(1, max|tensor|)``, never a scale taken across the
+stack.  :func:`sixj_pos` and :func:`sixj_neg` are its one-tensor cases,
 expanded by :func:`_dense`.
 :func:`tform_tensor` and :func:`tbar_tensor` form every entry of the
 composite (:func:`_composites`) and, with :func:`t_form`,
@@ -175,9 +176,10 @@ def _gathers(N: int) -> tuple[list, list]:
     return ([(i % N, j % N) for i, j in pos], [(i % N, j % N) for i, j in neg])
 
 
-# Tensors per batch: each intermediate holds at most about this many
-# entries, or one tensor's when that is more; a composite holds N**5 per
-# tensor, the closed form's entries 3 N**3.
+# Tensors per batch of a composite or a fit: each intermediate holds at
+# most about this many entries, or one tensor's when that is more; a
+# composite holds N**5 per tensor, the fit's factor rows 3 N**3.  The
+# weights themselves are filled in one pass over the stack.
 _SLICE_ENTRIES = 2 ** 15
 
 
@@ -226,7 +228,7 @@ def _refuse(scale: np.ndarray, first: int, **worst: np.ndarray) -> None:
 def _composites(root: RootData, pairs: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
     """Uncharged 6j tensors of a stack, ``[tensor, leg 1, .., leg 4]``,
-    with every entry formed: the oracle of :func:`_closed_form`, and the
+    with every entry formed: the oracle of :func:`sixj_stack`, and the
     body of :func:`tform_tensor` and :func:`tbar_tensor`.
 
     Each tensor is the composite of its four intertwiners (see
@@ -276,7 +278,7 @@ _FLUX = {True: (1, 1, 0, -1), False: (1, 0, -1, -1)}
 # The support entries ``(p, j, k)`` whose four legs all lie in {0, 1}, the
 # same for either sign (see :data:`_SUPPORT`).  Every tensor forms the 16
 # composite entries with legs in {0, 1}, these 6 and 10 off the support,
-# after a shift of p (see :func:`_closed_form`).  They move p, j and k,
+# after a shift of p (see :func:`_fit`).  They move p, j and k,
 # reach a phase w^Q != 1 and read the dilogarithm at n - 1, n and n + 1.
 _PROBES = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1))
 # The index ``8 a + 4 b + 2 c + d`` of legs ``(a, b, c, d)`` of each entry
@@ -290,24 +292,20 @@ _P_LEGS = np.array(_SUPPORT)[0, :, :1]
 
 
 @functools.cache
-def _slice_tables(N: int) -> tuple[np.ndarray, ...]:
+def _slice_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Row 0 for a positive tensor, row 1 for a negative one: the row of
     ``[factor, first, second]`` that each factor of a composite reads,
     factor 0 over ``(s, u)`` and then factors 1-3 over ``(s, u, v)`` (see
-    :func:`_gathers`); the flat index into the stored ``[leg 1, leg 2, leg
-    3]`` of each support entry over ``(p, j, k)``; and there the exponent
-    of the phase and the argument of the dilogarithm of the closed form
-    (see :func:`_closed_form`).  Built once per N, read-only."""
+    :func:`_gathers`); and the support entry ``(p, j, k)`` of each stored
+    entry ``[leg 1, leg 2, leg 3]``, flat, ``[row, p or j or k, N**3]``
+    (see :data:`_SUPPORT`).  Built once per N, read-only."""
     grid = np.indices((N,) * 3).reshape(3, -1)
     rows = [np.concatenate([np.broadcast_to((f * N + first) * N + second,
                                             (N, N, N if f else 1)).ravel()
                             for f, (first, second) in enumerate(gathers)])
             for gathers in _gathers(N)]
-    p, j, k = grid
-    sign = np.array([[1], [-1]])
-    tables = (np.array(rows), [N * N, N, 1] @ (np.array(_SUPPORT)[:, :3]
-                                                @ grid % N),
-              sign * (p * j - j * k) % N, sign * (p - k) % N)
+    stored = [N * N, N, 1] @ (np.array(_SUPPORT)[:, :3] @ grid % N)
+    tables = (np.array(rows), grid[:, stored.argsort()].swapaxes(0, 1))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -325,9 +323,12 @@ def _dense(N: int, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape((len(flux),) + (N,) * 4)
 
 
-def _dilog(root: RootData, pairs: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _dilog(root: RootData, pairs: np.ndarray,
+           right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cyclic dilogarithm ``h[tensor, n]``, n = 0..N-1, of each tensor
-    of a stack, from the labels of its leg pairs (see :func:`_closed_form`).
+    of a stack, from the labels of its leg pairs (see :func:`sixj_stack`),
+    with the real roots ``v[g or h or gh, tensor, pair]`` of its (k, l),
+    (i, j) and (j, l) pairs and ``u_j``, which the charge twist reads too.
     ``r`` is real, so each denominator ``|1 - r w^t|`` is at least
     ``|sin(2 pi t k / N)| >= sin(pi / N)``: unlike the psi recursion's, it
     cannot come near zero."""
@@ -335,65 +336,48 @@ def _dilog(root: RootData, pairs: np.ndarray, right: np.ndarray) -> np.ndarray:
     p = pairs[np.arange(T)[:, None], np.where(right[:, None], [0, 1, 2],
                                               [3, 2, 1])]
     gx, gy, hx = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0]
+    v = real_roots(root, np.array([gx, hx, gx + gy * hx]))
     # g, h and gh of the (k, l), (i, j) and (j, l) pairs
-    (vk, vi, _), (vl, vj, _), (vm, _, vn) = real_roots(
-        root, np.array([gx, hx, gx + gy * hx])).transpose(0, 2, 1)
+    (vk, vi, _), (vl, vj, _), (vm, _, vn) = v.transpose(0, 2, 1)
+    uj = gy[:, 2] ** (1.0 / N)
     den = 1 - (vj * vm / (vk * vn))[:, None] * _powers(root)[
         np.where(right, -1, 1)[:, None] * np.arange(1, N) % N]
     h = np.ones((T, N), dtype=complex)
-    h[:, 1:] = np.cumprod((vi * gy[:, 2] ** (1.0 / N) * vl / (vk * vn))[
-        :, None] / den, axis=1)
-    return h
+    h[:, 1:] = np.cumprod((vi * uj * vl / (vk * vn))[:, None] / den, axis=1)
+    return h, v, uj
 
 
-def _closed_form(root: RootData, pairs: np.ndarray,
-                 right: np.ndarray) -> np.ndarray:
-    """Uncharged 6j tensors of a stack on their flux supports, ``[tensor,
-    p, j, k]``, in closed form.
+def _fit(root: RootData, pairs: np.ndarray, right: np.ndarray,
+         h: np.ndarray) -> np.ndarray:
+    """The scalar ``C`` of the closed form of each tensor of a stack (see
+    :func:`sixj_stack`), fit to its composite and guarded.
 
-    On the flux support a positive tensor is ``T[p, b, c, p + b]`` and a
-    negative one ``T[p + c, b, c, p]`` (:data:`_SUPPORT`).  Write ``j`` for
-    ``b`` and ``k`` for ``c`` in a positive tensor, the other way round in
-    a negative one, and ``e = 1`` for a positive tensor, ``-1`` for a
-    negative one.  Kashaev's cyclic 6j symbol (*Quantum dilogarithm as a
-    6j-symbol*, hep-th/9411147) is one cyclic dilogarithm times a phase:
-
-        T[p, j, k] = C w^(e (pj - jk)) h(e (p - k)),
-        h(n) = prod_{t=1..n} K / (1 - r w^(-e t)),
-
-    with ``w = _powers(root)[1]``, the real roots ``v`` of the labels'
-    x coordinates (:func:`~cyclic6j.algebra.real_roots`), ``u_j =
-    y_j**(1/N)``, ``r = v_j v_m / (v_k v_n)`` and ``K = v_i u_j v_l / (v_k
-    v_n)``.  The ax+b group gives ``x_i y_j x_l = x_k x_n - x_j x_m``, so
-    ``K**N = 1 - r**N`` and ``h`` is N-periodic (:func:`_dilog`).
-
-    Only the scalar ``C`` is not in closed form.  Each tensor forms 16
-    composite entries (see :func:`_composites`), each at all N values of
-    the ``V_m`` index ``s``: those whose legs, after p is shifted so that
-    the probes of :data:`_PROBES` read ``h`` at its largest entry, lie in
-    {0, 1}.  So each factor is read at two multiplicity indices, and
-    factors 1-3 are summed over ``v``, factor 0 over ``u``: about ``12
-    N**3`` multiplications per tensor.  ``C`` is the least-squares fit of
-    the closed form to the means of the 6 entries on the support, which
-    are then the tensor's largest.  Every formed entry is guarded,
-    within ``_COMPOSITE_TOL`` times the tensor's own scale ``max(1,
-    max|T|)``: its N diagonal values must agree, the 10 entries off the
-    support must vanish (a wrong psi coefficient or leg label keeps every
-    composite scalar on the support and shows only off it), and the 6 on
-    it must match the closed form.
+    Each tensor forms 16 composite entries (see :func:`_composites`), each
+    at all N values of the ``V_m`` index ``s``: those whose legs, after p
+    is shifted so that the probes of :data:`_PROBES` read ``h`` at its
+    largest entry, lie in {0, 1}.  So each factor is read at two
+    multiplicity indices, and factors 1-3 are summed over ``v``, factor 0
+    over ``u``: about ``12 N**3`` multiplications per tensor.  ``C`` is the
+    least-squares fit of the closed form to the means of the 6 entries on
+    the support, which are then the tensor's largest.  Every formed entry
+    is guarded, within ``_COMPOSITE_TOL`` times the tensor's own scale
+    ``max(1, max|T|)``: its N diagonal values must agree, the 10 entries
+    off the support must vanish (a wrong psi coefficient or leg label
+    keeps every composite scalar on the support and shows only off it),
+    and the 6 on it must match the closed form.
     """
     N, T = root.N, len(right)
     sign = np.where(right, 0, 1)
-    rows, _, phase, arg = _slice_tables(N)
-    h = _dilog(root, pairs, right)
+    rows = _slice_tables(N)[0]
     # p moves the probes to the largest entry of h, and legs 0 and 3 with it
     shift = np.abs(h).argmax(axis=1) * np.where(right, 1, -1) % N
     factors = _factors(root, pairs, (_P_LEGS * shift[:, None, None] + [0, 1])
                        % N).reshape(-1, 2)
     stack = np.arange(T)[:, None]
-    form = _powers(root)[phase[sign]] * h[stack, arg[sign]]
     p, j, k = np.transpose(_PROBES)
-    probe = form[stack, (p + shift[:, None]) % N * N * N + j * N + k]
+    d = np.where(right, 1, -1)[:, None] * ((p + shift[:, None]) % N - k)
+    probe = _powers(root)[j * d % N] * h[stack, d % N]
+    C = np.empty(T, dtype=complex)
     step = max(1, _SLICE_ENTRIES // (3 * N ** 3))
     for lo in range(0, T, step):
         t = np.arange(lo, min(lo + step, T))
@@ -407,85 +391,81 @@ def _closed_form(root: RootData, pairs: np.ndarray,
                    @ inner.reshape(n, N, N, 8)).reshape(n, N, 16)
         mean = entries.mean(axis=1)
         read = mean[stack[:n], _ON[sign[t]]]
-        C = ((probe[t].conj() * read).sum(axis=1)
-             / (np.abs(probe[t]) ** 2).sum(axis=1))
-        _refuse(np.maximum(1.0, np.abs(C) * np.abs(h[t]).max(axis=1)), lo,
+        C[t] = ((probe[t].conj() * read).sum(axis=1)
+                / (np.abs(probe[t]) ** 2).sum(axis=1))
+        _refuse(np.maximum(1.0, np.abs(C[t]) * np.abs(h[t]).max(axis=1)), lo,
                 composite_defect=np.abs(entries - mean[:, None]).max(
                     axis=(1, 2)),
                 off_support=np.abs(mean[stack[:n], _OFF[sign[t]]]).max(axis=1),
-                closed_form_probe=np.abs(read - C[:, None] * probe[t]).max(
+                closed_form_probe=np.abs(read - C[t, None] * probe[t]).max(
                     axis=1))
-        form[t] *= C[:, None]
-    return form.reshape(T, N, N, N)
-
-
-def _twist(root: RootData, pairs: np.ndarray, right: np.ndarray,
-           a: np.ndarray, c: np.ndarray, tensors: np.ndarray) -> np.ndarray:
-    """Charge twist at doubled charges ``a``, ``c`` of a stack of uncharged
-    tensors ``[tensor, p, j, k]`` on their supports (see
-    :func:`_closed_form`).
-
-    Positive (negative) tensors get ``q^{4ac}`` (``q^{-4ac}``), ``R^c`` on
-    the ``(k, l)`` leg, ``R^{-a}`` on the ``(i, j)`` leg and ``L^{-a}
-    R^{-c}`` on the ``(j, l)`` leg, all on the form's arguments.  In closed
-    form ``(sqrtR)^n`` is the diagonal ``w^{-i n (N+1)/2}`` and
-    ``(sqrtL)^n`` reads a check leg at ``i - n (N+1)/2`` and a hat leg at
-    ``i + n (N+1)/2``, each times its half-power scalar to the n.  The
-    ``(j, l)`` leg is ``k`` of either sign, of flux coefficient 0, so the
-    twist is one gather along ``k`` and one phase, a linear form of ``(p,
-    j, k)`` mod N.  The pairs are checked as
-    :func:`~cyclic6j.operators.op_sqrtR` and
-    :func:`~cyclic6j.operators.op_sqrtL` check them.
-    """
-    N, half, T = root.N, root.half, len(right)
-    # legs of the (k, l), (i, j) and (j, l) pairs
-    legs = np.where(right[:, None], [0, 1, 2], [3, 2, 1])
-    p = pairs[np.arange(T)[:, None], legs]
-    gx, gy, hx = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0]
-    x = np.array([gx, hx, gx + gy * hx])
-    if not np.all(x):
-        raise BadOperands("a twist pair is not admissible")
-    vg, vh, vgh = real_roots(root, x)
-    sR = _half_powers(root, vg / vgh)
-    sL = _half_powers(root, gy[:, 2] ** (1.0 / N) * vh[:, 2] / vgh[:, 2])
-    sign = np.where(right, 1, -1)
-    scalar = (qtilde(root) ** (sign * a * c) * sR[:, 0] ** c
-              * sR[:, 1] ** -a * sL ** -a * sR[:, 2] ** -c)
-    expo = np.zeros((T, 4), dtype=int)
-    np.put_along_axis(expo, legs, np.stack([-half * c, half * a, half * c],
-                                           axis=1), axis=1)
-    form = (expo[:, None] @ np.array(_SUPPORT)[np.where(right, 0, 1)])[:, 0]
-    t, p, j, k = np.ogrid[:T, :N, :N, :N]
-    phase = (form[t, 0] * p + form[t, 1] * j + form[t, 2] * k) % N
-    return (scalar[t] * _powers(root)[phase]
-            * tensors[t, p, j, (k + (sign * half * a)[t]) % N])
+    return C
 
 
 def sixj_stack(root: RootData, pairs: np.ndarray, right: Sequence[bool],
                a: Sequence[int], c: Sequence[int]) -> np.ndarray:
-    """Charged 6j tensors of a stack of label six-tuples, in one pass.
+    """Charged 6j tensors of a stack of label six-tuples, in one fill.
 
     Tensor ``t``, of leg pairs ``pairs[t]`` (see :func:`_leg_pairs`), is
     the positive symbol at doubled charges ``(a[t], c[t])`` when
     ``right[t]`` holds and the negative one otherwise.  The result is
     indexed ``[t, N**3]``, flat over legs 1-3, leg 4 following from them
     by the flux constraint (:data:`_FLUX`): the layout the state sum
-    contracts, which :func:`_dense` expands.  Each uncharged tensor is
-    Kashaev's cyclic 6j symbol (hep-th/9411147), one cyclic dilogarithm
-    times a phase, filled on its support in closed form
-    (:func:`_closed_form`): only its scale is read off 16 composite entries
-    of the stack's intertwiners, built together, and every formed entry is
-    checked on its own tensor's scale.  The charge twist (:func:`_twist`)
-    is one gather and one phase.
+    contracts, which :func:`_dense` expands.
+
+    On the flux support a positive tensor is ``T[p, b, c, p + b]`` and a
+    negative one ``T[p + c, b, c, p]`` (:data:`_SUPPORT`).  Write ``j`` for
+    ``b`` and ``k`` for ``c`` in a positive tensor, the other way round in
+    a negative one, and ``e = 1`` for a positive tensor, ``-1`` for a
+    negative one.  Uncharged, the tensor is Kashaev's cyclic 6j symbol
+    (*Quantum dilogarithm as a 6j-symbol*, hep-th/9411147), one cyclic
+    dilogarithm times a phase:
+
+        T[p, j, k] = C w^(e (pj - jk)) h(e (p - k)),
+        h(n) = prod_{t=1..n} K / (1 - r w^(-e t)),
+
+    with ``w = _powers(root)[1]``, the real roots ``v`` of the labels'
+    x coordinates (:func:`~cyclic6j.algebra.real_roots`), ``u_j =
+    y_j**(1/N)``, ``r = v_j v_m / (v_k v_n)`` and ``K = v_i u_j v_l / (v_k
+    v_n)``.  The ax+b group gives ``x_i y_j x_l = x_k x_n - x_j x_m``, so
+    ``K**N = 1 - r**N`` and ``h`` is N-periodic (:func:`_dilog`).  Only
+    the scalar ``C`` is read off the intertwiners (:func:`_fit`).
+
+    The charge twist at doubled charges ``a``, ``c`` puts ``q^{4ac}``
+    (``q^{-4ac}`` on a negative tensor), ``R^c`` on the ``(k, l)`` leg,
+    ``R^{-a}`` on the ``(i, j)`` leg and ``L^{-a} R^{-c}`` on the ``(j,
+    l)`` leg, all on the form's arguments.
+    In closed form ``(sqrtR)^n`` is the diagonal ``w^{-i n (N+1)/2}`` and
+    ``(sqrtL)^n`` reads a check leg at ``i - n (N+1)/2`` and a hat leg at
+    ``i + n (N+1)/2``, each times its half-power scalar to the n.  The
+    ``(j, l)`` leg is ``k`` of either sign, so the charged tensor is
+
+        (Q w^((N+1)/2 (aj + c(k - p)))) ((w^(e (pj - jk')) h(e (p - k'))) C)
+
+    at ``k' = k + e a (N+1)/2``, with ``Q`` the power of q times the half
+    powers; each stored entry is written once from its ``(p, j, k)``
+    (:func:`_slice_tables`), in that order of factors.  The base of each
+    half power is checked as :func:`~cyclic6j.operators.op_sqrtR` and
+    :func:`~cyclic6j.operators.op_sqrtL` check it.
     """
     right = np.array(right, dtype=bool)
-    N, T = root.N, len(right)
-    twisted = _twist(root, pairs, right, np.array(a), np.array(c),
-                     _closed_form(root, pairs, right))
-    out = np.empty((T, N ** 3), dtype=complex)
-    out[np.arange(T)[:, None], _slice_tables(N)[1][np.where(right, 0, 1)]] \
-        = twisted.reshape(T, -1)
-    return out
+    a, c = np.array(a), np.array(c)
+    N, half, T = root.N, root.half, len(right)
+    h, (vg, vh, vgh), uj = _dilog(root, pairs, right)
+    C = _fit(root, pairs, right, h)
+    e = np.where(right, 1, -1)
+    sR = _half_powers(root, vg / vgh)
+    sL = _half_powers(root, uj * vh[:, 2] / vgh[:, 2])
+    scalar = (qtilde(root) ** (e * a * c) * sR[:, 0] ** c
+              * sR[:, 1] ** -a * sL ** -a * sR[:, 2] ** -c)
+    p, j, k = _slice_tables(N)[1][np.where(right, 0, 1)].swapaxes(0, 1)
+    ha, hc = (half * a)[:, None], (half * c)[:, None]
+    # e (p - k') = e (p - k) - a (N+1)/2
+    d = e[:, None] * (p - k) - ha
+    w = _powers(root)
+    return ((scalar[:, None] * w[(ha * j + hc * (k - p)) % N])
+            * ((w[j * d % N] * h[np.arange(T)[:, None], d % N])
+               * C[:, None]))
 
 
 def tform_tensor(root: RootData, lab: LabelSix) -> np.ndarray:

@@ -3,13 +3,13 @@ import pytest
 
 from cyclic6j import algebra, sixj, statesum
 from cyclic6j.algebra import (
-    BadOperands, GroupElement, RootData, Resonance, ZeroX, _powers,
+    GroupElement, RootData, Resonance, ZeroX, _powers,
     group_close, group_mul, in_I, psi_coeffs, psi_coeffs_product, psi_stack,
     random_admissible_pair,
 )
 from cyclic6j.cli import _random_label_six, _random_pentagon, run_suite
 from cyclic6j.operators import (
-    NegativeBase, NotScalarError, compose, pow_L, pow_R, qtilde,
+    NotScalarError, compose, pow_L, pow_R, qtilde,
 )
 from cyclic6j.sixj import (
     BadLabels, ChargeConstraint, LabelSix, apply_to_leg,
@@ -107,7 +107,7 @@ def _oracle_neg(root, lab, a, c):
                                               (5, 2 ** 15), (7, 2 ** 15),
                                               (9, 2 ** 15), (11, 2 ** 15),
                                               (13, 2 ** 15)])
-def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
+def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng, grown_s3,
                                             monkeypatch):
     # 2 * 3**4 entries cut the N = 3 stack into batches of two tensors
     monkeypatch.setattr(sixj, "_SLICE_ENTRIES", slice_entries)
@@ -119,11 +119,19 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
     # tensors 0 (positive) and 1 (negative) uncharged, the rest charged
     a[0] = c[0] = a[1] = c[1] = 0
     a[2:] = [v or 1 for v in a[2:]]
+    cases = list(zip(labs, right, a, c))
+    if N <= 7:
+        # and the 20 tensors of a grown document, with their own signs and
+        # charges
+        grown = _fixture_cases(root, grown_s3(20), monkeypatch)
+        assert len(grown) == 20
+        cases += grown
+    labs, right, a, c = (list(x) for x in zip(*cases))
     stored = sixj_stack(root, _pairs(labs, right), right, a, c)
-    assert stored.shape == (5, N ** 3)
+    assert stored.shape == (len(cases), N ** 3)
     got = sixj._dense(N, stored, np.array(right))
     i = np.indices((N,) * 4)
-    for t in range(5):
+    for t in range(len(cases)):
         want = (_oracle_pos if right[t] else _oracle_neg)(root, labs[t],
                                                           a[t], c[t])
         scale = np.max(np.abs(want))
@@ -138,15 +146,13 @@ def test_stacked_kernel_matches_dense_twist(N, slice_entries, rng,
 
 @pytest.mark.parametrize("N", [3, 5, 7, 9])
 def test_support_table_meets_the_flux_and_fills_the_stored_layout(N):
-    # every row of _SUPPORT lies on its sign's flux constraint, and the
-    # stored index of the support entries covers N**3 once
-    p, j, k = np.indices((N,) * 3).reshape(3, -1)
-    stored = sixj._slice_tables(N)[1]
+    # the support entry (p, j, k) of each stored entry lies on its sign's
+    # flux constraint and maps back to that stored index through _SUPPORT
+    pjk = sixj._slice_tables(N)[1]
     for row, right in ((0, True), (1, False)):
-        legs = np.array(sixj._SUPPORT[row]) @ [p, j, k] % N
+        legs = np.array(sixj._SUPPORT[row]) @ pjk[row] % N
         assert not (np.array(sixj._FLUX[right]) @ legs % N).any()
-        assert np.array_equal(stored[row], [N * N, N, 1] @ legs[:3])
-        assert np.array_equal(np.sort(stored[row]), np.arange(N ** 3))
+        assert np.array_equal([N * N, N, 1] @ legs[:3], np.arange(N ** 3))
 
 
 def _composites_n7(root, pairs, right):
@@ -339,7 +345,9 @@ def test_closed_form_matches_the_composite_oracle(N, k, rng, fixture_scene,
     labs = labs + labs + [lab for lab, *_ in fixture]
     right = np.array([True] * 3 + [False] * 3 + [r for _, r, *_ in fixture])
     pairs = _pairs(labs, right)
-    got = sixj._closed_form(root, pairs, right)
+    zero = [0] * len(labs)
+    got = _support(sixj._dense(N, sixj_stack(root, pairs, right, zero, zero),
+                               right), right)
     want = _support(sixj._composites(root, pairs, right), right)
     for t in range(len(labs)):
         scale = np.max(np.abs(want[t]))
@@ -368,13 +376,14 @@ def test_a_bent_dilogarithm_is_refused(N, monkeypatch):
     pairs = _pairs([lab] * 4, right)
     zero = [0] * 4
     dilog = sixj._dilog
-    peak = np.abs(dilog(RootData(N), pairs, np.array(right))).argmax(axis=1)
+    peak = np.abs(dilog(RootData(N), pairs, np.array(right))[0]).argmax(
+        axis=1)
     for t in (1, 2):
         for n in peak[t] + np.array([-1, 0, 1]):
             def bent(root, pairs, right, t=t, n=n % N):
-                h = dilog(root, pairs, right)
+                h, *roots = dilog(root, pairs, right)
                 h[t, n] *= 1 + 1e-6
-                return h
+                return (h, *roots)
             monkeypatch.setattr(sixj, "_dilog", bent)
             with pytest.raises(NotScalarError,
                                match=f"closed form probe .* of tensor {t} "):
@@ -449,27 +458,28 @@ def test_kernel_refuses_an_intertwiner_mixed_on_its_multiplicity(
         sixj_stack(RootData(N), pairs, right, zero, zero)
 
 
-def test_twist_checks_exactly_the_operator_pairs(root3):
-    # op_sqrtR / op_sqrtL check (k, l), (i, j) and (j, l), also at zero
-    # charge; the (i, n) leg carries no twist operator and is not checked
+def test_kernel_refuses_a_singular_leg_pair(root3):
+    # a zero x on either side of any leg pair, of either sign, uncharged or
+    # charged, is refused by the real roots of the dilogarithm and the
+    # twist or, on the (i, n) pair, by those of the intertwiner; a NaN y on
+    # the g side reaches the guard
     lab = LabelSix.from_generators(I0, J0, L0)
-    right = np.array([True, False])
+    right = [True, False]
     pairs = _pairs([lab, lab], right)
-    zero = np.zeros(2, dtype=int)
-    tensors = np.ones((2,) + (3,) * 3, dtype=complex)
 
-    def twist(t, leg, side, value):
+    def stack(t, leg, side, xy, value, charge):
         p = pairs.copy()
-        p[t, leg, side, 0] = value
-        return sixj._twist(root3, p, right, zero, zero, tensors)
-    for t, leg in ((0, 3), (1, 0)):
-        assert np.allclose(twist(t, leg, 0, 0.0), tensors)
-        assert np.allclose(twist(t, leg, 1, np.nan), tensors)
-    for t, leg in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)):
-        with pytest.raises(BadOperands):
-            twist(t, leg, 0, 0.0)
-        with pytest.raises(NegativeBase):
-            twist(t, leg, 1, np.nan)
+        p[t, leg, side, xy] = value
+        return sixj_stack(root3, p, right, [charge] * 2, [-charge] * 2)
+    for charge in (0, 1):
+        for t in (0, 1):
+            for leg in range(4):
+                for side in (0, 1):
+                    with pytest.raises(ZeroX):
+                        stack(t, leg, side, 0, 0.0, charge)
+                with np.errstate(invalid="ignore"), \
+                        pytest.raises(NotScalarError):
+                    stack(t, leg, 0, 1, np.nan, charge)
 
 
 def test_stacked_psi_raises_where_psi_coeffs_does(root5, rng):
