@@ -783,6 +783,23 @@ def test_move_walk_digest_is_pinned():
     assert digest.hexdigest() == WALK_DIGEST
 
 
+# SHA-256 of the documents of every scene the four excursions above build.
+# Unlike ``_canonical`` a document follows the gluing order of the complex,
+# so this pins what ``cyclic6j move`` writes byte for byte.
+DOCUMENT_DIGEST = ("734d2e4579a0f03bb8050f0e1df54a52"
+                   "608a0f610ab38854e8bae4e044ea555c")
+
+
+def test_move_walk_documents_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for _, out in _excursion(seed, top=30, bottom=8):
+            if isinstance(out, Scene):
+                digest.update(json.dumps(scene_document(out),
+                                         sort_keys=True).encode())
+    assert digest.hexdigest() == DOCUMENT_DIGEST
+
+
 def test_smith_solver_matches_the_oracle_on_every_walk_system(monkeypatch):
     calls, solve = [], triangulation._smith_solve
 
