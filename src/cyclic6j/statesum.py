@@ -105,9 +105,9 @@ def _weights(root: RootData, T: TriComplex,
     """The 6j tensors of the tetrahedra ``tets``, of sorted corners ``vs``
     and signs ``right``, each on its flux support as :func:`sixj_stack`
     returns it, and the label pairs of their legs."""
-    leg = _edge_colors(T, coloring)
-    i, j, l = (np.stack(leg(vs[:, p], vs[:, p + 1], tets), axis=1)
-               for p in range(3))
+    leg = _edge_colors(T, coloring, tets)
+    i, j, l = (np.stack(leg(vs[:, p], vs[:, p + 1], np.arange(len(tets))),
+                        axis=1) for p in range(3))
     pairs = _leg_pairs(_label_stack(i, j, l), right)
     doubled = np.array(charge)[tets]
     a, c = (doubled[np.arange(len(tets)), _EDGE_SLOT[vs[:, p], vs[:, p + 1]]]

@@ -21,13 +21,24 @@ names the tetrahedra it removes and lists the new ones by the vertex
 classes of their corners.  The routine glues faces by matching vertex
 triples and carries the ranks, link, coloring and charge across.
 
+A loaded document is checked whole: ``TriComplex`` checks every gluing,
+closedness, orientation and quasi-regularity, and ``load_document`` the
+link, the cocycle on every face and the charge of every tetrahedron and
+edge class.  A move works in the size of its star: it derives the new
+complex from the old one and checks only the new gluings, the new
+tetrahedra's edges and faces, the edge classes of the star and the
+vertices whose link edges changed.  Since the boundary of the star is
+kept, everything else was checked before and is carried unchanged.
+
 Local index conventions (normative for the JSON format): corners 0..3,
 face f is opposite corner f, edges 0..5 enumerate the corner pairs
 (0,1),(0,2),(0,3),(1,2),(1,3),(2,3), opposite edge pairs (0,5),(1,4),(2,3).
 """
 from __future__ import annotations
 
+import bisect
 import copy
+import functools
 import itertools
 import math
 import sys
@@ -142,15 +153,95 @@ _GLUING_FAULTS = (
     (NotClosed, "face {b} glued twice"))
 
 
+def _gluing_rows(gluings, n: int) -> np.ndarray:
+    """The gluings as rows: sides ``ta, fa, tb, fb``, then the three corner
+    pairs, sorted.  A map without three pairs gets corner -1, which no
+    face has; an index past int64 is clipped out of range."""
+    rows = [(*g.a, *g.b, *itertools.chain.from_iterable(
+        sorted(g.corner_map) if len(g.corner_map) == 3
+        else [(-1, -1)] * 3)) for g in gluings]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 10)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, 10).clip(
+            -1, 4 * n).astype(np.int64)
+
+
+def _check_gluings(rows: list, gluings, orientations, free) -> list:
+    """Check gluings, as ``rows`` (lists of the sides and three sorted
+    corner pairs) and as ``gluings``, that must glue each face of ``free``
+    exactly once: each names two faces and a bijection of their corners,
+    and reverses the face orientation.  Raises for the first faulty gluing
+    at its first failing check, then for the first face left unglued,
+    then for the first gluing of the wrong orientation; returns their
+    corner permutations."""
+    n, free = len(orientations), set(free)
+    for g, (ta, fa, tb, fb, *pairs) in zip(gluings, rows):
+        faults = [not (0 <= ta < n and 0 <= fa < 4),
+                  not (0 <= tb < n and 0 <= fb < 4),
+                  (ta, fa) == (tb, fb),
+                  tuple(pairs[0::2]) != FACE_CORNERS[fa % 4]
+                  or tuple(sorted(pairs[1::2])) != FACE_CORNERS[fb % 4]]
+        for side in (4 * ta + fa, 4 * tb + fb):
+            faults.append(side not in free)     # glued before
+            free.discard(side)
+        if any(faults):
+            error, message = _GLUING_FAULTS[faults.index(True)]
+            raise error(message.format(a=g.a, b=g.b))
+    if free:
+        raise NotClosed("face ({}, {}) is unglued".format(*divmod(min(free), 4)))
+    perms = []
+    for g, (ta, fa, tb, fb, *pairs) in zip(gluings, rows):
+        perm = [0] * 4
+        for c, d in zip(pairs[0::2] + [fa], pairs[1::2] + [fb]):
+            perm[c] = d
+        if _SIGN[tuple(perm)] != -orientations[ta] * orientations[tb]:
+            raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
+                                "the face orientation")
+        perms.append(perm)
+    return perms
+
+
+def _gluing_perms(rows: np.ndarray, gluings, orientations) -> np.ndarray:
+    """The corner permutations of all gluings of a complex at once, when
+    they pass the checks of :func:`_check_gluings`; else that function
+    finds the first fault and raises it."""
+    n = len(orientations)
+    tets, faces = rows[:, 0:3:2], rows[:, 1:4:2]
+    ca, cb = rows[:, 4::2], rows[:, 5::2]
+    covered = np.bincount(np.clip(4 * tets + faces, -1, 4 * n).ravel() + 1,
+                          minlength=4 * n + 2)[1:-1]
+    if rows[:, :4].min(initial=0) >= 0 and (tets < n).all() \
+            and (faces < 4).all() and (covered == 1).all() \
+            and (np.stack([ca, np.sort(cb)], axis=1)
+                 == _FACE_CORNER_ARRAY[faces]).all():
+        m = len(rows)
+        perm = np.empty((m, 4), dtype=np.int64)
+        perm[np.arange(m)[:, None], ca] = cb
+        perm[np.arange(m), faces[:, 0]] = faces[:, 1]
+        if (_SIGN[tuple(perm.T)]
+                * np.array(orientations)[tets].prod(axis=1) == -1).all():
+            return perm
+    return np.array(_check_gluings(rows.tolist(), gluings, orientations,
+                                   range(4 * n)))
+
+
+def _edge_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge slots ``6 t + e`` each gluing identifies: those of the
+    three corner pairs of either side's face."""
+    return tuple(6 * rows[:, [side]] + _EDGE_SLOT[c[:, [0, 0, 1]],
+                                                  c[:, [1, 2, 2]]]
+                 for side, c in ((0, rows[:, 4::2]), (2, rows[:, 5::2])))
+
+
 def _classes(*kinds: tuple[int, np.ndarray, np.ndarray]) -> list:
     """Per ``(size, a, b)`` of ``kinds``, the classes of ``a[i] ~ b[i]`` on
-    ``range(size)``: each slot's class, numbered by first appearance, and
-    the count.  The kinds are stacked at consecutive offsets.
+    ``range(size)``, each element labelled by the smallest in its class.
+    The kinds are stacked at consecutive offsets.
 
     Hooks the larger label of each pair onto the smaller and jumps
     pointers until stable (Shiloach & Vishkin, J. Algorithms 3, 1982).  A
-    label never exceeds its slot, so it ends as its class's smallest slot,
-    and each kind's roots follow its own slot order.
+    label never exceeds its element, so it ends as its class's smallest.
     """
     sizes, a, b = zip(*kinds)
     offsets = np.cumsum((0,) + sizes)
@@ -162,18 +253,28 @@ def _classes(*kinds: tuple[int, np.ndarray, np.ndarray]) -> list:
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while not (label[label] == label).all():
             label = label[label]
-    roots, ids = np.unique(label, return_inverse=True)
-    first = np.searchsorted(roots, offsets).tolist()
-    return [(ids[lo:hi] - f, g - f) for lo, hi, f, g
-            in zip(offsets, offsets[1:], first, first[1:])]
+    return [label[lo:hi] - lo for lo, hi in zip(offsets, offsets[1:])]
 
 
-def _incidences(ids: np.ndarray, count: int, width: int) -> list[list]:
-    """Per class, its (tetrahedron, slot) cells in lexicographic order."""
-    order = np.argsort(ids, kind="stable")
-    cells = list(zip((order // width).tolist(), (order % width).tolist()))
-    ends = np.cumsum(np.bincount(ids, minlength=count)).tolist()
-    return [cells[lo:hi] for lo, hi in zip([0] + ends, ends)]
+def _first_appearance(labels: np.ndarray):
+    """The classes of equal ``labels`` (small non-negative integers),
+    numbered by first appearance: each slot's class, the count, and each
+    class's first slot."""
+    first = np.full(labels.max() + 1, labels.size)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    slots = np.sort(first[first < labels.size])
+    number = np.empty(len(first), dtype=np.int64)
+    number[labels[slots]] = np.arange(len(slots))
+    return number[labels], len(slots), slots
+
+
+def _drop(seq, removed) -> list:
+    """``seq`` without its entries at the sorted indices ``removed``."""
+    out, lo = [], 0
+    for r in removed:
+        out += seq[lo:r]
+        lo = r + 1
+    return out + list(seq[lo:])
 
 
 class TriComplex:
@@ -184,11 +285,19 @@ class TriComplex:
     to ``fb`` extends a corner map to a permutation of the corners (what
     ``partner(t, f)`` returns, as a 4-tuple indexed by corner), and the
     gluing reverses the face orientation when its sign is ``-o_a * o_b``.
-    The classes of the slots ``4 t + c``, ``6 t + e`` and ``4 t + f`` that
-    gluings identify are the vertex, edge and face classes, numbered by
-    first appearance in lexicographic (tetrahedron, local index) order.
-    Immutable; ``with_vertex_ranks`` copies only the rank tuple and shares
-    the gluings, classes and incidences, which ranks do not touch.
+    The classes of the slots ``4 t + c`` and ``6 t + e`` that gluings
+    identify are the vertex and edge classes, and each gluing is a face
+    class; all are numbered by first appearance in lexicographic
+    (tetrahedron, local index) order.
+
+    The constructor checks everything: every gluing, closedness,
+    orientation and quasi-regularity.  A move builds its complex with
+    ``_moved`` instead, from the old one and the star it swaps, and
+    checks only the new gluings and the new tetrahedra's edges; its
+    ``gluings`` are built from the rows on first use, corner maps sorted.
+    Face classes and incidences are found when asked for.  Immutable;
+    ``with_vertex_ranks`` copies only the rank tuple and shares the rest,
+    which ranks do not touch.
     """
 
     def __init__(self, orientations, gluings):
@@ -200,71 +309,120 @@ class TriComplex:
         for t, o in enumerate(self.orientations):
             if o not in (1, -1):
                 raise ParseError(f"tetrahedron {t}: orientation must be +-1")
-        # a map without three pairs gets corner -1, which no face has
-        rows = [(*g.a, *g.b, *itertools.chain.from_iterable(
-            sorted(g.corner_map) if len(g.corner_map) == 3
-            else [(-1, -1)] * 3)) for g in self.gluings]
-        try:
-            rows = np.array(rows, dtype=np.int64).reshape(-1, 10)
-        except OverflowError:  # such an index is out of range; clip it
-            rows = np.array(rows, dtype=object).reshape(-1, 10).clip(
-                -1, 4 * n).astype(np.int64)
-        tets, faces = rows[:, [0, 2]], rows[:, [1, 3]]
-        ca, cb = rows[:, 4::2], rows[:, 5::2]
-        sides = 4 * tets + faces
-        seen = np.ones(sides.size, dtype=bool)
-        seen[np.unique(sides, return_index=True)[1]] = False
-        faults = np.column_stack([
-            (tets < 0) | (tets >= n) | (faces < 0) | (faces >= 4),
-            (tets[:, 0] == tets[:, 1]) & (faces[:, 0] == faces[:, 1]),
-            (ca != _FACE_CORNER_ARRAY[faces[:, 0] % 4]).any(axis=1)
-            | (np.sort(cb) != _FACE_CORNER_ARRAY[faces[:, 1] % 4]).any(axis=1),
-            seen.reshape(-1, 2)])
-        bad = np.flatnonzero(faults.any(axis=1))
-        if bad.size:
-            g = self.gluings[bad[0]]
-            error, message = _GLUING_FAULTS[np.argmax(faults[bad[0]])]
-            raise error(message.format(a=g.a, b=g.b))
-        covered = np.bincount(sides.ravel(), minlength=4 * n)
-        if not covered.all():
-            t, f = divmod(int(np.argmin(covered)), 4)
-            raise NotClosed(f"face ({t}, {f}) is unglued")
+        rows = _gluing_rows(self.gluings, n)
+        perm = _gluing_perms(rows, self.gluings, self.orientations)
+        (ta, tb), ca, cb = rows[:, [0, 2]].T, rows[:, 4::2], rows[:, 5::2]
+        vc, ec = _classes((4 * n, 4 * ta[:, None] + ca, 4 * tb[:, None] + cb),
+                          (6 * n, *_edge_pairs(rows)))
+        self._set_classes(rows, perm, vc, ec, 0)
+        self.vertex_rank = tuple(range(self.n_vertices))
 
-        (ta, tb), (fa, fb) = tets.T, faces.T
-        perm = np.empty((len(rows), 4), dtype=np.int64)
-        perm[np.arange(len(rows))[:, None], ca] = cb
-        perm[np.arange(len(rows)), fa] = fb
-        o = np.array(self.orientations)
-        wrong = np.flatnonzero(_SIGN[tuple(perm.T)] != -o[ta] * o[tb])
-        if wrong.size:
-            g = self.gluings[wrong[0]]
-            raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
-                                "the face orientation")
-        # the edges of the three corner pairs of each side's face
-        ea = 6 * ta[:, None] + _EDGE_SLOT[ca[:, [0, 0, 1]], ca[:, [1, 2, 2]]]
-        eb = 6 * tb[:, None] + _EDGE_SLOT[cb[:, [0, 0, 1]], cb[:, [1, 2, 2]]]
-        (vc, self.n_vertices), (ec, self.n_edges), (fc, self.n_faces) = \
-            _classes((4 * n, 4 * ta[:, None] + ca, 4 * tb[:, None] + cb),
-                     (6 * n, ea, eb), (4 * n, *sides.T))
-        self._vertex_classes = vc.reshape(n, 4)
-        self._edge_classes = ec.reshape(n, 6)
-        loops = np.flatnonzero(self._vertex_classes[:, _EDGE_ENDS[0]]
-                               == self._vertex_classes[:, _EDGE_ENDS[1]])
+    @classmethod
+    def _moved(cls, T: "TriComplex", removed: list[int], tags,
+               orientations: tuple[int, ...], dropped: list[int],
+               gluings: list[Gluing]):
+        """The complex a star swap makes of ``T``, built from ``T``.
+
+        ``T`` loses the sorted tetrahedra ``removed`` and the gluings at
+        the indices ``dropped`` (those of the removed faces and any it
+        unglues); the kept tetrahedra keep their order and the new ones,
+        their corners tagged by ``tags``, follow with the given
+        ``orientations``.  The new ``gluings`` match equal tags, each
+        joining two faces the kept gluings leave free.
+
+        Only the new gluings and the new tetrahedra's edges are checked.
+        Every corner is labelled by its tag, a kept one by its old vertex
+        class, and every edge slot by its old class or a fresh id joined
+        over the new gluings; renumbering by first appearance gives the
+        classes the constructor would.  Returns the complex, ranked with
+        the old vertices in their old order and then the new tags, and
+        the maps from old vertex labels (tags) and old edge classes to
+        their new classes, -1 where gone.
+        """
+        keep = np.ones(T.n_tets, dtype=bool)
+        keep[removed] = False
+        stay = np.ones(len(T._rows), dtype=bool)
+        stay[dropped] = False
+        kept = T._rows[stay]
+        kept[:, 0:3:2] -= np.searchsorted(removed, kept[:, 0:3:2])
+        new = _gluing_rows(gluings, len(orientations))
+        # the new gluings must glue the new faces and the kept sides of
+        # the dropped gluings
+        base = T.n_tets - len(removed)
+        free = [4 * (t - bisect.bisect(removed, t)) + f
+                for t, f in T._rows[dropped][:, :4].reshape(-1, 2).tolist()
+                if keep[t]] + list(range(4 * base, 4 * len(orientations)))
+        rows = np.concatenate([kept, new])
+        perm = np.concatenate([T._perm[stay], np.reshape(_check_gluings(
+            new.tolist(), gluings, orientations, free), (-1, 4))])
+        tags = np.array(tags, dtype=np.int64).reshape(-1, 4)
+        old_edges = T._edge_classes[keep].ravel()
+        vertex_labels = np.concatenate([T._vertex_classes[keep].ravel(),
+                                        tags.ravel()])
+        n_labels = T.n_edges + 6 * len(tags)
+        edge_labels = np.concatenate([old_edges,
+                                      np.arange(T.n_edges, n_labels)])
+        # join the labels the new gluings identify
+        joined, = _classes((n_labels, *(edge_labels[s]
+                                        for s in _edge_pairs(new))))
+        out = object.__new__(cls)
+        out.orientations = orientations
+        first = out._set_classes(rows, perm, vertex_labels,
+                                 joined[edge_labels], base)
+        # old vertices keep their order of rank, and a new tag ranks as
+        # itself, after them
+        size = max(T.n_vertices, vertex_labels.max() + 1)
+        rank = np.empty(out.n_vertices, dtype=np.int64)
+        rank[np.argsort(np.concatenate([
+            T.vertex_rank, np.arange(T.n_vertices, size)])[
+            vertex_labels[first]])] = np.arange(out.n_vertices)
+        out.vertex_rank = tuple(rank.tolist())
+        vertex_map = np.full(size, -1)
+        vertex_map[vertex_labels] = out._vertex_classes.ravel()
+        edge_map = np.full(T.n_edges, -1)
+        edge_map[old_edges] = out._edge_classes[:base].ravel()
+        return out, vertex_map, edge_map
+
+    def _set_classes(self, rows, perm, vertex_labels, edge_labels,
+                     checked: int) -> np.ndarray:
+        """Number the classes of the slot labels, refuse a loop edge in the
+        tetrahedra from ``checked`` on and lay out the accessors; returns
+        each vertex class's first slot."""
+        n = len(self.orientations)
+        # one numbering of both kinds, the vertex slots first
+        ids, count, first = _first_appearance(np.concatenate(
+            [vertex_labels, vertex_labels.max() + 1 + edge_labels]))
+        self.n_vertices = int(np.searchsorted(first, 4 * n))
+        self.n_edges = count - self.n_vertices
+        self._vertex_classes = ids[:4 * n].reshape(n, 4)
+        self._edge_classes = (ids[4 * n:] - self.n_vertices).reshape(n, 6)
+        self._edge_first = first[self.n_vertices:] - 4 * n
+        ends = self._vertex_classes[checked:, _EDGE_ENDS]
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
         if loops.size:
             t, e = divmod(int(loops[0]), 6)
-            raise NotQuasiRegular(f"edge ({t}, {e}) is a loop at vertex "
-                                  f"{vc[4 * t + EDGE_CORNERS[e][0]]}")
-        self._vc = self._vertex_classes.tolist()
-        self._ec = self._edge_classes.tolist()
-        self._face_classes = fc.reshape(n, 4)
-        self._fc = self._face_classes.tolist()
-        self._vertex_inc = _incidences(vc, self.n_vertices, 4)
-        self._edge_inc = _incidences(ec, self.n_edges, 6)
-        other = np.empty((4 * n, 6), dtype=np.int64)
-        other[sides[:, 0]] = np.column_stack([tb, fb, perm])
-        other[sides[:, 1]] = np.column_stack([ta, fa, np.argsort(perm)])
-        self._partner = [(t, f, tuple(p)) for t, f, *p in other.tolist()]
-        self.vertex_rank = tuple(range(self.n_vertices))
+            raise NotQuasiRegular(
+                f"edge ({checked + t}, {e}) is a loop at vertex "
+                f"{ends[t, 0, e]}")
+        self._rows, self._perm = rows, perm
+        self._gluing_of = np.empty(4 * n, dtype=np.int64)
+        self._gluing_of[4 * rows[:, 0:3:2] + rows[:, 1:4:2]] = \
+            np.arange(len(rows))[:, None]
+        # flat lists, which the garbage collector does not track
+        self._vc = ids[:4 * n].tolist()
+        self._ec = self._edge_classes.ravel().tolist()
+        return first[:self.n_vertices]
+
+    @functools.cached_property
+    def gluings(self) -> tuple[Gluing, ...]:
+        return tuple(Gluing((ta, fa), (tb, fb), ((c0, d0), (c1, d1), (c2, d2)))
+                     for ta, fa, tb, fb, c0, d0, c1, d1, c2, d2
+                     in self._rows.tolist())
+
+    @functools.cached_property
+    def _face_classes(self) -> np.ndarray:
+        """Per tetrahedron and face, its gluing's class."""
+        return _first_appearance(self._gluing_of)[0].reshape(-1, 4)
 
     # -- accessors ---------------------------------------------------
 
@@ -272,29 +430,57 @@ class TriComplex:
     def n_tets(self) -> int:
         return len(self.orientations)
 
+    @property
+    def n_faces(self) -> int:
+        return len(self._rows)
+
     def vertex_class(self, t: int, corner: int) -> int:
-        return self._vc[t][corner]
+        return self._vc[4 * t + corner]
 
     def edge_class(self, t: int, e: int) -> int:
-        return self._ec[t][e]
+        return self._ec[6 * t + e]
 
     def face_class(self, t: int, f: int) -> int:
-        return self._fc[t][f]
+        return int(self._face_classes[t, f])
 
     def partner(self, t: int, f: int) -> tuple[int, int, tuple[int, ...]]:
-        return self._partner[4 * t + f]
+        g = self._gluing_of[4 * t + f]
+        ta, fa, tb, fb = self._rows[g, :4].tolist()
+        perm = self._perm[g].tolist()
+        if (ta, fa) == (t, f):
+            return tb, fb, tuple(perm)
+        return ta, fa, tuple(perm.index(c) for c in range(4))
 
     def edge_incidences(self, cls: int) -> list[tuple[int, int]]:
-        return list(self._edge_inc[cls])
+        return self._edge_cells([cls])[cls]
+
+    def _edge_cells(self, classes=None) -> dict[int, list[tuple[int, int]]]:
+        """The (tetrahedron, edge) cells of each of the edge ``classes``
+        (all by default), in lexicographic order."""
+        if classes is None:
+            classes, slots = range(self.n_edges), range(len(self._ec))
+        else:
+            wanted = np.zeros(self.n_edges, dtype=bool)
+            wanted[list(classes)] = True
+            slots = np.flatnonzero(wanted[self._edge_classes]).tolist()
+        cells = {cls: [] for cls in classes}
+        for slot in slots:
+            cells[self._ec[slot]].append(divmod(slot, 6))
+        return cells
+
+    def _first_cell(self, cls: int) -> tuple[int, int]:
+        """The first (tetrahedron, edge) cell of an edge class."""
+        return divmod(int(self._edge_first[cls]), 6)
 
     def vertex_incidences(self, cls: int) -> list[tuple[int, int]]:
-        return list(self._vertex_inc[cls])
+        return [divmod(s, 4) for s in
+                np.flatnonzero(self._vertex_classes == cls).tolist()]
 
     def edge_ends(self, cls: int) -> tuple[int, int]:
         """Endpoint vertex classes of an edge class, as (low id, high id)."""
-        t, e = self._edge_inc[cls][0]
+        t, e = self._first_cell(cls)
         a, b = EDGE_CORNERS[e]
-        u, w = self._vc[t][a], self._vc[t][b]
+        u, w = self._vc[4 * t + a], self._vc[4 * t + b]
         return (u, w) if u < w else (w, u)
 
     def with_vertex_ranks(self, ranks) -> "TriComplex":
@@ -441,18 +627,18 @@ def scene_document(scene: Scene) -> dict:
     doc: dict = {
         "tetrahedra": [{"orientation": o} for o in T.orientations],
         "gluings": [
-            {"a": list(g.a), "b": list(g.b),
-             "corner_map": [list(p) for p in sorted(g.corner_map)]}
-            for g in T.gluings
+            {"a": [ta, fa], "b": [tb, fb],
+             "corner_map": [[c0, d0], [c1, d1], [c2, d2]]}
+            for ta, fa, tb, fb, c0, d0, c1, d1, c2, d2 in T._rows.tolist()
         ],
     }
     if scene.link:
-        doc["link"] = [list(T.edge_incidences(cls)[0])
+        doc["link"] = [list(T._first_cell(cls))
                        for cls in sorted(scene.link)]
     if scene.coloring is not None:
         entries = []
         for cls in sorted(scene.coloring):
-            t, e = T.edge_incidences(cls)[0]
+            t, e = T._first_cell(cls)
             start = min(EDGE_CORNERS[e], key=lambda c: T.vertex_class(t, c))
             g = scene.coloring[cls]
             entries.append({"edge": [t, e], "from_corner": start,
@@ -465,27 +651,30 @@ def scene_document(scene: Scene) -> dict:
     return doc
 
 
-def _edge_colors(T: TriComplex, coloring: dict[int, GroupElement]):
+def _edge_colors(T: TriComplex, coloring: dict[int, GroupElement],
+                 tets=slice(None)):
     """``leg(u, w, rows)``: x and y of the color of the edge from corner
-    ``u`` to corner ``w`` of the tetrahedra ``rows`` (all by default), with
-    the float operations of ``color_of``."""
-    x, y = np.array([(coloring[cls].x, coloring[cls].y)
-                     for cls in range(T.n_edges)]).T
-    cx, cy = np.array([x, -x / y]), np.array([y, 1.0 / y])
-    vc, ec = T._vertex_classes, T._edge_classes
+    ``u`` to corner ``w`` of the tetrahedra ``tets[rows]`` (all of them by
+    default), with the float operations of ``color_of``.  Only the colors
+    on ``tets`` are read."""
+    vc, ec = T._vertex_classes[tets], T._edge_classes[tets]
+    xy = np.array([(coloring[cls].x, coloring[cls].y)
+                   for cls in ec.ravel().tolist()]).reshape(-1, 6, 2)
 
     def leg(u, w, rows=slice(None)):
-        inverse = (vc[rows, u] > vc[rows, w]).astype(int)
-        cls = ec[rows, _EDGE_SLOT[u, w]]
-        return cx[inverse, cls], cy[inverse, cls]
+        e = _EDGE_SLOT[u, w]
+        inverse = vc[rows, u] > vc[rows, w]
+        gx, gy = xy[rows, e, 0], xy[rows, e, 1]
+        return np.where(inverse, -gx / gy, gx), np.where(inverse, 1.0 / gy, gy)
     return leg
 
 
-def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement]) -> None:
-    """g_ab g_bc = g_ac on every face at once, to ``group_close`` tolerance
-    and with the float operations of ``group_mul``; the first failing face
-    is reported."""
-    leg = _edge_colors(T, coloring)
+def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement],
+                   first: int = 0) -> None:
+    """g_ab g_bc = g_ac on every face of the tetrahedra from ``first`` on,
+    at once, to ``group_close`` tolerance and with the float operations of
+    ``group_mul``; the first failing face is reported."""
+    leg = _edge_colors(T, coloring, slice(first, None))
     a, b, c = _FACE_CORNER_ARRAY.T      # per face, corners a < b < c
     (x1, y1), (x2, y2), (x3, y3) = leg(a, b), leg(b, c), leg(a, c)
     x, y = x1 + y1 * x2, y1 * y2
@@ -497,9 +686,9 @@ def _check_cocycle(T: TriComplex, coloring: dict[int, GroupElement]) -> None:
     if bad.size:
         t, f = divmod(int(bad[0]), 4)
         if not in_group[t, f]:
-            raise BadOperands(f"face ({t}, {f}): an edge color leaves "
-                              "the group")
-        raise BadColoring(f"face ({t}, {f}): edge colors do not "
+            raise BadOperands(f"face ({first + t}, {f}): an edge color "
+                              "leaves the group")
+        raise BadColoring(f"face ({first + t}, {f}): edge colors do not "
                           "satisfy the cocycle condition")
 
 
@@ -572,7 +761,10 @@ def _smith_solve(rows: list[dict[int, int]], rhs: list[int],
     for k in range(min(m, nvars)):
         best = (math.inf,)
         for i in range(k, m):   # the rows from k hold columns from k only
-            best = min([best, *((abs(v), i, j) for j, v in A[i].items())])
+            for j, v in A[i].items():
+                if abs(v) < best[0] or abs(v) == best[0] and i == best[1] \
+                        and j < best[2]:
+                    best = (abs(v), i, j)
             if best[0] == 1:
                 break
         if best[0] == math.inf:
@@ -594,8 +786,11 @@ def _smith_solve(rows: list[dict[int, int]], rhs: list[int],
                     dirty = True
             for j in sorted(j for j in A[k] if j > k):
                 q = A[k][j] // A[k][k]
-                for row in [row for row in A[k:] if k in row]:
-                    subtract(row, {j: row[k]}, q)
+                for row in A[k:]:
+                    if k in row:
+                        w = row.pop(j, 0) - q * row[k]
+                        if w:
+                            row[j] = w
                 subtract(V[j], V[k], q)
                 if j in A[k]:
                     swap_columns(j, k)
@@ -611,21 +806,24 @@ def _smith_solve(rows: list[dict[int, int]], rhs: list[int],
 
 
 def _charge_rows(T: TriComplex, link: frozenset[int], tets: list[int],
-                 fixed: dict[int, int] | None = None):
+                 fixed=None):
     """Rows of the doubled charge system over the pair variables of ``tets``,
     each a ``{variable: coefficient}`` dict.
 
-    ``fixed`` maps a tetrahedron to known doubled values (6-slot rows) for
-    tetrahedra outside ``tets``; their contributions move to the right side.
+    ``fixed`` holds the known doubled values (6-slot rows) of the
+    tetrahedra outside ``tets``, by tetrahedron; their contributions move
+    to the right side.
     """
     var_of = {(t, p): 3 * i + p for i, t in enumerate(tets) for p in range(3)}
     # one face-sum row per tetrahedron: its three pair variables sum to 1
     rows = [{3 * i + p: 1 for p in range(3)} for i in range(len(tets))]
     rhs = [1] * len(tets)
-    for cls in sorted({T.edge_class(t, e) for t in tets for e in range(6)}):
+    cells = T._edge_cells(sorted({T.edge_class(t, e) for t in tets
+                                  for e in range(6)}))
+    for cls, incidences in cells.items():
         row = {}
         target = _edge_target(link, cls)
-        for (t, e) in T.edge_incidences(cls):
+        for (t, e) in incidences:
             v = var_of.get((t, _PAIR_OF_EDGE[e]))
             if v is None:
                 target -= fixed[t][e]
@@ -654,19 +852,24 @@ def find_charge(T: TriComplex, link: frozenset[int]) -> DoubledCharge:
     return charge
 
 
-def validate_charge(T: TriComplex, link: frozenset[int],
-                    c: DoubledCharge) -> None:
-    if len(c) != T.n_tets or any(len(r) != 6 for r in c):
+def validate_charge(T: TriComplex, link: frozenset[int], c: DoubledCharge,
+                    tets=None, classes=None) -> None:
+    """Check the rows of ``tets`` and the incidence sums of the edge
+    ``classes`` (all of either by default)."""
+    tets = range(T.n_tets) if tets is None else tets
+    if len(c) != T.n_tets or any(len(c[t]) != 6 for t in tets):
         raise BadCharge("charge shape does not match the complex")
-    for t, row in enumerate(c):
+    for t in tets:
+        row = c[t]
         for e in range(6):
             if row[e] != row[OPPOSITE_EDGE[e]]:
                 raise BadCharge(f"tetrahedron {t}: opposite edges {e}, "
                                 f"{OPPOSITE_EDGE[e]} carry different charges")
         if row[0] + row[1] + row[2] != 1:
             raise BadCharge(f"tetrahedron {t}: face sum is not 1/2")
-    for cls in range(T.n_edges):
-        total = sum(c[t][e] for t, e in T.edge_incidences(cls))
+    for cls, cells in T._edge_cells(
+            None if classes is None else sorted(classes)).items():
+        total = sum(c[t][e] for t, e in cells)
         if total != _edge_target(link, cls):
             raise BadCharge(f"edge class {cls}: incidence sum {total}/2, "
                             f"expected {_edge_target(link, cls)}/2")
@@ -712,7 +915,7 @@ def deform_charge(T: TriComplex, link: frozenset[int], c: DoubledCharge,
     """
     delta = np.zeros((T.n_tets, 6), dtype=np.int64)
     for (t, s, p, q, r_from, r_to) in _edge_walk(
-            T, *T.edge_incidences(edge_cls)[0]):
+            T, *T._first_cell(edge_cls)):
         delta[t, _EDGE_INDEX[(q, r_to)]] += 1
         t2, _, cmap = T.partner(t, r_from)
         delta[t2, _EDGE_INDEX[(cmap[q], cmap[r_to])]] -= 1
@@ -737,68 +940,89 @@ def _regular(g: GroupElement, margin: float = 1e-6) -> bool:
     return not (abs(g.x) < margin or abs(g.x) / g.y < margin)
 
 
-def _transport_coloring(T_old, coloring, T_new, edge_map, vertex_map,
-                        new_edges):
+def _transport_coloring(T_old, coloring, T_new, vertex_map, edge_map,
+                        new_edges, first: int):
     """Carry edge colors across a move.
 
-    ``edge_map`` and ``vertex_map`` send surviving old classes to new ones;
-    ``new_edges`` maps the edge classes the move creates to their colors,
-    each oriented from the first to the second new vertex class given.
+    ``vertex_map`` and ``edge_map`` send surviving old classes to new ones
+    (arrays, -1 where gone); ``new_edges`` maps the edge classes the move
+    creates to their colors, each oriented from the first to the second
+    new vertex class given.  A carried color is inverted where the new
+    numbering reverses the order of its edge's ends.  Only the faces of
+    the new tetrahedra, from ``first`` on, are checked: the kept faces
+    keep their colors.
     """
-    carried = {edge_map[cls]: (vertex_map[T_old.edge_ends(cls)[0]], g)
-               for cls, g in coloring.items() if cls in edge_map}
-    out = {cls: g if u == T_new.edge_ends(cls)[0] else group_inv(g)
-           for cls, (u, g) in {**carried, **new_edges}.items()}
-    missing = set(range(T_new.n_edges)) - set(out)
+    kept = np.flatnonzero(edge_map >= 0)
+    source = np.empty(len(kept), dtype=np.int64)
+    source[edge_map[kept]] = kept       # the carried classes come first
+    t, e = np.divmod(T_old._edge_first[source], 6)
+    old = T_old._vertex_classes[t[:, None], _EDGE_ENDS.T[e]]
+    new = vertex_map[old]
+    colors = list(map(coloring.__getitem__, source.tolist()))
+    for cls in np.flatnonzero((old[:, 0] < old[:, 1])
+                              != (new[:, 0] < new[:, 1])).tolist():
+        colors[cls] = group_inv(colors[cls])
+    out = dict(enumerate(colors))
+    out.update((cls, g if u == T_new.edge_ends(cls)[0] else group_inv(g))
+               for cls, (u, g) in new_edges.items())
+    missing = [cls for cls in range(len(kept), T_new.n_edges)
+               if cls not in out]
     if missing:
-        raise TopologyError(f"coloring transport missed classes {sorted(missing)}")
-    _check_cocycle(T_new, out)
+        raise TopologyError(f"coloring transport missed classes {missing}")
+    _check_cocycle(T_new, out, first)
     return out
 
 
-def _transport_charge(T_new, link_new, rows,
-                      new_tets: range) -> DoubledCharge:
+def _transport_charge(T_new, link_new, rows, new_tets: range,
+                      touched) -> DoubledCharge:
     """Complete the surviving charge ``rows`` over the tetrahedra created by
     a move.
 
     Solves the local doubled system (tetrahedron sums plus incidence sums
-    of every touched edge class, with surviving charges fixed) and picks
-    the minimal-norm integral solution, ties broken lexicographically
-    over (tetrahedron, edge) doubled values.  The surviving rows are the
-    same in every candidate, so the key holds the rows of ``new_tets``
-    only, in increasing order.
+    of every edge class the new tetrahedra touch, with surviving charges
+    fixed) with ``_smith_solve``.  When the solution is not unique and the
+    kernel has at most four vectors, every combination of the particular
+    solution with kernel coefficients within one of the least-squares
+    point's is tried, and the one of least norm wins, ties broken
+    lexicographically over the new rows' doubled values in (tetrahedron,
+    edge) order.  That is the least-norm integral solution when the kernel
+    has dimension 1, or when the least-squares point is integral; past
+    that it need not be.  The walks meet kernels of dimension 0 (pachner-,
+    bubble-), 1 (pachner+) and 2 (bubble+, whose least-squares point gives
+    each new edge at the new vertex half its target on either side).
+    Only the new rows and the ``touched`` edge classes are checked: the
+    other classes keep their incidences and their charges.
     """
-    eqs, rhs, _ = _charge_rows(T_new, link_new, list(new_tets),
-                               fixed={t: r for t, r in enumerate(rows)
-                                      if r is not None})
+    eqs, rhs, _ = _charge_rows(T_new, link_new, list(new_tets), fixed=rows)
     sol = _smith_solve(eqs, rhs, 3 * len(new_tets))
     if sol is None:
         raise NoCharge("charge transport system is inconsistent")
     x0, kernel = sol
 
-    def key(x):
-        flat = tuple(x[3 * i + p] for i in range(len(new_tets))
-                     for p in _PAIR_OF_EDGE)
-        return sum(v * v for v in flat), flat
-
     if kernel and len(kernel) <= 4:
-        K = np.array(kernel, dtype=float).T
-        lam, *_ = np.linalg.lstsq(K, -np.array(x0, dtype=float), rcond=None)
+        K = np.array(kernel)
+        # in both cases above the grid holds the optimum whichever float
+        # method finds the least-squares point
+        lam = np.linalg.solve(K @ K.T, -(K @ x0)).tolist()
         grids = [range(int(np.floor(v)) - 1, int(np.ceil(v)) + 2) for v in lam]
-        x0 = min(([x0[j] + sum(c * kernel[i][j] for i, c in enumerate(combo))
-                   for j in range(len(x0))]
-                  for combo in itertools.product(*grids)), key=key)
+        x = x0 + np.array(list(itertools.product(*grids))) @ K
+        # each pair variable fills two slots of its row, in the order
+        # (p, q, r, r, q, p), so the norm and the order of the slot values
+        # are those of the variables
+        x0 = x[np.lexsort((*x.T[::-1], (x * x).sum(axis=1)))[0]].tolist()
     for i, t in enumerate(new_tets):
-        rows[t] = [x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6)]
-    out = tuple(tuple(r) for r in rows)
-    validate_charge(T_new, link_new, out)
+        rows[t] = tuple(x0[3 * i + _PAIR_OF_EDGE[e]] for e in range(6))
+    out = tuple(rows)
+    validate_charge(T_new, link_new, out, new_tets, touched)
     return out
 
 
-def _tet_ends(tets) -> list:
+def _tet_ends(tets, first: int = 0) -> list:
     """The faces of tetrahedra given by the tags of their corners, as ends:
-    face f of tetrahedron t is entry ``4 t + f``, ``((t, f), tets[t])``."""
-    return [((t, f), tags) for t, tags in enumerate(tets) for f in range(4)]
+    face f of tetrahedron ``first + t`` is entry ``4 t + f``,
+    ``((first + t, f), tets[t])``."""
+    return [((first + t, f), tags) for t, tags in enumerate(tets)
+            for f in range(4)]
 
 
 def _glue_faces(ends, first=()) -> list[Gluing]:
@@ -848,75 +1072,89 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
     ``link`` is the edited link in old classes (default: unchanged) and
     ``new_link`` adds new edges as tag pairs; ``new_colors`` maps a tag
     pair to the color of the new edge oriented from the first tag.
+
+    The work is in the size of the star.  ``TriComplex._moved`` derives
+    the new complex from the old one and checks the new gluings and
+    tetrahedra only.  A swap keeps the star's boundary, so the kept slots
+    keep their partition into classes, the kept faces their colors and
+    the kept rows their charges; hence the link is checked at the
+    vertices whose link edges changed, the cocycle on the new faces, and
+    the charge on the new rows and the edge classes of the star.
     """
     T = scene.complex
-    keep = [t for t in range(T.n_tets) if t not in removed]
-    keep_index = {t: i for i, t in enumerate(keep)}
-    base = len(keep)
+    removed = sorted(removed)
+    gone = set(removed)
 
     def rank(tag):
         return T.vertex_rank[tag] if tag < T.n_vertices else tag
 
-    tets, orientations = [], [T.orientations[t] for t in keep]
+    def kept_end(t, f):
+        return (t - bisect.bisect(removed, t), f), T._vc[4 * t:4 * t + 4]
+
+    tets, orientations = [], _drop(T.orientations, removed)
     for tags, o in new:
         s = tuple(sorted(tags, key=rank))
         tets.append(s)
         orientations.append(o * _perm_sign([tags.index(tag) for tag in s]))
-    faces = _tet_ends([T._vc[t] for t in keep] + tets)
-
-    def kept_end(t, f):
-        return faces[4 * keep_index[t] + f]
-
-    gluings, ends = [], []
-    for g in T.gluings:
-        if g.a in glue:
-            continue
-        out_a, out_b = g.a[0] in removed, g.b[0] in removed
-        if not (out_a or out_b):
-            gluings.append(Gluing((keep_index[g.a[0]], g.a[1]),
-                                  (keep_index[g.b[0]], g.b[1]), g.corner_map))
-        elif not (out_a and out_b):
-            ends.append(kept_end(*(g.b if out_a else g.a)))
-    gluings += _glue_faces(ends + faces[4 * base:],
-                           [kept_end(*side) for side in glue])
-    T_new = TriComplex(orientations, gluings)
-
-    # the corners of T_new are the kept tetrahedra's, then the new tags
-    vertex_map = dict(zip(
-        T._vertex_classes[keep].ravel().tolist() + [v for s in tets for v in s],
-        T_new._vertex_classes.ravel().tolist()))
-    if len(vertex_map) != T_new.n_vertices:
-        raise TopologyError("vertex bookkeeping failed during the move")
-    ranks = [0] * T_new.n_vertices
-    for r, tag in enumerate(sorted(vertex_map, key=rank)):
-        ranks[vertex_map[tag]] = r
-    T_new = T_new.with_vertex_ranks(ranks)
-    edge_map = dict(zip(T._edge_classes[keep].ravel().tolist(),
-                        T_new._edge_classes[:base].ravel().tolist()))
+    base = T.n_tets - len(removed)
+    dropped = sorted({T._gluing_of[4 * t + f] for t in removed
+                      for f in range(4)}
+                     | {T._gluing_of[4 * t + f] for t, f in glue})
+    ends = []
+    for ta, fa, tb, fb in T._rows[dropped, :4].tolist():
+        if (ta in gone) != (tb in gone):
+            ends.append(kept_end(*((tb, fb) if ta in gone else (ta, fa))))
+    gluings = _glue_faces(ends + _tet_ends(tets, base),
+                          [kept_end(*side) for side in glue])
+    T_new, vertex_map, edge_map = TriComplex._moved(
+        T, removed, tets, tuple(orientations), dropped, gluings)
 
     def new_edge(u, w):
         i, s = next((i, s) for i, s in enumerate(tets) if u in s and w in s)
         return T_new.edge_class(base + i, _EDGE_INDEX[(s.index(u), s.index(w))])
 
-    link_new = {new_edge(u, w) for u, w in new_link}
-    for cls in scene.link if link is None else link:
-        if cls not in edge_map:
-            raise TopologyError(f"link class {cls} lost by the move")
-        link_new.add(edge_map[cls])
-    link_new = frozenset(link_new)
-    validate_link(T_new, link_new)
+    kept_link = list(scene.link if link is None else link)
+    carried = edge_map[kept_link].tolist()
+    if -1 in carried:
+        raise TopologyError(f"link class {kept_link[carried.index(-1)]} "
+                            "lost by the move")
+    added = {new_edge(u, w) for u, w in new_link} - set(carried)
+    link_new = frozenset(carried) | added
+    _check_link_change(T, T_new, vertex_map, scene.link, frozenset(kept_link),
+                       added)
     coloring = None
     if scene.coloring is not None:
         coloring = _transport_coloring(
-            T, scene.coloring, T_new, edge_map, vertex_map,
-            {new_edge(u, w): (vertex_map[u], g)
-             for (u, w), g in (new_colors or {}).items()})
+            T, scene.coloring, T_new, vertex_map, edge_map,
+            {new_edge(u, w): (int(vertex_map[u]), g)
+             for (u, w), g in (new_colors or {}).items()}, base)
     charge = None
     if scene.charge is not None:
-        rows = [list(scene.charge[t]) for t in keep] + [None] * len(new)
-        charge = _transport_charge(T_new, link_new, rows,
-                                   range(base, base + len(new)))
+        touched = edge_map[T._edge_classes[removed]].ravel().tolist() \
+            + T_new._edge_classes[base:].ravel().tolist()
+        charge = _transport_charge(
+            T_new, link_new, _drop(scene.charge, removed) + [None] * len(new),
+            range(base, T_new.n_tets), set(touched) - {-1})
     return Scene(T_new, link_new, coloring, charge)
+
+
+def _check_link_change(T, T_new, vertex_map, link, kept_link, added) -> None:
+    """The Hamiltonian condition at the vertices whose link edges a move
+    changed: ``link`` became ``kept_link`` in old classes, plus the
+    ``added`` new classes.  Every other vertex keeps its two link edges,
+    and a new vertex starts with none."""
+    steps = [(vertex_map[v], -1) for cls in link - kept_link
+             for v in T.edge_ends(cls)]
+    steps += [(vertex_map[v], 1) for cls in kept_link - link
+              for v in T.edge_ends(cls)]
+    steps += [(v, 1) for cls in added for v in T_new.edge_ends(cls)]
+    degree = dict.fromkeys(vertex_map[T.n_vertices:].tolist(), 0)
+    for v, step in steps:
+        degree[int(v)] = degree.get(int(v), 2) + step
+    degree.pop(-1, None)        # a vertex the move removed
+    for v, d in sorted(degree.items()):
+        if d != 2:
+            raise NotHamiltonian(f"vertex {v} lies on {d} link edges, not 2")
 
 
 def pachner_plus(scene: Scene, tet: int, face: int) -> Scene:
@@ -954,7 +1192,7 @@ def pachner_minus(scene: Scene, tet: int, edge: int) -> Scene:
     cls = T.edge_class(tet, edge)
     if cls in scene.link:
         raise MoveNotApplicable("the edge belongs to the link")
-    steps = _edge_walk(T, *T.edge_incidences(cls)[0])
+    steps = _edge_walk(T, *T._first_cell(cls))
     if len(steps) != 3:
         raise MoveNotApplicable(f"edge class {cls} has degree {len(steps)}, "
                                 "need exactly 3")

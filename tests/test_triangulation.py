@@ -726,13 +726,16 @@ def _random_move(kind: str, scene: Scene, rng) -> Scene:
     return bubble_plus(scene, t, int(rng.integers(4)))
 
 
-def _excursion(seed: int, top: int, bottom: int, patience: int = 200):
-    """Seeded moves of all four kinds at random cells, from the fixture up
-    to ``top`` tetrahedra and back down to ``bottom`` (or until
-    ``patience`` moves in a row are refused).  Yields ``(kind, scene)``
-    for every applied move and ``(kind, exception)`` for every refusal."""
+def _excursion(seed: int, top: int, bottom: int, patience: int = 200,
+               scene: Scene | None = None):
+    """Seeded moves of all four kinds at random cells, from ``scene`` (the
+    fixture by default) up to ``top`` tetrahedra and back down to
+    ``bottom`` (or until ``patience`` moves in a row are refused).  Yields
+    ``(kind, scene)`` for every applied move and ``(kind, exception)`` for
+    every refusal."""
     rng = np.random.default_rng(seed)
-    scene, kinds, refused = boundary4simplex_scene(), _UP, 0
+    scene = boundary4simplex_scene() if scene is None else scene
+    kinds, refused = _UP, 0
     while refused < patience:
         if scene.complex.n_tets >= top:
             kinds = _DOWN
@@ -798,6 +801,155 @@ def test_move_walk_documents_are_pinned():
                 digest.update(json.dumps(scene_document(out),
                                          sort_keys=True).encode())
     assert digest.hexdigest() == DOCUMENT_DIGEST
+
+
+def _full_moved(cls, T, removed, tags, orientations, dropped, gluings):
+    """The oracle of ``TriComplex._moved``: the kept and the new gluings
+    through the validating constructor, with the vertex and edge maps read
+    back from its classes and the old vertices ranked in their old order,
+    then the new tags."""
+    keep = [t for t in range(T.n_tets) if t not in removed]
+    index = {t: i for i, t in enumerate(keep)}
+    kept = [Gluing((index[g.a[0]], g.a[1]), (index[g.b[0]], g.b[1]),
+                   g.corner_map)
+            for i, g in enumerate(T.gluings) if i not in set(dropped)]
+    out = TriComplex(orientations, kept + list(gluings))
+    labels = [T.vertex_class(t, c) for t in keep for c in range(4)] + [
+        tag for tet in tags for tag in tet]
+    vertex_map = dict(zip(labels, out._vertex_classes.ravel().tolist()))
+    assert len(vertex_map) == out.n_vertices
+    ranks = [0] * out.n_vertices
+    for r, tag in enumerate(sorted(vertex_map, key=lambda tag: (
+            T.vertex_rank[tag] if tag < T.n_vertices else tag))):
+        ranks[vertex_map[tag]] = r
+    vmap = np.full(max(T.n_vertices, max(vertex_map) + 1), -1)
+    vmap[list(vertex_map)] = list(vertex_map.values())
+    emap = np.full(T.n_edges, -1)
+    emap[T._edge_classes[keep].ravel()] = \
+        out._edge_classes[:len(keep)].ravel()
+    return out.with_vertex_ranks(ranks), vmap, emap
+
+
+def _full_checks(monkeypatch) -> None:
+    """From here on moves build through the validating constructor and
+    check the whole cocycle and charge, as before the local checks."""
+    cocycle, charge = triangulation._check_cocycle, validate_charge
+    monkeypatch.setattr(TriComplex, "_moved", classmethod(_full_moved))
+    monkeypatch.setattr(triangulation, "_check_cocycle",
+                        lambda T, coloring, first=0: cocycle(T, coloring))
+    monkeypatch.setattr(triangulation, "validate_charge",
+                        lambda T, link, c, *_: charge(T, link, c))
+
+
+def _assert_same_scene(a: Scene, b: Scene) -> None:
+    A, B = a.complex, b.complex
+    assert A.orientations == B.orientations
+    assert [(g.a, g.b, tuple(sorted(g.corner_map))) for g in A.gluings] \
+        == [(g.a, g.b, tuple(sorted(g.corner_map))) for g in B.gluings]
+    assert (A.n_vertices, A.n_edges, A.n_faces, A.vertex_rank) \
+        == (B.n_vertices, B.n_edges, B.n_faces, B.vertex_rank)
+    for kind in ("_vertex_classes", "_edge_classes", "_face_classes"):
+        assert np.array_equal(getattr(A, kind), getattr(B, kind)), kind
+    for cls in range(A.n_vertices):
+        assert A.vertex_incidences(cls) == B.vertex_incidences(cls)
+    for cls in range(A.n_edges):
+        assert A.edge_incidences(cls) == B.edge_incidences(cls)
+        assert A.edge_ends(cls) == B.edge_ends(cls)
+    for t in range(A.n_tets):
+        for f in range(4):
+            assert A.partner(t, f) == B.partner(t, f)
+    assert a.link == b.link
+    assert a.charge == b.charge
+    assert {cls: (g.x.hex(), g.y.hex()) for cls, g in a.coloring.items()} \
+        == {cls: (g.x.hex(), g.y.hex()) for cls, g in b.coloring.items()}
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_local_moves_match_the_full_rebuild(seed, grown_s3, monkeypatch):
+    """Walks of all four moves from 20 up to 120 tetrahedra and down to
+    100: every applied move equals the same move built and checked in
+    full, and every refusal has the same type."""
+    def walk():
+        return list(_excursion(seed, top=120, bottom=100,
+                               scene=grown_s3(20)))
+    local = walk()
+    _full_checks(monkeypatch)
+    full = walk()
+    assert [(kind, type(out)) for kind, out in local] \
+        == [(kind, type(out)) for kind, out in full]
+    applied = Counter(kind for kind, out in local if isinstance(out, Scene))
+    assert set(applied) == set(_UP), applied
+    for (kind, a), (_, b) in zip(local, full):
+        if isinstance(a, Scene):
+            _assert_same_scene(a, b)
+            T = a.complex
+            validate_link(T, a.link)
+            validate_charge(T, a.link, a.charge)
+            _check_cocycle(T, a.coloring)
+
+
+def _star_of(move, scene, *target):
+    """What ``move`` hands to ``_swap_star`` at ``target``."""
+    real, seen = triangulation._swap_star, []
+    triangulation._swap_star = lambda *args, **kw: seen.append((args, kw))
+    try:
+        move(scene, *target)
+    finally:
+        triangulation._swap_star = real
+    return seen[0]
+
+
+def _mutated_stars(fixture_scene):
+    """Stars ``_swap_star`` must refuse, with the refusal expected."""
+    args, kw = _star_of(pachner_plus, fixture_scene, 0, 0)
+    scene, removed, new = args
+    (tags, o), *rest = new
+    yield "orientation", NotOrientable, (
+        (scene, removed, [(tags, -o), *rest]), kw)
+    (pair, g), = kw["new_colors"].items()
+    yield "cocycle", BadColoring, (
+        args, {"new_colors": {pair: group_mul(g, GroupElement(0.5, 1.3))}})
+    # the apexes of a 2 -> 3 move on two tetrahedra glued face to face
+    # coincide: a new edge would be a loop, and its faces have no corner
+    # bijection
+    T = double_tet()
+    w0, w1, w2 = (T.vertex_class(0, c) for c in FACE_CORNERS[0])
+    u = T.vertex_class(0, 0)
+    yield "loop", ParseError, ((Scene(T, frozenset()), {0, 1}, [
+        ((w0, u, w1, u), 1), ((w0, u, u, w2), 1), ((u, w1, u, w2), 1)]), {})
+    # a bubble- whose scene carries a charge broken on an edge class of
+    # the removed ball, in a tetrahedron the move keeps
+    blown = bubble_plus(fixture_scene, *_link_face(fixture_scene))
+    T = blown.complex
+    top = max(range(T.n_vertices), key=lambda v: T.vertex_rank[v])
+    ball = {t for t, _ in T.vertex_incidences(top)}
+    cls = next(T.edge_class(t, e) for t in ball for e in range(6)
+               if top not in T.edge_ends(T.edge_class(t, e)))
+    t, e = next((t, e) for t, e in T.edge_incidences(cls) if t not in ball)
+    row = list(blown.charge[t])
+    for slot, d in ((e, 1), (OPPOSITE_EDGE[e], 1), ((e + 1) % 6, -1),
+                    (OPPOSITE_EDGE[(e + 1) % 6], -1)):
+        row[slot] += d
+    charge = blown.charge[:t] + (tuple(row),) + blown.charge[t + 1:]
+    yield "charge", BadCharge, _star_of(
+        bubble_minus, dataclasses.replace(blown, charge=charge), top)
+
+
+@pytest.mark.parametrize("mutation", ["orientation", "cocycle", "loop",
+                                      "charge"])
+def test_local_checks_refuse_as_the_full_checks(mutation, fixture_scene,
+                                               monkeypatch):
+    expected, (args, kw) = next((error, star) for name, error, star
+                                in _mutated_stars(fixture_scene)
+                                if name == mutation)
+
+    def refusal():
+        with pytest.raises((TopologyError, AlgebraError)) as exc:
+            triangulation._swap_star(*args, **kw)
+        return type(exc.value)
+    local = refusal()
+    _full_checks(monkeypatch)
+    assert local is refusal() is expected
 
 
 def test_smith_solver_matches_the_oracle_on_every_walk_system(monkeypatch):
