@@ -21,14 +21,16 @@ names the tetrahedra it removes and lists the new ones by the vertex
 classes of their corners.  The routine glues faces by matching vertex
 triples and carries the ranks, link, coloring and charge across.
 
-A loaded document is checked whole: ``TriComplex`` checks every gluing,
-closedness, orientation and quasi-regularity, and ``load_document`` the
-link, the cocycle on every face and the charge of every tetrahedron and
-edge class.  A move works in the size of its star: it derives the new
-complex from the old one and checks only the new gluings, the new
-tetrahedra's edges and faces, the edge classes of the star and the
-vertices whose link edges changed.  Since the boundary of the star is
-kept, everything else was checked before and is carried unchanged.
+Loads and moves run one builder, ``TriComplex._build``, which swaps a
+star of a parent complex: a load swaps every tetrahedron into the empty
+complex, so every gluing is new and checked for closedness, orientation
+and quasi-regularity, and a move derives the new complex from the old
+one and checks only the gluings and tetrahedra it adds.  A loaded
+document then has its link, the cocycle on every face and the charge of
+every tetrahedron and edge class checked.  A move checks the link
+whole, but the cocycle only on the new faces and the charge only on the
+new tetrahedra and the edge classes of the star: since the boundary of
+the star is kept, the rest was checked before and is carried unchanged.
 
 Local index conventions (normative for the JSON format): corners 0..3,
 face f is opposite corner f, edges 0..5 enumerate the corner pairs
@@ -43,6 +45,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,16 +170,16 @@ def _gluing_rows(gluings, n: int) -> np.ndarray:
             -1, 4 * n).astype(np.int64)
 
 
-def _check_gluings(rows: list, gluings, orientations, free) -> list:
-    """Check gluings, as ``rows`` (lists of the sides and three sorted
-    corner pairs) and as ``gluings``, that must glue each face of ``free``
-    exactly once: each names two faces and a bijection of their corners,
-    and reverses the face orientation.  Raises for the first faulty gluing
-    at its first failing check, then for the first face left unglued,
-    then for the first gluing of the wrong orientation; returns their
-    corner permutations."""
+def _check_gluings(rows: np.ndarray, gluings, orientations, free):
+    """Check gluings, as ``rows`` (the sides and three sorted corner pairs
+    of :func:`_gluing_rows`) and as ``gluings``, that must glue each face
+    of ``free`` exactly once: each names two faces and a bijection of
+    their corners, and reverses the face orientation.  Raises for the
+    first faulty gluing at its first failing check, then for the first
+    face left unglued, then for the first gluing of the wrong
+    orientation; returns their corner permutations, a row each."""
     n, free = len(orientations), set(free)
-    for g, (ta, fa, tb, fb, *pairs) in zip(gluings, rows):
+    for g, (ta, fa, tb, fb, *pairs) in zip(gluings, rows.tolist()):
         faults = [not (0 <= ta < n and 0 <= fa < 4),
                   not (0 <= tb < n and 0 <= fb < 4),
                   (ta, fa) == (tb, fb),
@@ -190,40 +193,17 @@ def _check_gluings(rows: list, gluings, orientations, free) -> list:
             raise error(message.format(a=g.a, b=g.b))
     if free:
         raise NotClosed("face ({}, {}) is unglued".format(*divmod(min(free), 4)))
-    perms = []
-    for g, (ta, fa, tb, fb, *pairs) in zip(gluings, rows):
-        perm = [0] * 4
-        for c, d in zip(pairs[0::2] + [fa], pairs[1::2] + [fb]):
-            perm[c] = d
-        if _SIGN[tuple(perm)] != -orientations[ta] * orientations[tb]:
-            raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse "
-                                "the face orientation")
-        perms.append(perm)
-    return perms
-
-
-def _gluing_perms(rows: np.ndarray, gluings, orientations) -> np.ndarray:
-    """The corner permutations of all gluings of a complex at once, when
-    they pass the checks of :func:`_check_gluings`; else that function
-    finds the first fault and raises it."""
-    n = len(orientations)
-    tets, faces = rows[:, 0:3:2], rows[:, 1:4:2]
-    ca, cb = rows[:, 4::2], rows[:, 5::2]
-    covered = np.bincount(np.clip(4 * tets + faces, -1, 4 * n).ravel() + 1,
-                          minlength=4 * n + 2)[1:-1]
-    if rows[:, :4].min(initial=0) >= 0 and (tets < n).all() \
-            and (faces < 4).all() and (covered == 1).all() \
-            and (np.stack([ca, np.sort(cb)], axis=1)
-                 == _FACE_CORNER_ARRAY[faces]).all():
-        m = len(rows)
-        perm = np.empty((m, 4), dtype=np.int64)
-        perm[np.arange(m)[:, None], ca] = cb
-        perm[np.arange(m), faces[:, 0]] = faces[:, 1]
-        if (_SIGN[tuple(perm.T)]
-                * np.array(orientations)[tets].prod(axis=1) == -1).all():
-            return perm
-    return np.array(_check_gluings(rows.tolist(), gluings, orientations,
-                                   range(4 * n)))
+    (ta, fa, tb, fb), m = rows[:, :4].T, len(rows)
+    perm = np.empty((m, 4), dtype=np.int64)
+    perm[np.arange(m)[:, None], rows[:, 4::2]] = rows[:, 5::2]
+    perm[np.arange(m), fa] = fb
+    o = np.array(orientations)
+    wrong = np.flatnonzero(_SIGN[tuple(perm.T)] != -o[ta] * o[tb])
+    if wrong.size:
+        g = gluings[wrong[0]]
+        raise NotOrientable(f"gluing {g.a}~{g.b} does not reverse the face "
+                            "orientation")
+    return perm
 
 
 def _edge_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,15 +248,6 @@ def _first_appearance(labels: np.ndarray):
     return number[labels], len(slots), slots
 
 
-def _drop(seq, removed) -> list:
-    """``seq`` without its entries at the sorted indices ``removed``."""
-    out, lo = [], 0
-    for r in removed:
-        out += seq[lo:r]
-        lo = r + 1
-    return out + list(seq[lo:])
-
-
 class TriComplex:
     """Validated closed oriented quasi-regular triangulation.
 
@@ -290,120 +261,100 @@ class TriComplex:
     class; all are numbered by first appearance in lexicographic
     (tetrahedron, local index) order.
 
-    The constructor checks everything: every gluing, closedness,
-    orientation and quasi-regularity.  A move builds its complex with
-    ``_moved`` instead, from the old one and the star it swaps, and
-    checks only the new gluings and the new tetrahedra's edges; its
-    ``gluings`` are built from the rows on first use, corner maps sorted.
-    Face classes and incidences are found when asked for.  Immutable;
-    ``with_vertex_ranks`` copies only the rank tuple and shares the rest,
-    which ranks do not touch.
+    One builder, ``_build``, makes every complex as a star swap of a
+    parent: the constructor swaps all its tetrahedra into the empty
+    complex, so every gluing is new and checked, and a move
+    (``_moved``) swaps a star of the old complex, so only the gluings
+    and tetrahedra it adds are.  ``gluings`` are read off the rows on
+    first use, corner maps sorted; face classes and incidences are found
+    when asked for.  Immutable; ``with_vertex_ranks`` copies only the
+    rank tuple and shares the rest, which ranks do not touch.
     """
 
     def __init__(self, orientations, gluings):
-        self.orientations = tuple(int(o) for o in orientations)
-        self.gluings = tuple(gluings)
-        n = len(self.orientations)
-        if n == 0:
+        orientations = tuple(int(o) for o in orientations)
+        if not orientations:
             raise ParseError("empty complex")
-        for t, o in enumerate(self.orientations):
+        for t, o in enumerate(orientations):
             if o not in (1, -1):
                 raise ParseError(f"tetrahedron {t}: orientation must be +-1")
-        rows = _gluing_rows(self.gluings, n)
-        perm = _gluing_perms(rows, self.gluings, self.orientations)
-        (ta, tb), ca, cb = rows[:, [0, 2]].T, rows[:, 4::2], rows[:, 5::2]
-        vc, ec = _classes((4 * n, 4 * ta[:, None] + ca, 4 * tb[:, None] + cb),
-                          (6 * n, *_edge_pairs(rows)))
-        self._set_classes(rows, perm, vc, ec, 0)
-        self.vertex_rank = tuple(range(self.n_vertices))
+        self._build(_EMPTY, [], range(4 * len(orientations)), orientations,
+                    [], tuple(gluings))
 
     @classmethod
     def _moved(cls, T: "TriComplex", removed: list[int], tags,
                orientations: tuple[int, ...], dropped: list[int],
                gluings: list[Gluing]):
-        """The complex a star swap makes of ``T``, built from ``T``.
+        """The complex a star swap makes of ``T``, with its vertex and edge
+        maps: ``_build`` run on ``T``, as a load runs it on the empty
+        complex."""
+        out = object.__new__(cls)
+        return out, *out._build(T, removed, tags, orientations, dropped,
+                                gluings)
+
+    def _build(self, T, removed, tags, orientations, dropped, gluings):
+        """Fill this complex as the star swap of ``T``.
 
         ``T`` loses the sorted tetrahedra ``removed`` and the gluings at
         the indices ``dropped`` (those of the removed faces and any it
         unglues); the kept tetrahedra keep their order and the new ones,
         their corners tagged by ``tags``, follow with the given
-        ``orientations``.  The new ``gluings`` match equal tags, each
-        joining two faces the kept gluings leave free.
+        ``orientations``.  The new ``gluings`` must glue the new faces and
+        the kept sides of the dropped gluings; they are checked, and the
+        new tetrahedra's edges must not be loops.
 
-        Only the new gluings and the new tetrahedra's edges are checked.
         Every corner is labelled by its tag, a kept one by its old vertex
-        class, and every edge slot by its old class or a fresh id joined
-        over the new gluings; renumbering by first appearance gives the
-        classes the constructor would.  Returns the complex, ranked with
-        the old vertices in their old order and then the new tags, and
-        the maps from old vertex labels (tags) and old edge classes to
-        their new classes, -1 where gone.
+        class, and every edge slot by its old class or a fresh id; the
+        labels the new gluings identify are joined, which for a move
+        leaves the tags as they are.  Renumbering by first appearance
+        gives the classes.  The old vertices keep their order of rank,
+        and a new tag ranks as itself, after them.  Returns the maps from
+        old vertex labels (tags) and old edge classes to their new
+        classes, -1 where gone.
         """
+        n, base = len(orientations), T.n_tets - len(removed)
         keep = np.ones(T.n_tets, dtype=bool)
         keep[removed] = False
         stay = np.ones(len(T._rows), dtype=bool)
         stay[dropped] = False
         kept = T._rows[stay]
         kept[:, 0:3:2] -= np.searchsorted(removed, kept[:, 0:3:2])
-        new = _gluing_rows(gluings, len(orientations))
-        # the new gluings must glue the new faces and the kept sides of
-        # the dropped gluings
-        base = T.n_tets - len(removed)
+        new = _gluing_rows(gluings, n)
         free = [4 * (t - bisect.bisect(removed, t)) + f
                 for t, f in T._rows[dropped][:, :4].reshape(-1, 2).tolist()
-                if keep[t]] + list(range(4 * base, 4 * len(orientations)))
+                if keep[t]] + list(range(4 * base, 4 * n))
         rows = np.concatenate([kept, new])
-        perm = np.concatenate([T._perm[stay], np.reshape(_check_gluings(
-            new.tolist(), gluings, orientations, free), (-1, 4))])
-        tags = np.array(tags, dtype=np.int64).reshape(-1, 4)
+        perm = np.concatenate([T._perm[stay], _check_gluings(
+            new, gluings, orientations, free)])
         old_edges = T._edge_classes[keep].ravel()
-        vertex_labels = np.concatenate([T._vertex_classes[keep].ravel(),
-                                        tags.ravel()])
-        n_labels = T.n_edges + 6 * len(tags)
+        vertex_labels = np.concatenate([
+            T._vertex_classes[keep].ravel(),
+            np.array(tags, dtype=np.int64).ravel()])
+        size = max(T.n_vertices, vertex_labels.max() + 1)
+        n_labels = T.n_edges + 6 * (n - base)
         edge_labels = np.concatenate([old_edges,
                                       np.arange(T.n_edges, n_labels)])
-        # join the labels the new gluings identify
-        joined, = _classes((n_labels, *(edge_labels[s]
-                                        for s in _edge_pairs(new))))
-        out = object.__new__(cls)
-        out.orientations = orientations
-        first = out._set_classes(rows, perm, vertex_labels,
-                                 joined[edge_labels], base)
-        # old vertices keep their order of rank, and a new tag ranks as
-        # itself, after them
-        size = max(T.n_vertices, vertex_labels.max() + 1)
-        rank = np.empty(out.n_vertices, dtype=np.int64)
-        rank[np.argsort(np.concatenate([
-            T.vertex_rank, np.arange(T.n_vertices, size)])[
-            vertex_labels[first]])] = np.arange(out.n_vertices)
-        out.vertex_rank = tuple(rank.tolist())
-        vertex_map = np.full(size, -1)
-        vertex_map[vertex_labels] = out._vertex_classes.ravel()
-        edge_map = np.full(T.n_edges, -1)
-        edge_map[old_edges] = out._edge_classes[:base].ravel()
-        return out, vertex_map, edge_map
-
-    def _set_classes(self, rows, perm, vertex_labels, edge_labels,
-                     checked: int) -> np.ndarray:
-        """Number the classes of the slot labels, refuse a loop edge in the
-        tetrahedra from ``checked`` on and lay out the accessors; returns
-        each vertex class's first slot."""
-        n = len(self.orientations)
+        (ta, tb), ca, cb = new[:, [0, 2]].T, new[:, 4::2], new[:, 5::2]
+        vertex_join, edge_join = _classes(
+            (size, vertex_labels[4 * ta[:, None] + ca],
+             vertex_labels[4 * tb[:, None] + cb]),
+            (n_labels, *(edge_labels[s] for s in _edge_pairs(new))))
+        vertex_labels = vertex_join[vertex_labels]
         # one numbering of both kinds, the vertex slots first
         ids, count, first = _first_appearance(np.concatenate(
-            [vertex_labels, vertex_labels.max() + 1 + edge_labels]))
+            [vertex_labels, size + edge_join[edge_labels]]))
+        self.orientations = orientations
         self.n_vertices = int(np.searchsorted(first, 4 * n))
         self.n_edges = count - self.n_vertices
         self._vertex_classes = ids[:4 * n].reshape(n, 4)
         self._edge_classes = (ids[4 * n:] - self.n_vertices).reshape(n, 6)
         self._edge_first = first[self.n_vertices:] - 4 * n
-        ends = self._vertex_classes[checked:, _EDGE_ENDS]
+        ends = self._vertex_classes[base:, _EDGE_ENDS]
         loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
         if loops.size:
             t, e = divmod(int(loops[0]), 6)
-            raise NotQuasiRegular(
-                f"edge ({checked + t}, {e}) is a loop at vertex "
-                f"{ends[t, 0, e]}")
+            raise NotQuasiRegular(f"edge ({base + t}, {e}) is a loop at "
+                                  f"vertex {ends[t, 0, e]}")
         self._rows, self._perm = rows, perm
         self._gluing_of = np.empty(4 * n, dtype=np.int64)
         self._gluing_of[4 * rows[:, 0:3:2] + rows[:, 1:4:2]] = \
@@ -411,7 +362,17 @@ class TriComplex:
         # flat lists, which the garbage collector does not track
         self._vc = ids[:4 * n].tolist()
         self._ec = self._edge_classes.ravel().tolist()
-        return first[:self.n_vertices]
+        rank = np.empty(self.n_vertices, dtype=np.int64)
+        rank[np.argsort(np.concatenate([
+            T.vertex_rank, np.arange(T.n_vertices, size)])[
+            vertex_labels[first[:self.n_vertices]]])] = \
+            np.arange(self.n_vertices)
+        self.vertex_rank = tuple(rank.tolist())
+        vertex_map = np.full(size, -1)
+        vertex_map[vertex_labels] = self._vertex_classes.ravel()
+        edge_map = np.full(T.n_edges, -1)
+        edge_map[old_edges] = self._edge_classes[:base].ravel()
+        return vertex_map, edge_map
 
     @functools.cached_property
     def gluings(self) -> tuple[Gluing, ...]:
@@ -491,6 +452,15 @@ class TriComplex:
         out = copy.copy(self)
         out.vertex_rank = ranks
         return out
+
+
+# The parent of every loaded complex: no tetrahedra, rows or classes.
+_EMPTY = SimpleNamespace(
+    n_tets=0, n_vertices=0, n_edges=0, vertex_rank=(),
+    _rows=np.empty((0, 10), dtype=np.int64),
+    _perm=np.empty((0, 4), dtype=np.int64),
+    _vertex_classes=np.empty((0, 4), dtype=np.int64),
+    _edge_classes=np.empty((0, 6), dtype=np.int64))
 
 
 # -- documents -------------------------------------------------------
@@ -710,15 +680,16 @@ def color_of(T: TriComplex, coloring: dict[int, GroupElement],
 
 def validate_link(T: TriComplex, link: frozenset[int]) -> None:
     """Check the Hamiltonian condition: every vertex on exactly two link edges."""
-    degree = [0] * T.n_vertices
     for cls in link:
         if not (0 <= cls < T.n_edges):
             raise NotHamiltonian(f"unknown edge class {cls}")
-        for v in T.edge_ends(cls):
-            degree[v] += 1
-    for v, d in enumerate(degree):
-        if d != 2:
-            raise NotHamiltonian(f"vertex {v} lies on {d} link edges, not 2")
+    t, e = np.divmod(T._edge_first[list(link)], 6)
+    degree = np.bincount(T._vertex_classes[t[:, None], _EDGE_ENDS.T[e]].ravel(),
+                         minlength=T.n_vertices)
+    bad = np.flatnonzero(degree != 2)
+    if bad.size:
+        raise NotHamiltonian(f"vertex {bad[0]} lies on {degree[bad[0]]} link "
+                             "edges, not 2")
 
 
 def _edge_target(link: frozenset[int], cls: int) -> int:
@@ -980,18 +951,17 @@ def _transport_charge(T_new, link_new, rows, new_tets: range,
 
     Solves the local doubled system (tetrahedron sums plus incidence sums
     of every edge class the new tetrahedra touch, with surviving charges
-    fixed) with ``_smith_solve``.  When the solution is not unique and the
-    kernel has at most four vectors, every combination of the particular
+    fixed) with ``_smith_solve``.  Its 3 unknowns and one face-sum row
+    per new tetrahedron, at most three of them, leave a kernel of at most
+    6 vectors.  When there is one, every combination of the particular
     solution with kernel coefficients within one of the least-squares
-    point's is tried, and the one of least norm wins, ties broken
-    lexicographically over the new rows' doubled values in (tetrahedron,
-    edge) order.  That is the least-norm integral solution when the kernel
-    has dimension 1, or when the least-squares point is integral; past
-    that it need not be.  The walks meet kernels of dimension 0 (pachner-,
-    bubble-), 1 (pachner+) and 2 (bubble+, whose least-squares point gives
-    each new edge at the new vertex half its target on either side).
-    Only the new rows and the ``touched`` edge classes are checked: the
-    other classes keep their incidences and their charges.
+    point's is tried, at most 4^6 points, and the one of least norm wins,
+    ties broken lexicographically over the new rows' doubled values in
+    (tetrahedron, edge) order.  That is the least-norm integral solution
+    when the kernel has dimension 1, or when the least-squares point is
+    integral; past that it need not be.  Only the new rows and the
+    ``touched`` edge classes are checked: the other classes keep their
+    incidences and their charges.
     """
     eqs, rhs, _ = _charge_rows(T_new, link_new, list(new_tets), fixed=rows)
     sol = _smith_solve(eqs, rhs, 3 * len(new_tets))
@@ -999,7 +969,7 @@ def _transport_charge(T_new, link_new, rows, new_tets: range,
         raise NoCharge("charge transport system is inconsistent")
     x0, kernel = sol
 
-    if kernel and len(kernel) <= 4:
+    if kernel:
         K = np.array(kernel)
         # in both cases above the grid holds the optimum whichever float
         # method finds the least-squares point
@@ -1073,13 +1043,13 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
     ``new_link`` adds new edges as tag pairs; ``new_colors`` maps a tag
     pair to the color of the new edge oriented from the first tag.
 
-    The work is in the size of the star.  ``TriComplex._moved`` derives
-    the new complex from the old one and checks the new gluings and
-    tetrahedra only.  A swap keeps the star's boundary, so the kept slots
-    keep their partition into classes, the kept faces their colors and
-    the kept rows their charges; hence the link is checked at the
-    vertices whose link edges changed, the cocycle on the new faces, and
-    the charge on the new rows and the edge classes of the star.
+    ``TriComplex._moved`` derives the new complex from the old one with
+    the builder a load runs, checking the new gluings and tetrahedra
+    only.  A swap keeps the star's boundary, so the kept slots keep their
+    partition into classes, the kept faces their colors and the kept rows
+    their charges; hence the link is checked whole, but the cocycle only
+    on the new faces and the charge only on the new rows and the edge
+    classes of the star.
     """
     T = scene.complex
     removed = sorted(removed)
@@ -1091,7 +1061,8 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
     def kept_end(t, f):
         return (t - bisect.bisect(removed, t), f), T._vc[4 * t:4 * t + 4]
 
-    tets, orientations = [], _drop(T.orientations, removed)
+    tets = []
+    orientations = [o for t, o in enumerate(T.orientations) if t not in gone]
     for tags, o in new:
         s = tuple(sorted(tags, key=rank))
         tets.append(s)
@@ -1118,10 +1089,8 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
     if -1 in carried:
         raise TopologyError(f"link class {kept_link[carried.index(-1)]} "
                             "lost by the move")
-    added = {new_edge(u, w) for u, w in new_link} - set(carried)
-    link_new = frozenset(carried) | added
-    _check_link_change(T, T_new, vertex_map, scene.link, frozenset(kept_link),
-                       added)
+    link_new = frozenset(carried) | {new_edge(u, w) for u, w in new_link}
+    validate_link(T_new, link_new)
     coloring = None
     if scene.coloring is not None:
         coloring = _transport_coloring(
@@ -1133,28 +1102,10 @@ def _swap_star(scene: Scene, removed, new, glue=(), link=None, new_link=(),
         touched = edge_map[T._edge_classes[removed]].ravel().tolist() \
             + T_new._edge_classes[base:].ravel().tolist()
         charge = _transport_charge(
-            T_new, link_new, _drop(scene.charge, removed) + [None] * len(new),
+            T_new, link_new, [c for t, c in enumerate(scene.charge)
+                              if t not in gone] + [None] * len(new),
             range(base, T_new.n_tets), set(touched) - {-1})
     return Scene(T_new, link_new, coloring, charge)
-
-
-def _check_link_change(T, T_new, vertex_map, link, kept_link, added) -> None:
-    """The Hamiltonian condition at the vertices whose link edges a move
-    changed: ``link`` became ``kept_link`` in old classes, plus the
-    ``added`` new classes.  Every other vertex keeps its two link edges,
-    and a new vertex starts with none."""
-    steps = [(vertex_map[v], -1) for cls in link - kept_link
-             for v in T.edge_ends(cls)]
-    steps += [(vertex_map[v], 1) for cls in kept_link - link
-              for v in T.edge_ends(cls)]
-    steps += [(v, 1) for cls in added for v in T_new.edge_ends(cls)]
-    degree = dict.fromkeys(vertex_map[T.n_vertices:].tolist(), 0)
-    for v, step in steps:
-        degree[int(v)] = degree.get(int(v), 2) + step
-    degree.pop(-1, None)        # a vertex the move removed
-    for v, d in sorted(degree.items()):
-        if d != 2:
-            raise NotHamiltonian(f"vertex {v} lies on {d} link edges, not 2")
 
 
 def pachner_plus(scene: Scene, tet: int, face: int) -> Scene:

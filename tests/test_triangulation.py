@@ -805,9 +805,11 @@ def test_move_walk_documents_are_pinned():
 
 def _full_moved(cls, T, removed, tags, orientations, dropped, gluings):
     """The oracle of ``TriComplex._moved``: the kept and the new gluings
-    through the validating constructor, with the vertex and edge maps read
-    back from its classes and the old vertices ranked in their old order,
-    then the new tags."""
+    through the constructor, which checks every gluing, with the vertex
+    and edge maps read back from its classes and the old vertices ranked
+    in their old order, then the new tags.  The constructor runs the
+    builder a move runs, so ``_assert_oracle_classes`` checks the classes
+    apart from it."""
     keep = [t for t in range(T.n_tets) if t not in removed]
     index = {t: i for i, t in enumerate(keep)}
     kept = [Gluing((index[g.a[0]], g.a[1]), (index[g.b[0]], g.b[1]),
@@ -828,6 +830,14 @@ def _full_moved(cls, T, removed, tags, orientations, dropped, gluings):
     emap[T._edge_classes[keep].ravel()] = \
         out._edge_classes[:len(keep)].ravel()
     return out.with_vertex_ranks(ranks), vmap, emap
+
+
+def _assert_oracle_classes(T: TriComplex) -> None:
+    """The vertex and edge classes of ``T`` are those of the union-find
+    oracle, which shares no code with the builder."""
+    vc, ec, _ = _oracle_classes(T)
+    assert list(map(tuple, T._vertex_classes.tolist())) == vc
+    assert list(map(tuple, T._edge_classes.tolist())) == ec
 
 
 def _full_checks(monkeypatch) -> None:
@@ -868,7 +878,8 @@ def _assert_same_scene(a: Scene, b: Scene) -> None:
 def test_local_moves_match_the_full_rebuild(seed, grown_s3, monkeypatch):
     """Walks of all four moves from 20 up to 120 tetrahedra and down to
     100: every applied move equals the same move built and checked in
-    full, and every refusal has the same type."""
+    full and has the classes of the union-find oracle, and every refusal
+    has the same type."""
     def walk():
         return list(_excursion(seed, top=120, bottom=100,
                                scene=grown_s3(20)))
@@ -883,6 +894,7 @@ def test_local_moves_match_the_full_rebuild(seed, grown_s3, monkeypatch):
         if isinstance(a, Scene):
             _assert_same_scene(a, b)
             T = a.complex
+            _assert_oracle_classes(T)
             validate_link(T, a.link)
             validate_charge(T, a.link, a.charge)
             _check_cocycle(T, a.coloring)
@@ -946,10 +958,16 @@ def test_local_checks_refuse_as_the_full_checks(mutation, fixture_scene,
     def refusal():
         with pytest.raises((TopologyError, AlgebraError)) as exc:
             triangulation._swap_star(*args, **kw)
-        return type(exc.value)
+        return type(exc.value), str(exc.value)
     local = refusal()
     _full_checks(monkeypatch)
-    assert local is refusal() is expected
+    full = refusal()
+    assert local[0] is full[0] is expected
+    # the charge mutation breaks the scene outside the star too: the local
+    # check names a class the move touched (3), the full check the lowest
+    # broken class (1)
+    if mutation != "charge":
+        assert local[1] == full[1]
 
 
 def test_smith_solver_matches_the_oracle_on_every_walk_system(monkeypatch):
